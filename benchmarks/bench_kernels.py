@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Benchmark the jitted kernels against their pure-numpy fallbacks.
+"""Benchmark the jitted enumeration oracles against their pure-numpy fallbacks.
 
-Runs each kernel both ways in-process (the numba path is skipped when the
+Runs each oracle both ways in-process (the numba path is skipped when the
 package was imported with CHARSUM_PURE_NUMPY=1 or numba is missing) and
 prints a speedup table.  Usage:
 
@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import time
 
-import numpy as np
-
-from charsum import _kernels, chars
+from charsum import _kernels
 from charsum.field import make_field
 
 
@@ -35,9 +33,6 @@ def main() -> None:
     args = parser.parse_args()
 
     ctx = make_field(args.q)
-    unit = chars.unit_roots(ctx)
-    theta = chars.theta_by_exp(ctx)
-
     rows = []
 
     def bench(name, numba_fn, numpy_fn, check_equal):
@@ -50,17 +45,6 @@ def main() -> None:
         check_equal()
         rows.append((name, t_jit, t_np))
 
-    bench(
-        "gauss_table",
-        lambda: _kernels.gauss_table_numba(unit, theta) if _kernels.HAVE_NUMBA else None,
-        lambda: _kernels.gauss_table_numpy(unit, theta),
-        lambda: _kernels.HAVE_NUMBA
-        and np.testing.assert_allclose(
-            _kernels.gauss_table_numba(unit, theta),
-            _kernels.gauss_table_numpy(unit, theta),
-            atol=1e-9 * args.q,
-        ),
-    )
     p = ctx.p
     bench(
         "count_naive(e=2,d=3)",

@@ -1,12 +1,9 @@
-"""Hot numeric kernels: numba-jitted inner loops with pure-numpy fallbacks.
+"""Naive enumeration oracles over prime fields: numba loops with numpy fallbacks.
 
-Set CHARSUM_PURE_NUMPY=1 to force the numpy path (the numba import is then
-skipped entirely).  Both paths are exercised by the test suite and timed
-against each other in benchmarks/bench_kernels.py.
-
-The Gauss-sum table kernel runs the O(q^2) double loop with Kahan
-compensated accumulation; the numpy fallback relies on numpy's pairwise
-summation, which keeps the same error envelope for q up to the size cap.
+These are the brute-force point counts that the closed forms are checked
+against.  Set CHARSUM_PURE_NUMPY=1 to force the numpy path (the numba import
+is then skipped entirely).  Both paths are exercised by the test suite and
+timed against each other in benchmarks/bench_kernels.py.
 """
 
 from __future__ import annotations
@@ -26,61 +23,6 @@ if not _FORCE_NUMPY:
         HAVE_NUMBA = False
 else:
     HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# Gauss-sum table: G[m] = sum_k unit[(m*k) mod L] * theta[k],  L = q - 1
-# ---------------------------------------------------------------------------
-
-def gauss_table_numpy(unit: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    L = unit.shape[0]
-    ks = np.arange(L, dtype=np.int64)
-    out = np.empty(L, dtype=np.complex128)
-    for m in range(L):
-        out[m] = np.sum(unit[(m * ks) % L] * theta)
-    return out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _gauss_table_jit(unit_re, unit_im, th_re, th_im):  # pragma: no cover - jitted
-        L = unit_re.shape[0]
-        out_re = np.empty(L, dtype=np.float64)
-        out_im = np.empty(L, dtype=np.float64)
-        for m in range(L):
-            s_re = 0.0
-            s_im = 0.0
-            c_re = 0.0
-            c_im = 0.0
-            for k in range(L):
-                idx = (m * k) % L
-                t_re = unit_re[idx] * th_re[k] - unit_im[idx] * th_im[k]
-                t_im = unit_re[idx] * th_im[k] + unit_im[idx] * th_re[k]
-                y = t_re - c_re
-                t = s_re + y
-                c_re = (t - s_re) - y
-                s_re = t
-                y = t_im - c_im
-                t = s_im + y
-                c_im = (t - s_im) - y
-                s_im = t
-            out_re[m] = s_re
-            out_im[m] = s_im
-        return out_re, out_im
-
-    def gauss_table_numba(unit: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        re, im = _gauss_table_jit(
-            np.ascontiguousarray(unit.real),
-            np.ascontiguousarray(unit.imag),
-            np.ascontiguousarray(theta.real),
-            np.ascontiguousarray(theta.imag),
-        )
-        return re + 1j * im
-
-    gauss_table = gauss_table_numba
-else:
-    gauss_table = gauss_table_numpy
 
 
 # ---------------------------------------------------------------------------

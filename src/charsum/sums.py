@@ -1,10 +1,11 @@
 """Gauss sums, Jacobi sums, Greene binomial coefficients, and identity suites.
 
 The whole Gauss table G[m] = sum_{x != 0} T^m(x) * theta(x) is built once per
-field context by the O(q^2) kernel and cached; afterwards every Gauss sum is
-a lookup, and Jacobi sums / binomials take the Gauss-quotient fast path
+field context by one inverse FFT and cached; afterwards every Gauss sum is a
+lookup, and Jacobi sums / binomials take the Gauss-quotient fast path
 whenever all involved characters are nontrivial, falling back to the
-defining summation otherwise.
+defining summation otherwise.  The defining multi-sums are additive
+convolutions, computed by FFT over the group (Z/p)^n.
 """
 
 from __future__ import annotations
@@ -15,16 +16,22 @@ import time
 
 import numpy as np
 
-from . import _kernels, chars
+from . import chars
 from .field import FieldCtx
 from .report import VerifyReport
 
 
 def gauss_table(ctx: FieldCtx) -> np.ndarray:
-    """All Gauss sums G[m], m in [0, q-2], cached on the context."""
+    """All Gauss sums G[m], m in [0, q-2], cached on the context.
+
+    Summed over x = g^k, G[m] = sum_k theta(g^k) exp(2*pi*i*m*k/(q-1)) is one
+    length-(q-1) inverse DFT, so the table costs O(q log q) for any q
+    (numpy's FFT handles large prime factors of q-1 with Bluestein's
+    algorithm).
+    """
     tab = ctx._cache.get("gauss")
     if tab is None:
-        tab = _kernels.gauss_table(chars.unit_roots(ctx), chars.theta_by_exp(ctx))
+        tab = np.fft.ifft(chars.theta_by_exp(ctx)) * (ctx.q - 1)
         tab.setflags(write=False)
         ctx._cache["gauss"] = tab
     return tab
@@ -65,30 +72,17 @@ def jacobi_sum(ctx: FieldCtx, a: int, b: int) -> complex:
     return jacobi_direct(ctx, a, b)
 
 
-def _digit_matrix(ctx: FieldCtx) -> np.ndarray:
-    digs = ctx._cache.get("digits")
-    if digs is None:
-        pb = np.array(ctx._pow_basis, dtype=np.int64)
-        digs = (np.arange(ctx.q, dtype=np.int64)[:, None] // pb) % ctx.p
-        ctx._cache["digits"] = digs
-    return digs
-
-
 def _convolve_add(ctx: FieldCtx, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Additive convolution over F_q: out[s] = sum_{u+v=s} f[u] g[v]."""
-    q = ctx.q
-    out = np.empty(q, dtype=np.complex128)
-    if ctx.n == 1:
-        idx = np.arange(q, dtype=np.int64)
-        for s in range(q):
-            out[s] = np.dot(f, g[(s - idx) % q])
-    else:
-        digs = _digit_matrix(ctx)
-        pb = np.array(ctx._pow_basis, dtype=np.int64)
-        for s in range(q):
-            sub = ((digs[s] - digs) % ctx.p) @ pb  # indices of s - u
-            out[s] = np.dot(f, g[sub])
-    return out
+    """Additive convolution over F_q: out[s] = sum_{u+v=s} f[u] g[v].
+
+    Element indices are base-p digit vectors and addition is digit-wise mod
+    p, so reshaping to (p,)*n lays F_q out as the group (Z/p)^n and the
+    convolution is a cyclic one along every axis (a plain cyclic
+    convolution for n = 1).
+    """
+    shape = (ctx.p,) * ctx.n
+    out = np.fft.ifftn(np.fft.fftn(f.reshape(shape)) * np.fft.fftn(g.reshape(shape)))
+    return out.reshape(ctx.q)
 
 
 def jacobi_multi(ctx: FieldCtx, exps) -> complex:
@@ -108,15 +102,10 @@ def jacobi_multi(ctx: FieldCtx, exps) -> complex:
         G = gauss_table(ctx)
         num = np.prod([G[e] for e in exps])
         return complex(num / G[sum(exps) % L])
-    unit = chars.unit_roots(ctx)
-    tables = []
-    for e in exps:
-        f = np.zeros(ctx.q, dtype=np.complex128)
-        f[1:] = unit[(e * ctx.dlog[np.arange(1, ctx.q)]) % L]
-        tables.append(f)
-    acc = tables[0]
-    for f in tables[1:]:
-        acc = _convolve_add(ctx, acc, f)
+    xs = np.arange(ctx.q)
+    acc = chars.mul_char_vec(ctx, exps[0], xs)
+    for e in exps[1:]:
+        acc = _convolve_add(ctx, acc, chars.mul_char_vec(ctx, e, xs))
     return complex(acc[1])
 
 
@@ -232,15 +221,8 @@ def _check_jacobi_gauss(ctx: FieldCtx, w: _Worst, seed=0, triples=24, **_):
             continue
         lhs = jacobi_multi(ctx, ks)  # quotient path
         # defining multi-sum, forced through the convolution route
-        unit = chars.unit_roots(ctx)
-        tables = []
-        for e in ks:
-            f = np.zeros(ctx.q, dtype=np.complex128)
-            f[1:] = unit[(e * ctx.dlog[np.arange(1, ctx.q)]) % L]
-            tables.append(f)
-        acc = _convolve_add(ctx, tables[0], tables[1])
-        acc = _convolve_add(ctx, acc, tables[2])
-        rhs = complex(acc[1])
+        f1, f2, f3 = (chars.mul_char_vec(ctx, e, np.arange(ctx.q)) for e in ks)
+        rhs = complex(_convolve_add(ctx, _convolve_add(ctx, f1, f2), f3)[1])
         w.update(abs(lhs - rhs), tuple(ks), lhs, rhs)
         seen += 1
 

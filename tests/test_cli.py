@@ -2,11 +2,13 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import charsum
 from charsum import cli
 
 
@@ -151,10 +153,11 @@ def test_determinism_same_seed_identical_output():
 
 
 def test_size_cap_env_override():
+    src_dir = os.path.dirname(os.path.dirname(charsum.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "charsum.cli", "eval", "gauss", "--q", "13",
          "--m", "0"],
-        env={"PATH": "/usr/bin:/bin", "CHARSUM_SIZE_CAP": "7"},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_dir, "CHARSUM_SIZE_CAP": "7"},
         capture_output=True,
         text=True,
     )

@@ -77,6 +77,39 @@ def test_gauss_table_idempotent(f13):
     assert t1 is t2
 
 
+@pytest.mark.parametrize("pn", [(43, 1), (4093, 1), (3, 8)], ids=["43", "4093", "3^8"])
+def test_gauss_table_properties(pn):
+    ctx = field(*pn)
+    G = sums.gauss_table(ctx)
+    assert abs(G[0] + 1) < 1e-10
+    np.testing.assert_allclose(np.abs(G[1:]) ** 2, ctx.q, atol=1e-9 * ctx.q)
+
+
+@pytest.mark.parametrize("pn", [(4093, 1), (3, 8)], ids=["4093", "3^8"])
+def test_gauss_table_matches_defining_sum(pn):
+    # seeded sample of m against sum_x T^m(x) theta(x), summed over the units
+    ctx = field(*pn)
+    G = sums.gauss_table(ctx)
+    xs = np.array(ctx.units(), dtype=np.int64)
+    theta = chars.theta_table(ctx)[xs]
+    rng = np.random.default_rng(11)
+    for m in rng.choice(ctx.q - 1, size=16, replace=False):
+        direct = np.sum(chars.mul_char_vec(ctx, int(m), xs) * theta)
+        assert abs(G[m] - direct) < 1e-9 * ctx.q
+
+
+@pytest.mark.parametrize("pn", [(13, 1), (3, 2), (3, 3)], ids=["13", "3^2", "3^3"])
+def test_convolve_add_matches_double_loop(pn):
+    ctx = field(*pn)
+    rng = np.random.default_rng(5)
+    f, g = rng.standard_normal((2, ctx.q)) + 1j * rng.standard_normal((2, ctx.q))
+    ref = np.zeros(ctx.q, dtype=np.complex128)
+    for u in ctx.elements():
+        for v in ctx.elements():
+            ref[ctx.add(u, v)] += f[u] * g[v]
+    np.testing.assert_allclose(sums._convolve_add(ctx, f, g), ref, atol=1e-9)
+
+
 def test_jacobi_special_values(f13):
     assert abs(sums.jacobi_sum(f13, 0, 0) - 11) < 1e-12  # q - 2
     assert abs(sums.jacobi_sum(f13, 6, 6) - (-1)) < 1e-12
