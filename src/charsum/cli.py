@@ -153,6 +153,9 @@ def cmd_count(args, emitter: _Emitter) -> None:
         curves.require_congruence(probe)
     except curves.CongruenceError as exc:
         raise CliError(str(exc)) from exc
+    # Every row shares the Gauss table; building it here keeps the build
+    # out of the first row's ms.
+    sums.gauss_table(ctx)
     for a, b in _count_cases(ctx, args):
         spec = curves.CurveSpec(ctx, args.e, args.d, a, b)
         t0 = time.perf_counter()

@@ -6,6 +6,12 @@ Elements are canonical integer indices: for n = 1 the representative in
 All multiplicative structure is table-driven: a fixed canonical generator
 g, an exp table g^k, and its inverse dlog table, so that characters and
 character sums downstream are O(1) lookups per element.
+
+The tables are F_p linear algebra over coefficient vectors, not one
+polynomial product per element: multiplication by g is an n x n matrix, so
+the coefficient vectors of all powers g^k come from about log2(q) matrix
+products, and the trace, being F_p-linear, is the digit table of all
+indices times the traces of the n basis elements.
 """
 
 from __future__ import annotations
@@ -52,7 +58,9 @@ def prime_factors(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Polynomial arithmetic over F_p (coefficient tuples, ascending degree).
-# Only used during construction; runtime arithmetic is table-driven.
+# Only used during construction, on a few elements: the modulus and generator
+# searches, the matrix of x -> g*x and the n basis traces.  The q-sized
+# tables are array work; runtime arithmetic is table-driven.
 # ---------------------------------------------------------------------------
 
 def _poly_trim(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -176,8 +184,19 @@ class FieldCtx:
         self.modulus = None if n == 1 else _smallest_irreducible(p, n)
         self._pow_basis = [p**i for i in range(n)]
         self.g = self._find_generator()
-        self.exp, self.dlog = self._build_log_tables()
-        self.trace_tab = self._build_trace_table()
+        pow_basis = np.array(self._pow_basis, dtype=np.int64)
+        self.exp, self.dlog = self._build_log_tables(pow_basis)
+        if n == 1:
+            self.trace_tab = np.arange(q, dtype=np.int64)
+        else:
+            # Digits of every index, in the smallest dtype that holds the sum
+            # of two digits (add_vec adds digit rows before reducing).
+            self._digits = (
+                (np.arange(q, dtype=np.int64)[:, None] // pow_basis) % p
+            ).astype(np.min_scalar_type(2 * (p - 1)))
+            self._carry = p * pow_basis
+            self._neg_tab = ((p - self._digits) % p) @ pow_basis
+            self.trace_tab = (self._digits @ self._basis_traces()) % p
         self._cache: dict = {}  # derived tables, single-writer init
 
     # -- construction helpers -------------------------------------------------
@@ -210,34 +229,51 @@ class FieldCtx:
                 return cand
         raise FieldError("no generator found")  # unreachable for a true field
 
-    def _build_log_tables(self):
-        order = self.q - 1
-        exp = np.zeros(order, dtype=np.int64)
+    def _build_log_tables(self, pow_basis: np.ndarray):
+        """exp[k] = g^k and its inverse dlog, from the matrix of x -> g*x.
+
+        Column j of M holds the coefficients of g*t^j, so column k of V,
+        the coefficient vector of g^k, is M^k e_0.  V is filled by doubling:
+        V[:, s:2s] = M^s V[:, :s].  Prime fields take the same path with
+        M = [[g]].
+        """
+        p, n, order = self.p, self.n, self.q - 1
+        M = np.array(
+            [self.to_coeffs(self._raw_mul(self.g, t)) for t in self._pow_basis],
+            dtype=np.int64,
+        ).T
+        V = np.zeros((n, order), dtype=np.int64)
+        V[0, 0] = 1
+        s = 1
+        while s < order:
+            w = min(s, order - s)
+            V[:, s:s + w] = (M @ V[:, :w]) % p
+            M = (M @ M) % p
+            s *= 2
+        exp = pow_basis @ V
         dlog = np.full(self.q, -1, dtype=np.int64)
-        acc = 1
-        for k in range(order):
-            exp[k] = acc
-            dlog[acc] = k
-            acc = self._raw_mul(acc, self.g)
-        if acc != 1:
-            raise FieldError("generator order check failed")
+        dlog[exp] = np.arange(order, dtype=np.int64)
+        if exp.min() < 1 or np.count_nonzero(dlog >= 0) != order:
+            raise FieldError("powers of the generator miss some unit")
         return exp, dlog
 
-    def _build_trace_table(self):
-        tr = np.zeros(self.q, dtype=np.int64)
-        for x in range(self.q):
-            acc = x
-            total = x
+    def _basis_traces(self) -> np.ndarray:
+        """Tr(t^j) for each basis element t^j, by the Frobenius sum.
+
+        The trace is F_p-linear, so checking that these land in the prime
+        subfield covers every element.
+        """
+        out = []
+        for x in self._pow_basis:
+            acc = total = x
             for _ in range(self.n - 1):
                 acc = self._raw_pow(acc, self.p)
                 total = self.add(total, acc)
-            if self.n > 1:
-                coeffs = self.to_coeffs(total)
-                if any(coeffs[1:]):
-                    raise FieldError("trace left the prime subfield")
-                total = coeffs[0]
-            tr[x] = total
-        return tr
+            coeffs = self.to_coeffs(total)
+            if any(coeffs[1:]):
+                raise FieldError("trace left the prime subfield")
+            out.append(coeffs[0])
+        return np.array(out, dtype=np.int64)
 
     # -- element codec ---------------------------------------------------------
 
@@ -316,18 +352,16 @@ class FieldCtx:
         ys = np.asarray(ys, dtype=np.int64)
         if self.n == 1:
             return (xs + ys) % self.p
-        pb = np.array(self._pow_basis, dtype=np.int64)
-        dx = (xs[..., None] // pb) % self.p
-        dy = (ys[..., None] // pb) % self.p
-        return ((dx + dy) % self.p) @ pb
+        # digit-wise addition without carry: subtract p from each digit
+        # position whose sum reached p
+        D = self._digits
+        return xs + ys - ((D[xs] + D[ys]) >= self.p) @ self._carry
 
     def neg_vec(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
         if self.n == 1:
             return (-xs) % self.p
-        pb = np.array(self._pow_basis, dtype=np.int64)
-        dx = (xs[..., None] // pb) % self.p
-        return ((-dx) % self.p) @ pb
+        return self._neg_tab[xs]
 
     def mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
         """Elementwise product of an index array with a fixed element."""

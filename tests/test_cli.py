@@ -179,3 +179,21 @@ def test_exit_code_one_on_mismatch(monkeypatch):
                          "--a", "1", "--b", "1", "--format", "json"])
     assert code == 1
     assert json.loads(out)["match"] is False
+
+
+def test_count_builds_gauss_table_before_first_row(monkeypatch):
+    # the table build belongs to no row, so it must not land in row 1's ms
+    from charsum import curves as curves_mod
+
+    real = curves_mod.count_bruteforce
+    seen = []
+
+    def spy(spec):
+        seen.append("gauss" in spec.ctx._cache)
+        return real(spec)
+
+    monkeypatch.setattr(cli.curves, "count_bruteforce", spy)
+    code, _ = run_cli(["count", "--q", "37", "--e", "3", "--d", "4", "--random", "3",
+                       "--seed", "1", "--format", "json"])
+    assert code == 0
+    assert seen == [True, True, True]

@@ -1,5 +1,7 @@
 """Field construction, arithmetic, dlog tables, and the trace map."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -160,3 +162,94 @@ def test_sqrt_canonical(f13):
         else:
             with pytest.raises(ValueError):
                 f13.sqrt_canonical(x)
+
+
+# -- the linear-algebra table builders against the element-by-element ones ----
+
+def reference_tables(ctx):
+    """exp, dlog and trace tables built one element at a time: a literal
+    g^k loop through the polynomial product, and the Frobenius sum
+    x + x^p + ... + x^(p^(n-1)) for every x."""
+    order = ctx.q - 1
+    exp = np.zeros(order, dtype=np.int64)
+    dlog = np.full(ctx.q, -1, dtype=np.int64)
+    acc = 1
+    for k in range(order):
+        exp[k] = acc
+        dlog[acc] = k
+        acc = ctx._raw_mul(acc, ctx.g)
+    assert acc == 1
+    tr = np.zeros(ctx.q, dtype=np.int64)
+    for x in range(ctx.q):
+        acc = total = x
+        for _ in range(ctx.n - 1):
+            acc = ctx._raw_pow(acc, ctx.p)
+            total = ctx.add(total, acc)
+        coeffs = ctx.to_coeffs(total)
+        assert not any(coeffs[1:])
+        tr[x] = coeffs[0]
+    return exp, dlog, tr
+
+
+@pytest.mark.parametrize(
+    "p,n", [(13, 1), (3, 2), (5, 2), (3, 3), (3, 5), (2, 8), (7, 4)],
+    ids=["13", "3^2", "5^2", "3^3", "3^5", "2^8", "7^4"],
+)
+def test_tables_match_reference_builder(p, n):
+    ctx = field(p, n)
+    exp, dlog, tr = reference_tables(ctx)
+    for got, want in ((ctx.exp, exp), (ctx.dlog, dlog), (ctx.trace_tab, tr)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+_VEC_FIELDS = [(13, 1), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)]
+
+
+@given(
+    st.sampled_from(_VEC_FIELDS),
+    st.sampled_from(["same", "outer", "scalar", "row"]),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_vec_ops_match_scalar_ops(pn, shape, rows, cols, seed):
+    ctx = field(*pn)
+    rng = np.random.default_rng(seed)
+    xs_shape, ys_shape = {
+        "same": ((rows, cols), (rows, cols)),
+        "outer": ((rows, 1), (1, cols)),
+        "scalar": ((), (rows,)),
+        "row": ((rows, cols), (cols,)),
+    }[shape]
+    xs = rng.integers(0, ctx.q, size=xs_shape)
+    ys = rng.integers(0, ctx.q, size=ys_shape)
+    added = ctx.add_vec(xs, ys)
+    bx, by = np.broadcast_arrays(xs, ys)
+    assert added.shape == bx.shape and added.dtype == np.int64
+    for x, y, s in zip(bx.ravel(), by.ravel(), np.ravel(added)):
+        assert int(s) == ctx.add(int(x), int(y))
+    negated = ctx.neg_vec(ys)
+    assert negated.shape == ys.shape and negated.dtype == np.int64
+    for y, v in zip(ys.ravel(), negated.ravel()):
+        assert int(v) == ctx.neg(int(y))
+
+
+# -- the size cap: fields that took a minute to build before the tables were
+# built with linear algebra ----------------------------------------------------
+
+@pytest.mark.parametrize("p,n", [(2, 16), (3, 10)], ids=["2^16", "3^10"])
+def test_fields_at_size_cap(p, n):
+    ctx = make_field(p, n)
+    q = ctx.q
+    assert np.array_equal(np.sort(ctx.exp), np.arange(1, q))
+    assert np.array_equal(ctx.dlog[ctx.exp], np.arange(q - 1))
+    assert ctx.dlog[0] == -1
+    assert np.array_equal(np.bincount(ctx.trace_tab, minlength=p), np.full(p, q // p))
+    rng = random.Random(2016)
+    xs = np.array([rng.randrange(q) for _ in range(500)], dtype=np.int64)
+    ys = np.array([rng.randrange(q) for _ in range(500)], dtype=np.int64)
+    tr = ctx.trace_tab
+    assert np.array_equal(tr[ctx.pow_vec(xs, p)], tr[xs])
+    assert np.array_equal(tr[ctx.add_vec(xs, ys)], (tr[xs] + tr[ys]) % p)
+    assert np.array_equal(ctx.add_vec(xs, ctx.neg_vec(xs)), np.zeros_like(xs))
