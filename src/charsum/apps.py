@@ -4,6 +4,8 @@ Everything here specializes the general closed-form counts: the cubic trace
 formula (characters of order 12), the (e, d) = (3, 4) trace in 4F3 series,
 the quadratic-twist bridge between y^2 = x^3 + a*x^2 + b*x and twisted
 Edwards curves, and the resulting 2F1 evaluations at 1/2 and 1323/1331.
+The Edwards and shifted-cubic oracles count points in O(q) by square
+classes, from the table curves.power_count_table(ctx, 2).
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import time
 
 import numpy as np
 
-from . import _kernels, chars, hyperf, sums
-from .curves import _round_guarded
+from . import chars, hyperf, sums
+from .curves import _round_guarded, power_count_table
 from .field import FieldCtx
 from .report import VerifyReport
 
@@ -90,15 +92,19 @@ def e34_trace(ctx: FieldCtx, a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 def edwards_count_bruteforce(ctx: FieldCtx, alpha: int, beta: int) -> int:
-    """Point count by full enumeration of all (x, y) pairs."""
-    if ctx.n == 1:
-        return _kernels.edwards_naive(ctx.p, alpha, beta)
-    xs = np.arange(ctx.q, dtype=np.int64)
-    sq = ctx.pow_vec(xs, 2)
-    lhs = ctx.add_vec(ctx.mul_vec(sq, alpha)[:, None], sq[None, :])
-    x2y2 = ctx.mul_arr(sq[:, None], sq[None, :])
-    rhs = ctx.add_vec(np.ones_like(x2y2), ctx.mul_vec(x2y2, beta))
-    return int(np.sum(lhs == rhs))
+    """Point count by square classes, one x at a time, in O(q).
+
+    For fixed x the curve reads y^2 * u = w with u = 1 - beta*x^2 and
+    w = 1 - alpha*x^2.  Where u != 0 there are #{y : y^2 = w/u} solutions;
+    where u = 0 every y solves it if w = 0 and none does otherwise.
+    """
+    x2 = ctx.pow_vec(np.arange(ctx.q, dtype=np.int64), 2)
+    u = ctx.add_vec(1, ctx.mul_vec(x2, ctx.neg(beta)))
+    w = ctx.add_vec(1, ctx.mul_vec(x2, ctx.neg(alpha)))
+    unit = u != 0
+    u_inv = ctx.exp[(-ctx.dlog[u[unit]]) % (ctx.q - 1)]
+    squares = power_count_table(ctx, 2)[ctx.mul_arr(w[unit], u_inv)]
+    return int(squares.sum()) + ctx.q * int(np.count_nonzero(w[~unit] == 0))
 
 
 def edwards_count_formula(ctx: FieldCtx, alpha: int, beta: int) -> int:
@@ -146,9 +152,7 @@ def cubic_count_bruteforce(ctx: FieldCtx, a: int, b: int) -> int:
         ctx.add_vec(ctx.pow_vec(xs, 3), ctx.mul_vec(ctx.pow_vec(xs, 2), a)),
         ctx.mul_vec(xs, b),
     )
-    ys = np.arange(ctx.q, dtype=np.int64)
-    counts = np.bincount(ctx.pow_vec(ys, 2), minlength=ctx.q)
-    return int(np.sum(counts[vals]))
+    return int(np.sum(power_count_table(ctx, 2)[vals]))
 
 
 def _shifted_series_term(ctx: FieldCtx, a: int, b: int) -> complex:

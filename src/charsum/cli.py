@@ -117,10 +117,6 @@ class _Emitter:
             self.stream.write("  ".join(cells) + "\n")
 
 
-def _report_row(report: VerifyReport) -> dict:
-    return report.to_row()
-
-
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
@@ -333,8 +329,7 @@ def cmd_verify(args, emitter: _Emitter) -> None:
         )
     ctx = _build_field(args)
     for case, report in _SUITE_RUNNERS[args.suite](ctx, args):
-        row = _report_row(report)
-        emitter.emit(row, case=case)
+        emitter.emit(report.to_row(), case=case)
 
 
 # ---------------------------------------------------------------------------

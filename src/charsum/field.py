@@ -58,9 +58,10 @@ def prime_factors(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Polynomial arithmetic over F_p (coefficient tuples, ascending degree).
-# Only used during construction, on a few elements: the modulus and generator
-# searches, the matrix of x -> g*x and the n basis traces.  The q-sized
-# tables are array work; runtime arithmetic is table-driven.
+# Used during construction, on a few elements: the modulus and generator
+# searches and the matrix of x -> g*x.  The q-sized tables are array work;
+# runtime arithmetic is table-driven.  curves.count_naive also uses it, as
+# arithmetic independent of the tables it checks.
 # ---------------------------------------------------------------------------
 
 def _poly_trim(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -260,6 +261,7 @@ class FieldCtx:
     def _basis_traces(self) -> np.ndarray:
         """Tr(t^j) for each basis element t^j, by the Frobenius sum.
 
+        Runs after the log tables are built, so each p-th power is a lookup.
         The trace is F_p-linear, so checking that these land in the prime
         subfield covers every element.
         """
@@ -267,7 +269,7 @@ class FieldCtx:
         for x in self._pow_basis:
             acc = total = x
             for _ in range(self.n - 1):
-                acc = self._raw_pow(acc, self.p)
+                acc = self.pow(acc, self.p)
                 total = self.add(total, acc)
             coeffs = self.to_coeffs(total)
             if any(coeffs[1:]):

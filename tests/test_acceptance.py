@@ -29,12 +29,8 @@ def _report(label: str, ok: bool, elapsed: float, detail: str = ""):
 
 
 @pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # JIT compilation and table builds happen before any timed criterion
-    ctx = field(13)
-    sums.gauss_table(ctx)
-    curves.count_naive(curves.CurveSpec(ctx, 2, 3, 1, 1))
-    apps.edwards_count_bruteforce(ctx, 1, 2)
+def warm_tables():
+    sums.gauss_table(field(13))
     yield
 
 

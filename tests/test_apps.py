@@ -83,15 +83,21 @@ def test_edwards_diagonal_known_failure(f13):
         assert apps.edwards_count_formula(f13, alpha, alpha) != brute
 
 
-def test_edwards_bruteforce_extension(f9):
-    # generic enumeration path for extension fields
-    assert apps.edwards_count_bruteforce(f9, 2, 5) == sum(
-        1
-        for x in f9.elements()
-        for y in f9.elements()
-        if f9.add(f9.mul(2, f9.pow(x, 2)), f9.pow(y, 2))
-        == f9.add(1, f9.mul(5, f9.mul(f9.pow(x, 2), f9.pow(y, 2))))
-    )
+def test_edwards_bruteforce_extension():
+    # the square-class count against a literal double loop, over every
+    # (alpha, beta): the diagonal, zero, and x with beta*x^2 = 1 included
+    for p, n in ((13, 1), (3, 2), (2, 3), (5, 2)):
+        ctx = field(p, n)
+        sq = [ctx.pow(x, 2) for x in ctx.elements()]
+        for alpha in ctx.elements():
+            for beta in ctx.elements():
+                expect = 0
+                for x2 in sq:
+                    ax2, bx2 = ctx.mul(alpha, x2), ctx.mul(beta, x2)
+                    for y2 in sq:
+                        if ctx.add(ax2, y2) == ctx.add(1, ctx.mul(bx2, y2)):
+                            expect += 1
+                assert apps.edwards_count_bruteforce(ctx, alpha, beta) == expect
 
 
 def test_edwards_mode_validation(f13):

@@ -1,10 +1,14 @@
 """Point counting: enumeration oracles, closed forms, coefficient dual forms."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import charsum
 from charsum import chars, curves
 
 from conftest import field
@@ -15,6 +19,8 @@ def test_bruteforce_matches_naive_small_fields():
         (13, 1, 2, 3), (13, 1, 2, 2), (13, 1, 3, 4), (17, 1, 2, 3),
         (19, 1, 3, 3), (5, 2, 2, 3), (3, 3, 2, 4), (7, 2, 2, 3),
         (41, 1, 2, 5), (37, 1, 3, 4),
+        # q^2 above the block size: count_naive compares several blocks
+        (4093, 1, 2, 3), (7, 4, 3, 4),
     ]
     rng = random.Random(0)
     for p, n, e, d in cases:
@@ -175,3 +181,39 @@ def test_power_count_table(f13):
     for v in f13.units():
         expect = 2 if chars.legendre(f13, v) == 1 else 0
         assert counts[v] == expect
+
+
+def test_count_naive_bounded_memory_at_size_cap():
+    # both oracles at q = 65521 in a fresh process; a (q, q) array would
+    # take several GB
+    code = """
+import resource
+from charsum import apps, curves, make_field
+ctx = make_field(65521)
+spec = curves.CurveSpec(ctx, 2, 3, 1, 1)
+expect = curves.count_bruteforce(spec)
+edwards = apps.edwards_count_formula(ctx, 2, 3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert curves.count_naive(spec) == expect
+assert apps.edwards_count_bruteforce(ctx, 2, 3) == edwards
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) // 1024)
+"""
+    src_dir = os.path.dirname(os.path.dirname(charsum.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_dir},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100  # MB of peak RSS growth
+
+
+def test_round_guard_imaginary_bound(f13):
+    f16381 = field(16381)
+    # tol * q^2 is 0.27 here; the bound is capped at ROUND_GUARD
+    with pytest.raises(curves.RoundingGuardError):
+        curves._round_guarded(f16381, 5 + 0.02j)
+    assert curves._round_guarded(f16381, 5 + 1e-9j) == 5
+    with pytest.raises(curves.RoundingGuardError):
+        curves._round_guarded(f13, 5 + 1e-6j)  # tol * q^2 = 1.7e-7 at q = 13
