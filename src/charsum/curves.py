@@ -99,19 +99,31 @@ def power_count_table(ctx: FieldCtx, e: int) -> np.ndarray:
     return tab
 
 
-def _value_table(spec: CurveSpec) -> np.ndarray:
-    """Indices of x^d + a*x + b for every x."""
+def _unit_values(spec: CurveSpec) -> np.ndarray:
+    """Indices of x^d + a*x + b at x = g^k for k in [0, q-2].
+
+    In generator order both terms are table reads: x^d = exp[d*k mod (q-1)]
+    (cached per d) and a*x = exp[k + dlog(a)], a rotation of exp.
+    """
     ctx = spec.ctx
-    xs = np.arange(ctx.q, dtype=np.int64)
-    xd = ctx.pow_vec(xs, spec.d)
-    ax = ctx.mul_vec(xs, spec.a)
-    return ctx.add_vec(ctx.add_vec(xd, ax), np.full(ctx.q, spec.b, dtype=np.int64))
+    key = ("pow_by_exp", spec.d)
+    xd = ctx._cache.get(key)
+    if xd is None:
+        L = ctx.q - 1
+        xd = ctx.exp[(spec.d * np.arange(L, dtype=np.int64)) % L]
+        xd.setflags(write=False)
+        ctx._cache[key] = xd
+    ax = np.roll(ctx.exp, -int(ctx.dlog[spec.a]))
+    return ctx.add_vec(ctx.add_vec(xd, ax), spec.b)
 
 
 def count_bruteforce(spec: CurveSpec) -> int:
-    """Affine point count by tabulating the e-th power class of each x-value."""
+    """Affine point count by tabulating the e-th power class of each x-value.
+
+    x = 0 contributes counts[b]; the units are summed in generator order.
+    """
     counts = power_count_table(spec.ctx, spec.e)
-    return int(np.sum(counts[_value_table(spec)]))
+    return int(counts[spec.b]) + int(np.sum(counts[_unit_values(spec)]))
 
 
 def count_naive(spec: CurveSpec) -> int:
@@ -463,7 +475,7 @@ def indicator_decomposition(spec: CurveSpec) -> dict:
         bz = theta[ctx.mul(spec.b, z)]
         b_direct += bz * np.sum(theta[ctx.mul_vec(ye, ctx.neg(z))])
 
-    vals = _value_table(spec)[1:]  # x^d + a*x + b over nonzero x
+    vals = _unit_values(spec)  # x^d + a*x + b over nonzero x
     c_direct = 0j
     for z in ctx.units():
         c_direct += np.sum(theta[ctx.mul_vec(vals, z)])

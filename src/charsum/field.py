@@ -302,14 +302,19 @@ class FieldCtx:
     def add(self, x: int, y: int) -> int:
         if self.n == 1:
             return (x + y) % self.p
-        a = self.to_coeffs(x)
-        b = self.to_coeffs(y)
-        return self.from_coeffs((ai + bi) % self.p for ai, bi in zip(a, b))
+        # add_vec on one pair, with the digit loop in Python: numpy's
+        # per-call cost on rows of n digits exceeds the loop itself
+        p, D = self.p, self._digits
+        out = x + y
+        for cx, cy, b in zip(D[x].tolist(), D[y].tolist(), self._pow_basis):
+            if cx + cy >= p:
+                out -= p * b
+        return int(out)
 
     def neg(self, x: int) -> int:
         if self.n == 1:
             return (-x) % self.p
-        return self.from_coeffs((-c) % self.p for c in self.to_coeffs(x))
+        return int(self._neg_tab[x])
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))

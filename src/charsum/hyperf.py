@@ -1,10 +1,12 @@
 """Gaussian hypergeometric series over F_q.
 
 The series sums q/(q-1) * binom(A_0*chi, chi) * prod_i binom(A_i*chi, B_i*chi)
-* chi(x) over all q-1 characters chi.  Each factor, swept over chi, is one
-row of binomial coefficients binom(T^(a+k), T^(b+k)); rows are built
-vectorized from the Gauss table and memoized per context, so an evaluation
-costs O(n*q) lookups after warm-up.
+* chi(x) over all q-1 characters chi.  Each factor, swept over chi = T^k, is
+one row of binomial coefficients binom(T^(a+k), T^(b+k)), built vectorized
+from the Gauss table and memoized per context.  At x = g^j the sum is
+q/(q-1) * sum_k P[k] exp(2*pi*i*k*j/(q-1)) with P the product of the rows,
+so the series at every x at once is q times the inverse DFT of P: one FFT
+per parameter tuple, cached, after which an evaluation is a table lookup.
 """
 
 from __future__ import annotations
@@ -56,6 +58,40 @@ def binom_row_direct(ctx: FieldCtx, a: int, b: int) -> np.ndarray:
     return out
 
 
+def _check_params(upper, lower):
+    if len(upper) != len(lower) + 1:
+        raise ValueError(
+            f"need len(upper) == len(lower) + 1, got {len(upper)}/{len(lower)}"
+        )
+
+
+def _row_product(ctx: FieldCtx, upper, lower, builder) -> np.ndarray:
+    """P[k] = binom(T^(A_0+k), T^k) * prod_i binom(T^(A_i+k), T^(B_i+k))."""
+    acc = builder(ctx, upper[0], 0).copy()
+    for a_i, b_i in zip(upper[1:], lower):
+        acc *= builder(ctx, a_i, b_i)
+    return acc
+
+
+def hf_table(ctx: FieldCtx, upper, lower) -> np.ndarray:
+    """The series at x = g^j for every j in [0, q-2], cached per parameter tuple.
+
+    Exponents are taken mod q-1, so equal characters share one table.  The
+    table is q * ifft(P) over the row product P and is read-only.
+    """
+    L = ctx.q - 1
+    upper = tuple(int(m) % L for m in upper)
+    lower = tuple(int(m) % L for m in lower)
+    _check_params(upper, lower)
+    cache = ctx._cache.setdefault("hf_tables", {})
+    tab = cache.get((upper, lower))
+    if tab is None:
+        tab = ctx.q * np.fft.ifft(_row_product(ctx, upper, lower, binom_row))
+        tab.setflags(write=False)
+        cache[(upper, lower)] = tab
+    return tab
+
+
 def hf_eval(
     ctx: FieldCtx,
     upper,
@@ -66,23 +102,19 @@ def hf_eval(
     """Evaluate the series with parameter exponent lists `upper` and `lower`.
 
     `upper` must have exactly one more entry than `lower`.  With x = 0 the
-    value is 0, since chi(0) = 0 for every character.  rows="direct"
-    recomputes every binomial from the defining Jacobi summation (slow;
-    used for cross-route consistency checks).
+    value is 0, since chi(0) = 0 for every character.  The default reads
+    hf_table at dlog(x).  rows="direct" recomputes every binomial from the
+    defining Jacobi summation and sums the series term by term, with no
+    cache and no FFT (slow; used for cross-route consistency checks).
     """
-    upper = [int(m) for m in upper]
-    lower = [int(m) for m in lower]
-    if len(upper) != len(lower) + 1:
-        raise ValueError(
-            f"need len(upper) == len(lower) + 1, got {len(upper)}/{len(lower)}"
-        )
+    if rows == "cached":
+        tab = hf_table(ctx, upper, lower)
+        return 0j if x == 0 else complex(tab[ctx.dlog[x]])
+    _check_params(upper, lower)
     if x == 0:
         return 0j
     L = ctx.q - 1
-    builder = binom_row if rows == "cached" else binom_row_direct
-    acc = builder(ctx, upper[0], 0).copy()
-    for a_i, b_i in zip(upper[1:], lower):
-        acc *= builder(ctx, a_i, b_i)
+    acc = _row_product(ctx, upper, lower, binom_row_direct)
     ks = np.arange(L, dtype=np.int64)
     chi_x = chars.unit_roots(ctx)[(ks * ctx.dlog_of(x)) % L]
     return ctx.q / L * complex(np.dot(acc, chi_x))

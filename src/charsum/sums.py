@@ -165,6 +165,13 @@ class _Worst:
             self.lhs = complex(lhs)
             self.rhs = complex(rhs)
 
+    def update_all(self, discs, lhs, rhs, case_of):
+        """update() over every index of the arrays, in order; case_of(i)
+        names case i."""
+        i = int(np.argmax(discs))
+        self.cases += len(discs) - 1
+        self.update(float(discs[i]), case_of(i), lhs[i], rhs[i])
+
     def skip(self):
         self.skipped += 1
 
@@ -254,21 +261,25 @@ def _check_orthogonality(ctx: FieldCtx, w: _Worst, **_):
         w.update(abs(lhs - rhs), ("point-sum", x), lhs, rhs)
 
 
+def binom_translate_rhs(ctx: FieldCtx, a: int) -> np.ndarray:
+    """delta(x) + q/(q-1) * sum_k binom(T^a, T^k) T^k(x) for every x.
+
+    The 1F0 binomial theorem equates it with T^a(1 + x).  At x = g^j the
+    sum is an inverse DFT of the binomial row, so all x cost one FFT.
+    """
+    out = np.ones(ctx.q, dtype=np.complex128)  # x = 0: the delta term
+    out[1:] = (ctx.q * np.fft.ifft(binom_vec_fixed_top(ctx, a)))[ctx.dlog[1:]]
+    return out
+
+
 def _check_binom_translate(ctx: FieldCtx, w: _Worst, a=None, **_):
     L = ctx.q - 1
-    unit = chars.unit_roots(ctx)
-    ks = np.arange(L, dtype=np.int64)
+    one_plus_x = ctx.add_vec(np.arange(ctx.q, dtype=np.int64), 1)
     tops = range(L) if a is None else [a % L]
     for aa in tops:
-        row = binom_vec_fixed_top(ctx, aa)
-        for x in ctx.elements():
-            lhs = chars.mul_char(ctx, aa, ctx.add(1, x))
-            if x == 0:
-                rhs = 1 + 0j
-            else:
-                chi_x = unit[(ks * ctx.dlog_of(x)) % L]
-                rhs = ctx.q / L * np.sum(row * chi_x)
-            w.update(abs(lhs - rhs), (aa, x), lhs, rhs)
+        lhs = chars.mul_char_vec(ctx, aa, one_plus_x)
+        rhs = binom_translate_rhs(ctx, aa)
+        w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda x: (aa, x))
 
 
 def _check_binom_absorb(ctx: FieldCtx, w: _Worst, **_):

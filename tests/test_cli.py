@@ -57,6 +57,23 @@ def test_count_random_seeded():
     assert len(out.strip().splitlines()) == 5
 
 
+_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "count_golden.json")
+
+
+def test_count_rows_match_golden():
+    # seeded count rows are exact integers: every column but ms must repeat
+    with open(_GOLDEN) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 2
+    for argv, want in golden.items():
+        code, out = run_cli(argv.split() + ["--format", "json"])
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        for row in rows:
+            del row["ms"]
+        assert rows == want, argv
+
+
 def test_count_invalid_q_exits_2():
     code, _ = run_cli(["count", "--q", "14", "--e", "2", "--d", "3",
                        "--a", "1", "--b", "1"])

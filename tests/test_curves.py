@@ -7,9 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 import charsum
-from charsum import chars, curves
+from charsum import apps, chars, curves
 
 from conftest import field
 
@@ -29,6 +30,54 @@ def test_bruteforce_matches_naive_small_fields():
         b = rng.randrange(1, ctx.q)
         spec = curves.CurveSpec(ctx, e, d, a, b)
         assert curves.count_bruteforce(spec) == curves.count_naive(spec)
+
+
+@pytest.mark.parametrize(
+    "pn,eds",
+    [
+        ((2, 3), [(2, 3), (3, 2), (7, 4)]),  # e = 2, 3 do not divide q - 1 = 7
+        ((3, 2), [(2, 3), (3, 4), (4, 2)]),  # e = 3 does not divide q - 1 = 8
+        ((13, 1), [(2, 3), (3, 4), (5, 2), (4, 5)]),  # e = 5 does not divide 12
+    ],
+    ids=["8", "9", "13"],
+)
+def test_bruteforce_matches_naive_every_pair(pn, eds):
+    ctx = field(*pn)
+    for e, d in eds:
+        for a in ctx.units():
+            for b in ctx.units():
+                spec = curves.CurveSpec(ctx, e, d, a, b)
+                assert curves.count_bruteforce(spec) == curves.count_naive(spec), (e, d, a, b)
+
+
+# Fields for the differential test, prime and extension, each with its (e, d)
+# pairs with e >= 2, d <= 6 and q = 1 mod e*d*(d-1).
+_DIFF_FIELDS = [(13, 1), (37, 1), (41, 1), (61, 1), (73, 1), (5, 2), (7, 2), (3, 4), (11, 2)]
+
+
+def _admissible(q):
+    return [
+        (e, d)
+        for e in range(2, 7)
+        for d in range(2, 7)
+        if (q - 1) % (e * d * (d - 1)) == 0
+    ]
+
+
+@given(st.sampled_from(_DIFF_FIELDS), st.data())
+def test_closed_form_and_oracles_agree(pn, data):
+    ctx = field(*pn)
+    e, d = data.draw(st.sampled_from(_admissible(ctx.q)), label="e, d")
+    a = data.draw(st.integers(1, ctx.q - 1), label="a")
+    b = data.draw(st.integers(1, ctx.q - 1), label="b")
+    spec = curves.CurveSpec(ctx, e, d, a, b)
+    n = curves.count_naive(spec)
+    assert curves.count_bruteforce(spec) == n
+    assert curves.count_theorem(spec) == n
+    if (e, d) == (2, 3):
+        assert apps.lennon_trace(ctx, a, b) == ctx.q - n
+    if (e, d) == (3, 4):
+        assert apps.e34_trace(ctx, a, b) == ctx.q - n
 
 
 def test_function_graph_count(f13):

@@ -235,6 +235,29 @@ def test_vec_ops_match_scalar_ops(pn, shape, rows, cols, seed):
         assert int(v) == ctx.neg(int(y))
 
 
+def coeffwise_add(ctx, x, y):
+    """x + y digit by digit on the coefficient vectors, mod p."""
+    cx, cy = ctx.to_coeffs(x), ctx.to_coeffs(y)
+    return sum(((a + b) % ctx.p) * ctx.p**i for i, (a, b) in enumerate(zip(cx, cy)))
+
+
+def coeffwise_neg(ctx, x):
+    return sum(((-c) % ctx.p) * ctx.p**i for i, c in enumerate(ctx.to_coeffs(x)))
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (3, 3)], ids=["8", "9", "25", "27"])
+def test_scalar_add_neg_match_coefficientwise(p, n):
+    # the scalar ops read the digit tables; the reference works on the
+    # coefficient vectors, so neither side is built from the other
+    ctx = field(p, n)
+    for x in ctx.elements():
+        assert ctx.neg(x) == coeffwise_neg(ctx, x)
+        assert type(ctx.neg(x)) is int
+        for y in ctx.elements():
+            got = ctx.add(x, y)
+            assert got == coeffwise_add(ctx, x, y) and type(got) is int
+
+
 # -- the size cap: fields that took a minute to build before the tables were
 # built with linear algebra ----------------------------------------------------
 

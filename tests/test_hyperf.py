@@ -1,5 +1,8 @@
 """Hypergeometric series evaluation against a literal-definition oracle."""
 
+import random
+
+import numpy as np
 import pytest
 
 from charsum import chars, hyperf, sums
@@ -102,3 +105,49 @@ def test_trivial_parameters_handled_literally(f13):
     # a degenerate upper parameter (eps) must go through the generic path
     got = hyperf.hf_eval(f13, [0, 5], [6], 2)
     assert abs(got - hf_oracle(f13, [0, 5], [6], 2)) < 1e-10
+
+
+def dot_at(ctx, upper, lower, x):
+    """The series at one x as one O(q) dot of the row product with chi(x)."""
+    L = ctx.q - 1
+    acc = hyperf.binom_row(ctx, upper[0], 0).copy()
+    for a_i, b_i in zip(upper[1:], lower):
+        acc *= hyperf.binom_row(ctx, a_i, b_i)
+    chi_x = chars.unit_roots(ctx)[(np.arange(L) * ctx.dlog_of(x)) % L]
+    return ctx.q / L * complex(np.dot(acc, chi_x))
+
+
+_TABLE_PARAMS = [([1, 5], [6]), ([2, 7, 11], [4, 8]), ([0, 3], [9]), ([6, 6], [0])]
+
+
+@pytest.mark.parametrize("pn", [(13, 1), (17, 1), (5, 2), (3, 3)], ids=["13", "17", "25", "27"])
+def test_table_matches_dot_every_argument(pn):
+    ctx = field(*pn)
+    for upper, lower in _TABLE_PARAMS:
+        for x in ctx.units():
+            got = hyperf.hf_eval(ctx, upper, lower, x)
+            assert abs(got - dot_at(ctx, upper, lower, x)) <= 1e-12
+
+
+@pytest.mark.parametrize("pn", [(4093, 1), (3, 8)], ids=["4093", "3^8"])
+def test_table_matches_dot_sampled(pn):
+    ctx = field(*pn)
+    L = ctx.q - 1
+    rng = random.Random(4093)
+    params = [([L // 12, 5 * L // 12], [L // 2]), ([L // 2, L // 4, 3 * L // 4], [L // 3, 1])]
+    for upper, lower in params:
+        for _ in range(200):
+            x = rng.randrange(1, ctx.q)
+            got = hyperf.hf_eval(ctx, upper, lower, x)
+            assert abs(got - dot_at(ctx, upper, lower, x)) <= 1e-12
+
+
+def test_table_cached_frozen_and_reduced(f13):
+    tab = hyperf.hf_table(f13, [1, 5], [6])
+    assert tab.shape == (12,)
+    with pytest.raises(ValueError):
+        tab[0] = 0
+    assert hyperf.hf_table(f13, [13, -7], [18]) is tab
+    assert hyperf.hf_table(f13, (1, 5), (-5,)) is not tab
+    with pytest.raises(ValueError):
+        hyperf.hf_table(f13, [1], [6])

@@ -183,6 +183,26 @@ def test_binom_vec_fixed_top(f13):
             assert abs(row[k] - sums.greene_binom(f13, a, k)) < 1e-12
 
 
+@pytest.mark.parametrize("pn", [(13, 1), (5, 2)], ids=["13", "25"])
+def test_binom_translate_rhs_matches_character_sum(pn):
+    ctx = field(*pn)
+    L = ctx.q - 1
+    for a in range(L):
+        binoms = [sums.greene_binom(ctx, a, k) for k in range(L)]
+        got = sums.binom_translate_rhs(ctx, a)
+        for x in ctx.elements():
+            want = (1 if x == 0 else 0) + ctx.q / L * sum(
+                binoms[k] * chars.mul_char(ctx, k, x) for k in range(L)
+            )
+            assert abs(got[x] - want) < 1e-12
+    report = sums.verify_identity(ctx, "binom-translate")
+    assert report.cases == L * ctx.q and report.match
+    a, x = report.worst_case
+    lhs = chars.mul_char(ctx, a, ctx.add(1, x))
+    assert report.formula == lhs
+    assert abs(lhs - sums.binom_translate_rhs(ctx, a)[x]) == pytest.approx(report.disc)
+
+
 @pytest.mark.parametrize("name", sums.IDENTITY_NAMES)
 @pytest.mark.parametrize("q", [(13, 1), (17, 1), (5, 2)])
 def test_identities_pass(name, q):
