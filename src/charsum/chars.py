@@ -100,6 +100,6 @@ def char_order(ctx: FieldCtx, m: int) -> int:
     return L // math.gcd(L, m % L) if m % L else 1
 
 
-def char_at_minus_one(ctx: FieldCtx, m: int) -> complex:
-    """T^m(-1), always a sign for q odd."""
-    return mul_char(ctx, m, ctx.minus_one())
+def char_at_minus_one(ctx: FieldCtx, m):
+    """T^m(-1) over an exponent array (or one exponent); a sign for q odd."""
+    return unit_roots(ctx)[(np.asarray(m) * ctx.dlog_of(ctx.minus_one())) % (ctx.q - 1)]

@@ -455,6 +455,13 @@ def trace_frobenius(spec: CurveSpec, method: str = "auto") -> int:
     return a_q
 
 
+def _difference_histogram(ctx: FieldCtx, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """hist[s] = #{(i, j) : us[i] - vs[j] = s} as float64 integers, in O(q)
+    memory: the additive correlation of the two value histograms."""
+    counts = np.bincount(us, minlength=ctx.q), np.bincount(ctx.neg_vec(vs), minlength=ctx.q)
+    return np.rint(sums._convolve_add(ctx, *counts).real)
+
+
 def indicator_decomposition(spec: CurveSpec) -> dict:
     """Directly summed pieces of q*N = q^2 + A + B + C + D.
 
@@ -481,8 +488,7 @@ def indicator_decomposition(spec: CurveSpec) -> dict:
         c_direct += np.sum(theta[ctx.mul_vec(vals, z)])
 
     # D accumulated through the multiplicity histogram of v(x) - y^e
-    diff = ctx.add_vec(vals[:, None], ctx.neg_vec(ye)[None, :])
-    hist = np.bincount(diff.ravel(), minlength=q).astype(np.float64)
+    hist = _difference_histogram(ctx, vals, ye)
     d_direct = 0j
     for z in ctx.units():
         d_direct += np.sum(hist * theta[ctx.mul_vec(np.arange(q, dtype=np.int64), z)])

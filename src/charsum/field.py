@@ -355,19 +355,26 @@ class FieldCtx:
     # -- vectorized arithmetic over index arrays ----------------------------------
 
     def add_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Elementwise sum of reduced indices in [0, q); at least one an array."""
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
         if self.n == 1:
-            return (xs + ys) % self.p
+            # As unsigned, s - p wraps above s iff s < p.  r, the later temporary,
+            # holds the result: freeing a later one let glibc trim the heap top.
+            s = (xs + ys).view(np.uint64)
+            r = s - np.uint64(self.p)
+            np.minimum(s, r, out=r)
+            return r.view(np.int64)
         # digit-wise addition without carry: subtract p from each digit
         # position whose sum reached p
         D = self._digits
         return xs + ys - ((D[xs] + D[ys]) >= self.p) @ self._carry
 
     def neg_vec(self, xs: np.ndarray) -> np.ndarray:
+        """Elementwise negation of reduced indices in [0, q)."""
         xs = np.asarray(xs, dtype=np.int64)
         if self.n == 1:
-            return (-xs) % self.p
+            return np.where(xs, self.p - xs, 0)
         return self._neg_tab[xs]
 
     def mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:

@@ -26,21 +26,7 @@ def binom_row(ctx: FieldCtx, a: int, b: int) -> np.ndarray:
     row = cache.get((a, b))
     if row is not None:
         return row
-    G = sums.gauss_table(ctx)
-    unit = chars.unit_roots(ctx)
-    ks = np.arange(L, dtype=np.int64)
-    h = ctx.dlog_of(ctx.minus_one())
-    sign = unit[((b + ks) * h) % L]  # T^(b+k)(-1)
-    if a == b:
-        row = np.full(L, -1 / ctx.q, dtype=np.complex128)
-        row[(-a) % L] = (ctx.q - 2) / ctx.q  # binom(eps, eps)
-    else:
-        # generic quotient J(T^(a+k), T^(-b-k)) = G_(a+k) G_(-b-k) / G_(a-b)
-        row = sign / ctx.q * G[(a + ks) % L] * G[(-b - ks) % L] / G[(a - b) % L]
-        ka = (-a) % L  # k making top character trivial
-        kb = (-b) % L  # k making bottom character trivial
-        row[ka] = -chars.mul_char(ctx, b - a, ctx.minus_one()) / ctx.q
-        row[kb] = -1 / ctx.q
+    row = sums.binom_grid(ctx, a + np.arange(L), b + np.arange(L))
     row.setflags(write=False)
     cache[(a, b)] = row
     return row

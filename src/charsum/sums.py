@@ -46,9 +46,8 @@ def _unit_pair_logs(ctx: FieldCtx):
     """dlogs of (x, 1-x) for x not in {0, 1}, cached; drives direct Jacobi sums."""
     pair = ctx._cache.get("jacobi_logs")
     if pair is None:
-        xs = np.array([x for x in ctx.units() if x != 1], dtype=np.int64)
-        one_minus = ctx.add_vec(np.ones_like(xs), ctx.neg_vec(xs))
-        pair = (ctx.dlog[xs], ctx.dlog[one_minus])
+        xs = np.arange(2, ctx.q, dtype=np.int64)
+        pair = (ctx.dlog[xs], ctx.dlog[ctx.add_vec(1, ctx.neg_vec(xs))])
         ctx._cache["jacobi_logs"] = pair
     return pair
 
@@ -58,6 +57,19 @@ def jacobi_direct(ctx: FieldCtx, a: int, b: int) -> complex:
     L = ctx.q - 1
     ka, kb = _unit_pair_logs(ctx)
     return complex(np.sum(chars.unit_roots(ctx)[(a * ka + b * kb) % L]))
+
+
+def jacobi_direct_rows(ctx: FieldCtx, tops) -> np.ndarray:
+    """Defining sums J(T^a, T^b) for a in `tops` (rows) and b in [0, q-2].
+
+    With V[a, dlog(1-x)] = T^a(x) over x not in {0, 1}, row a is
+    sum_k V[a, k] w^(b*k) = L * ifft(V[a])[b]; no Gauss sum is read.
+    """
+    L = ctx.q - 1
+    ka, kb = _unit_pair_logs(ctx)
+    V = np.zeros((len(tops), L), dtype=np.complex128)
+    V[:, kb] = chars.unit_roots(ctx)[(np.asarray(tops)[:, None] * ka) % L]
+    return L * np.fft.ifft(V, axis=1)
 
 
 def jacobi_sum(ctx: FieldCtx, a: int, b: int) -> complex:
@@ -115,35 +127,54 @@ def greene_binom(ctx: FieldCtx, a: int, b: int) -> complex:
     return sign / ctx.q * jacobi_sum(ctx, a, -b)
 
 
+def binom_grid(ctx: FieldCtx, top, bottom) -> np.ndarray:
+    """binom(T^top, T^bottom) over broadcast exponent arrays.
+
+    The Gauss quotient T^b(-1)/q * G_a G_-b / G_(a-b), with the entries of
+    degenerate Jacobi sums in closed form: -1/q where the bottom character
+    is trivial or equals the top one, -T^b(-1)/q where only the top one is
+    trivial, and (q-2)/q where both are.
+    """
+    L = ctx.q - 1
+    top, bottom = np.asarray(top) % L, np.asarray(bottom) % L
+    G = gauss_table(ctx)
+    sign = chars.char_at_minus_one(ctx, bottom)
+    out = sign / ctx.q * G[top]  # broadcast shape; updated in place
+    out *= G[-bottom % L]
+    out /= G[(top - bottom) % L]
+    top, bottom, sign = np.broadcast_arrays(top, bottom, sign)
+    out[(bottom == 0) | (top == bottom)] = -1 / ctx.q
+    top_trivial = top == 0
+    out[top_trivial] = -sign[top_trivial] / ctx.q
+    out[top_trivial & (bottom == 0)] = (ctx.q - 2) / ctx.q
+    return out
+
+
 def binom_vec_fixed_top(ctx: FieldCtx, a: int) -> np.ndarray:
     """Vector of binom(T^a, T^k) over all k in [0, q-2]."""
-    L = ctx.q - 1
-    a %= L
-    G = gauss_table(ctx)
-    unit = chars.unit_roots(ctx)
-    ks = np.arange(L, dtype=np.int64)
-    h = ctx.dlog_of(ctx.minus_one())  # T^k(-1) = unit[k*h]
-    sign = unit[(ks * h) % L]
-    if a == 0:
-        out = -sign / ctx.q
-        out[0] = (ctx.q - 2) / ctx.q
-        return out
-    out = sign / ctx.q * G[a] * G[(-ks) % L] / G[(a - ks) % L]
-    out[0] = -1 / ctx.q  # binom(A, eps)
-    out[a] = -1 / ctx.q  # binom(A, A)
-    return out
+    return binom_grid(ctx, a, np.arange(ctx.q - 1))
 
 
 # ---------------------------------------------------------------------------
 # Identity verification suites
 # ---------------------------------------------------------------------------
 
-def _tol_single(ctx: FieldCtx) -> float:
-    return ctx.tol * ctx.q
+# Cells per grid chunk: grids run in blocks of rows of at most this many cells
+# (128 KiB per complex temporary), so their memory is one block or one row,
+# not the grid.  At q = 181 a cycle took 31 ms at 2^13 and 45 ms at 2^14.
+_GRID_BLOCK_CELLS = 1 << 13
 
 
-def _tol_double(ctx: FieldCtx) -> float:
-    return ctx.tol * ctx.q * ctx.q
+def _blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive slices over `rows` grid rows of `width` cells each, at most
+    _GRID_BLOCK_CELLS cells per slice (one row at least)."""
+    step = max(1, _GRID_BLOCK_CELLS // max(1, width))
+    return [slice(s, s + step) for s in range(0, rows, step)]
+
+
+def _params(L: int, pinned, start: int = 0) -> np.ndarray:
+    """A free grid parameter: start..L-1, or the pinned value mod L."""
+    return np.arange(start, L) if pinned is None else np.array([pinned % L])
 
 
 class _Worst:
@@ -157,69 +188,82 @@ class _Worst:
         self.cases = 0
         self.skipped = 0
 
-    def update(self, disc: float, case: tuple, lhs: complex, rhs: complex):
-        self.cases += 1
-        if disc > self.disc:
-            self.disc = disc
-            self.case = case
-            self.lhs = complex(lhs)
-            self.rhs = complex(rhs)
+    def update_all(self, discs, lhs, rhs, case_of, skip=None):
+        """Count the cases of a grid chunk (or of one case, as scalars) and
+        keep the first largest discrepancy, in row-major order, where the mask
+        `skip` is unset; lhs and rhs broadcast to the shape of discs, and
+        case_of(*index) names the case at an array index."""
+        discs = np.asarray(discs)
+        if skip is not None:
+            skip = np.broadcast_to(skip, discs.shape)
+            n_skip = int(np.count_nonzero(skip))
+            self.skipped += n_skip
+            self.cases -= n_skip
+            discs = np.where(skip, -1.0, discs)
+        self.cases += discs.size
+        i = np.unravel_index(int(np.argmax(discs)), discs.shape)
+        if discs[i] > self.disc:
+            self.disc = float(discs[i])
+            self.case = case_of(*(int(k) for k in i))
+            self.lhs = complex(np.broadcast_to(lhs, discs.shape)[i])
+            self.rhs = complex(np.broadcast_to(rhs, discs.shape)[i])
 
-    def update_all(self, discs, lhs, rhs, case_of):
-        """update() over every index of the arrays, in order; case_of(i)
-        names case i."""
-        i = int(np.argmax(discs))
-        self.cases += len(discs) - 1
-        self.update(float(discs[i]), case_of(i), lhs[i], rhs[i])
-
-    def skip(self):
-        self.skipped += 1
+    def report(self, name: str, ctx: FieldCtx, tol: float, t0: float, **extra):
+        """The VerifyReport of every case seen, timed from perf_counter t0."""
+        return VerifyReport(
+            name=name,
+            q=ctx.q,
+            formula=self.lhs,
+            oracle=self.rhs.real,
+            match=self.disc < tol,
+            disc=self.disc,
+            tol=tol,
+            cases=self.cases,
+            skipped=self.skipped,
+            worst_case=self.case,
+            ms=(time.perf_counter() - t0) * 1e3,
+            **extra,
+        )
 
 
 def _check_gauss_reflection(ctx: FieldCtx, w: _Worst, m=None, **_):
     L = ctx.q - 1
     G = gauss_table(ctx)
-    ms = range(1, L) if m is None else [m % L]
-    for mm in ms:
-        if mm % L == 0:
-            w.skip()
-            continue
-        lhs = G[mm] * G[(-mm) % L]
-        rhs = ctx.q * chars.mul_char(ctx, mm, ctx.minus_one())
-        w.update(abs(lhs - rhs), (mm,), lhs, rhs)
+    ms = _params(L, m, start=1)
+    for s in _blocks(len(ms), 1):
+        mm = ms[s]
+        lhs = G[mm] * G[-mm % L]
+        rhs = ctx.q * chars.char_at_minus_one(ctx, mm)
+        w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(mm[i]),), skip=mm == 0)
 
 
 def _check_gauss_shift(ctx: FieldCtx, w: _Worst, m=None, n=None, **_):
     L = ctx.q - 1
     G = gauss_table(ctx)
-    ms = range(L) if m is None else [m % L]
-    ns = range(L) if n is None else [n % L]
-    for mm in ms:
-        for nn in ns:
-            if (mm - nn) % L == 0:
-                w.skip()
-                continue
-            lhs = G[mm] * G[(-nn) % L]
-            shift = G[(mm - nn) % L]
-            rhs1 = ctx.q * greene_binom(ctx, mm, nn) * shift * chars.mul_char(
-                ctx, nn, ctx.minus_one()
-            )
-            rhs2 = jacobi_sum(ctx, mm, -nn) * shift
-            disc = max(abs(lhs - rhs1), abs(lhs - rhs2))
-            w.update(disc, (mm, nn), lhs, rhs1)
+    ms, nn = _params(L, m), _params(L, n)
+    sign = chars.char_at_minus_one(ctx, nn)
+    for s in _blocks(len(ms), len(nn)):
+        mm = ms[s, None]
+        lhs = G[mm] * G[-nn % L]
+        shift = G[(mm - nn) % L]
+        rhs1 = ctx.q * binom_grid(ctx, mm, nn) * shift * sign
+        # J(T^m, T^-n) as jacobi_sum takes it: -1 when one character is trivial
+        rhs2 = np.where((mm == 0) | (nn == 0), -1, lhs / shift) * shift
+        disc = np.maximum(np.abs(lhs - rhs1), np.abs(lhs - rhs2))
+        w.update_all(disc, lhs, rhs1, lambda i, j: (int(mm[i, 0]), int(nn[j])),
+                     skip=mm == nn)
 
 
 def _check_jacobi_gauss(ctx: FieldCtx, w: _Worst, seed=0, triples=24, **_):
     L = ctx.q - 1
     G = gauss_table(ctx)
-    for a in range(1, L):
-        for b in range(1, L):
-            if (a + b) % L == 0:
-                w.skip()
-                continue
-            lhs = jacobi_direct(ctx, a, b)
-            rhs = G[a] * G[b] / G[(a + b) % L]
-            w.update(abs(lhs - rhs), (a, b), lhs, rhs)
+    b = np.arange(1, L)
+    for s in _blocks(L - 1, L):
+        a = b[s, None]
+        lhs = jacobi_direct_rows(ctx, b[s])[:, 1:]  # defining sums, not G
+        rhs = G[a] * G[b] / G[(a + b) % L]
+        w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i, j: (int(a[i, 0]), j + 1),
+                     skip=(a + b) % L == 0)
     rng = random.Random(seed)
     seen = 0
     while seen < triples:
@@ -230,85 +274,73 @@ def _check_jacobi_gauss(ctx: FieldCtx, w: _Worst, seed=0, triples=24, **_):
         # defining multi-sum, forced through the convolution route
         f1, f2, f3 = (chars.mul_char_vec(ctx, e, np.arange(ctx.q)) for e in ks)
         rhs = complex(_convolve_add(ctx, _convolve_add(ctx, f1, f2), f3)[1])
-        w.update(abs(lhs - rhs), tuple(ks), lhs, rhs)
+        w.update_all(abs(lhs - rhs), lhs, rhs, lambda: tuple(ks))
         seen += 1
 
 
 def _check_theta_expansion(ctx: FieldCtx, w: _Worst, **_):
     L = ctx.q - 1
-    G = gauss_table(ctx)
     unit = chars.unit_roots(ctx)
-    g_neg = G[(-np.arange(L)) % L]
-    for alpha in ctx.units():
-        k = ctx.dlog_of(alpha)
-        rhs = np.sum(g_neg * unit[(np.arange(L) * k) % L]) / L
-        lhs = chars.add_char(ctx, alpha)
-        w.update(abs(lhs - rhs), (alpha,), lhs, rhs)
+    m = np.arange(L)
+    g_neg = gauss_table(ctx)[-m % L]
+    for s in _blocks(L, L):
+        alpha = np.arange(1, ctx.q)[s]
+        rhs = np.sum(g_neg * unit[(ctx.dlog[alpha, None] * m) % L], axis=1) / L
+        lhs = chars.theta_table(ctx)[alpha]
+        w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(alpha[i]),))
 
 
 def _check_orthogonality(ctx: FieldCtx, w: _Worst, **_):
     L = ctx.q - 1
     unit = chars.unit_roots(ctx)
-    ks = np.arange(L, dtype=np.int64)
-    for m in range(L):
-        lhs = np.sum(unit[(m * ks) % L])
-        rhs = L if m == 0 else 0.0
-        w.update(abs(lhs - rhs), ("char-sum", m), lhs, rhs)
-    for x in ctx.units():
-        k = ctx.dlog_of(x)
-        lhs = np.sum(unit[(ks * k) % L])
-        rhs = L if x == 1 else 0.0
-        w.update(abs(lhs - rhs), ("point-sum", x), lhs, rhs)
+    ks = np.arange(L)
+    # sum over k of T^m(g^k), then over x of T^k(x): rhs L at exponent 0
+    for label, params, exps in (("char-sum", ks, ks),
+                                ("point-sum", np.arange(1, ctx.q), ctx.dlog[1:])):
+        for s in _blocks(L, L):
+            lhs = np.sum(unit[(exps[s, None] * ks) % L], axis=1)
+            rhs = np.where(exps[s] == 0, float(L), 0.0)
+            w.update_all(np.abs(lhs - rhs), lhs, rhs,
+                         lambda i: (label, int(params[s][i])))
 
 
-def binom_translate_rhs(ctx: FieldCtx, a: int) -> np.ndarray:
+def binom_translate_rhs(ctx: FieldCtx, a) -> np.ndarray:
     """delta(x) + q/(q-1) * sum_k binom(T^a, T^k) T^k(x) for every x.
 
     The 1F0 binomial theorem equates it with T^a(1 + x).  At x = g^j the
-    sum is an inverse DFT of the binomial row, so all x cost one FFT.
+    sum is an inverse DFT of the binomial row, so all x cost one FFT.  An
+    array of tops gives one row each, from one batched FFT.
     """
-    out = np.ones(ctx.q, dtype=np.complex128)  # x = 0: the delta term
-    out[1:] = (ctx.q * np.fft.ifft(binom_vec_fixed_top(ctx, a)))[ctx.dlog[1:]]
+    a = np.asarray(a)
+    rows = ctx.q * np.fft.ifft(binom_grid(ctx, a[..., None], np.arange(ctx.q - 1)))
+    out = np.ones(a.shape + (ctx.q,), dtype=np.complex128)  # x = 0: the delta term
+    out[..., 1:] = rows[..., ctx.dlog[1:]]
     return out
 
 
 def _check_binom_translate(ctx: FieldCtx, w: _Worst, a=None, **_):
     L = ctx.q - 1
-    one_plus_x = ctx.add_vec(np.arange(ctx.q, dtype=np.int64), 1)
-    tops = range(L) if a is None else [a % L]
-    for aa in tops:
-        lhs = chars.mul_char_vec(ctx, aa, one_plus_x)
+    k1 = ctx.dlog[ctx.add_vec(np.arange(ctx.q), 1)]  # dlog(1 + x); -1 at x = -1
+    tops = _params(L, a)
+    for s in _blocks(len(tops), ctx.q):
+        aa = tops[s]
+        lhs = np.where(k1 >= 0, chars.unit_roots(ctx)[(aa[:, None] * k1) % L], 0)
         rhs = binom_translate_rhs(ctx, aa)
-        w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda x: (aa, x))
+        w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i, x: (int(aa[i]), x))
 
 
-def _check_binom_absorb(ctx: FieldCtx, w: _Worst, **_):
-    L = ctx.q - 1
-    for a in range(L):
-        for b in range(L):
-            lhs = greene_binom(ctx, a, b)
-            rhs = greene_binom(ctx, a, a - b)
-            w.update(abs(lhs - rhs), (a, b), lhs, rhs)
+def _binom_check(rhs_of):
+    """Checker of binom(T^a, T^b) = rhs_of(ctx, a, b) over the whole (a, b) grid."""
 
+    def check(ctx: FieldCtx, w: _Worst, **_):
+        L = ctx.q - 1
+        b = np.arange(L)
+        for s in _blocks(L, L):
+            a = b[s, None]
+            lhs, rhs = binom_grid(ctx, a, b), rhs_of(ctx, a, b)
+            w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i, j: (int(a[i, 0]), j))
 
-def _check_binom_complement(ctx: FieldCtx, w: _Worst, **_):
-    L = ctx.q - 1
-    for a in range(L):
-        for b in range(L):
-            lhs = greene_binom(ctx, a, b)
-            rhs = greene_binom(ctx, b - a, b) * chars.mul_char(ctx, b, ctx.minus_one())
-            w.update(abs(lhs - rhs), (a, b), lhs, rhs)
-
-
-def _check_binom_transpose(ctx: FieldCtx, w: _Worst, **_):
-    L = ctx.q - 1
-    for a in range(L):
-        for b in range(L):
-            lhs = greene_binom(ctx, a, b)
-            rhs = greene_binom(ctx, -b, -a) * chars.mul_char(
-                ctx, a + b, ctx.minus_one()
-            )
-            w.update(abs(lhs - rhs), (a, b), lhs, rhs)
+    return check
 
 
 def quadratic_gauss_value(ctx: FieldCtx) -> complex:
@@ -327,34 +359,37 @@ def quadratic_gauss_value(ctx: FieldCtx) -> complex:
 
 def _check_gauss_special(ctx: FieldCtx, w: _Worst, **_):
     G = gauss_table(ctx)
-    w.update(abs(G[0] - (-1)), ("trivial",), complex(G[0]), -1 + 0j)
+    w.update_all(abs(G[0] - (-1)), G[0], -1 + 0j, lambda: ("trivial",))
     if ctx.q % 2:
         expect = quadratic_gauss_value(ctx)
-        got = complex(G[(ctx.q - 1) // 2])
-        w.update(abs(got - expect), ("quadratic",), got, expect)
+        got = G[(ctx.q - 1) // 2]
+        w.update_all(abs(got - expect), got, expect, lambda: ("quadratic",))
 
 
 def _check_theta_delta(ctx: FieldCtx, w: _Worst, **_):
     theta = chars.theta_table(ctx)
-    zs = np.arange(ctx.q, dtype=np.int64)
-    for wdiff in ctx.elements():
-        lhs = np.sum(theta[ctx.mul_vec(zs, wdiff)])
-        rhs = ctx.q if wdiff == 0 else 0.0
-        w.update(abs(lhs - rhs), (wdiff,), lhs, rhs)
+    zs = np.arange(ctx.q)
+    for s in _blocks(ctx.q, ctx.q):
+        wdiff = zs[s]
+        lhs = np.sum(theta[ctx.mul_arr(wdiff[:, None], zs)], axis=1)
+        rhs = np.where(wdiff == 0, float(ctx.q), 0.0)
+        w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(wdiff[i]),))
 
 
 _IDENTITIES = {
-    "gauss-reflection": (_check_gauss_reflection, _tol_single),
-    "gauss-shift": (_check_gauss_shift, _tol_single),
-    "jacobi-gauss": (_check_jacobi_gauss, _tol_single),
-    "theta-expansion": (_check_theta_expansion, _tol_single),
-    "orthogonality": (_check_orthogonality, _tol_single),
-    "binom-translate": (_check_binom_translate, _tol_single),
-    "binom-absorb": (_check_binom_absorb, _tol_single),
-    "binom-complement": (_check_binom_complement, _tol_single),
-    "binom-transpose": (_check_binom_transpose, _tol_single),
-    "gauss-special": (_check_gauss_special, _tol_single),
-    "theta-delta": (_check_theta_delta, _tol_single),
+    "gauss-reflection": _check_gauss_reflection,
+    "gauss-shift": _check_gauss_shift,
+    "jacobi-gauss": _check_jacobi_gauss,
+    "theta-expansion": _check_theta_expansion,
+    "orthogonality": _check_orthogonality,
+    "binom-translate": _check_binom_translate,
+    "binom-absorb": _binom_check(lambda ctx, a, b: binom_grid(ctx, a, a - b)),
+    "binom-complement": _binom_check(
+        lambda ctx, a, b: binom_grid(ctx, b - a, b) * chars.char_at_minus_one(ctx, b)),
+    "binom-transpose": _binom_check(
+        lambda ctx, a, b: binom_grid(ctx, -b, -a) * chars.char_at_minus_one(ctx, a + b)),
+    "gauss-special": _check_gauss_special,
+    "theta-delta": _check_theta_delta,
 }
 
 IDENTITY_NAMES = tuple(_IDENTITIES)
@@ -368,25 +403,10 @@ def verify_identity(ctx: FieldCtx, name: str, **params) -> VerifyReport:
     """
     if name not in _IDENTITIES:
         raise KeyError(f"unknown identity {name!r}; known: {', '.join(_IDENTITIES)}")
-    checker, tol_of = _IDENTITIES[name]
-    tol = tol_of(ctx)
     w = _Worst()
     t0 = time.perf_counter()
-    checker(ctx, w, **params)
-    ms = (time.perf_counter() - t0) * 1e3
-    return VerifyReport(
-        name=name,
-        q=ctx.q,
-        formula=w.lhs,
-        oracle=w.rhs.real,
-        match=w.disc < tol,
-        disc=w.disc,
-        tol=tol,
-        cases=w.cases,
-        skipped=w.skipped,
-        worst_case=w.case,
-        ms=ms,
-    )
+    _IDENTITIES[name](ctx, w, **params)
+    return w.report(name, ctx, ctx.tol * ctx.q, t0)
 
 
 def davenport_hasse(ctx: FieldCtx, d: int, l: int | None = None, t: int = 1) -> VerifyReport:
@@ -406,39 +426,20 @@ def davenport_hasse(ctx: FieldCtx, d: int, l: int | None = None, t: int = 1) -> 
         raise ValueError("t must be 1 or -1")
     L = ctx.q - 1
     G = gauss_table(ctx)
-    step = L // d
-    d_elem = ctx.embed(d)
-    d_pow = ctx.pow(d_elem, d)
+    kd = ctx.dlog_of(ctx.pow(ctx.embed(d), d))  # T^(-l)(d^d) = w^(-l*kd)
     if d % 2:
-        sign_exp = (d - 1) * (d + 1) * L // (8 * d)
-        scale = ctx.q ** ((d - 1) // 2) * chars.mul_char(ctx, sign_exp, ctx.minus_one())
+        sign = chars.char_at_minus_one(ctx, (d - 1) * (d + 1) * L // (8 * d))
+        scale = ctx.q ** ((d - 1) // 2) * sign
     else:
-        sign_exp = (d - 2) * L // 8
-        scale = (
-            ctx.q ** ((d - 2) // 2)
-            * G[L // 2]
-            * chars.mul_char(ctx, sign_exp, ctx.minus_one())
-        )
+        sign = chars.char_at_minus_one(ctx, (d - 2) * L // 8)
+        scale = ctx.q ** ((d - 2) // 2) * G[L // 2] * sign
     w = _Worst()
     t0 = time.perf_counter()
-    ls = range(L) if l is None else [l % L]
-    for ll in ls:
-        lhs = complex(np.prod(G[(ll + t * step * np.arange(d)) % L]))
-        rhs = scale * chars.mul_char(ctx, -ll, d_pow) * G[(ll * d) % L]
-        w.update(abs(lhs - rhs), (ll, t), lhs, rhs)
-    ms = (time.perf_counter() - t0) * 1e3
-    tol = ctx.tol * ctx.q ** (d / 2)  # product magnitude grows like q^(d/2)
-    return VerifyReport(
-        name="davenport-hasse",
-        q=ctx.q,
-        d=d,
-        formula=w.lhs,
-        oracle=w.rhs.real,
-        match=w.disc < tol,
-        disc=w.disc,
-        tol=tol,
-        cases=w.cases,
-        skipped=w.skipped,
-        worst_case=w.case,
-        ms=ms,
-    )
+    ls = _params(L, l)
+    for s in _blocks(len(ls), d):
+        ll = ls[s]
+        lhs = np.prod(G[(ll[:, None] + t * (L // d) * np.arange(d)) % L], axis=1)
+        rhs = scale * chars.unit_roots(ctx)[(-ll * kd) % L] * G[(ll * d) % L]
+        w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(ll[i]), t))
+    # the product's magnitude grows like q^(d/2)
+    return w.report("davenport-hasse", ctx, ctx.tol * ctx.q ** (d / 2), t0, d=d)

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -185,6 +186,20 @@ def test_indicator_decomposition(f13, f19):
         n_points = curves.count_bruteforce(spec)
         total = q * q + parts["a_direct"] + parts["b_direct"] + parts["cd_direct"]
         assert abs(total - q * n_points) < tol
+
+
+@pytest.mark.parametrize("pn", [(13, 1), (19, 1), (3, 2)], ids=["13", "19", "9"])
+def test_difference_histogram_matches_outer_difference(pn):
+    # the O(q) correlation against the (q-1) x (q-1) matrix it replaced
+    ctx = field(*pn)
+    for e, d, a, b in [(2, 3, 1, 5), (3, 2, 2, 1), (3, 3, 1, 1)]:
+        spec = curves.CurveSpec(ctx, e, d, a, b)
+        vals = curves._unit_values(spec)
+        ye = ctx.pow_vec(np.arange(1, ctx.q), e)
+        diff = ctx.add_vec(vals[:, None], ctx.neg_vec(ye)[None, :])
+        want = np.bincount(diff.ravel(), minlength=ctx.q)
+        got = curves._difference_histogram(ctx, vals, ye)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 def test_count_residual_identity(f13):

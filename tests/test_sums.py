@@ -6,11 +6,16 @@ multi-sums by full tuple enumeration.
 """
 
 import math
+import os
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from charsum import chars, sums
+import charsum
+from charsum import chars, make_field, sums
 
 from conftest import field
 
@@ -245,3 +250,364 @@ def test_davenport_hasse_single_l(f13):
 def test_davenport_hasse_congruence_error(f13):
     with pytest.raises(ValueError):
         sums.davenport_hasse(f13, 5)
+
+
+# ---------------------------------------------------------------------------
+# Array grids against the per-case loops they replaced, kept here as the
+# reference: scalar greene_binom / jacobi_sum / jacobi_direct / mul_char calls,
+# one case at a time, with no chunking and no binom_grid.
+# ---------------------------------------------------------------------------
+
+class RefWorst:
+    """The loop tracker: first strictly largest discrepancy, plus every
+    case's (disc, lhs, rhs) for checking the array grid's worst case."""
+
+    def __init__(self):
+        self.disc, self.case, self.cases, self.skipped = 0.0, (), 0, 0
+        self.seen = {}
+
+    def update(self, disc, case, lhs, rhs):
+        self.cases += 1
+        self.seen[case] = (disc, complex(lhs), complex(rhs))
+        if disc > self.disc:
+            self.disc, self.case = disc, case
+
+    def skip(self):
+        self.skipped += 1
+
+
+def ref_gauss_reflection(ctx, w, m=None):
+    L = ctx.q - 1
+    G = sums.gauss_table(ctx)
+    for mm in range(1, L) if m is None else [m % L]:
+        if mm % L == 0:
+            w.skip()
+            continue
+        lhs = G[mm] * G[(-mm) % L]
+        rhs = ctx.q * chars.mul_char(ctx, mm, ctx.minus_one())
+        w.update(abs(lhs - rhs), (mm,), lhs, rhs)
+
+
+def ref_gauss_shift(ctx, w, m=None, n=None):
+    L = ctx.q - 1
+    G = sums.gauss_table(ctx)
+    for mm in range(L) if m is None else [m % L]:
+        for nn in range(L) if n is None else [n % L]:
+            if (mm - nn) % L == 0:
+                w.skip()
+                continue
+            lhs = G[mm] * G[(-nn) % L]
+            shift = G[(mm - nn) % L]
+            rhs1 = ctx.q * sums.greene_binom(ctx, mm, nn) * shift * chars.mul_char(
+                ctx, nn, ctx.minus_one()
+            )
+            rhs2 = sums.jacobi_sum(ctx, mm, -nn) * shift
+            w.update(max(abs(lhs - rhs1), abs(lhs - rhs2)), (mm, nn), lhs, rhs1)
+
+
+def ref_jacobi_gauss(ctx, w, seed=0, triples=24):
+    L = ctx.q - 1
+    G = sums.gauss_table(ctx)
+    for a in range(1, L):
+        for b in range(1, L):
+            if (a + b) % L == 0:
+                w.skip()
+                continue
+            lhs = sums.jacobi_direct(ctx, a, b)
+            rhs = G[a] * G[b] / G[(a + b) % L]
+            w.update(abs(lhs - rhs), (a, b), lhs, rhs)
+    rng = random.Random(seed)
+    seen = 0
+    while seen < triples:
+        ks = [rng.randrange(1, L) for _ in range(3)]
+        if sum(ks) % L == 0:
+            continue
+        lhs = sums.jacobi_multi(ctx, ks)
+        f1, f2, f3 = (chars.mul_char_vec(ctx, e, np.arange(ctx.q)) for e in ks)
+        rhs = complex(sums._convolve_add(ctx, sums._convolve_add(ctx, f1, f2), f3)[1])
+        w.update(abs(lhs - rhs), tuple(ks), lhs, rhs)
+        seen += 1
+
+
+def ref_theta_expansion(ctx, w):
+    L = ctx.q - 1
+    G = sums.gauss_table(ctx)
+    unit = chars.unit_roots(ctx)
+    g_neg = G[(-np.arange(L)) % L]
+    for alpha in ctx.units():
+        k = ctx.dlog_of(alpha)
+        rhs = np.sum(g_neg * unit[(np.arange(L) * k) % L]) / L
+        lhs = chars.add_char(ctx, alpha)
+        w.update(abs(lhs - rhs), (alpha,), lhs, rhs)
+
+
+def ref_orthogonality(ctx, w):
+    L = ctx.q - 1
+    unit = chars.unit_roots(ctx)
+    ks = np.arange(L, dtype=np.int64)
+    for m in range(L):
+        lhs = np.sum(unit[(m * ks) % L])
+        rhs = L if m == 0 else 0.0
+        w.update(abs(lhs - rhs), ("char-sum", m), lhs, rhs)
+    for x in ctx.units():
+        lhs = np.sum(unit[(ks * ctx.dlog_of(x)) % L])
+        rhs = L if x == 1 else 0.0
+        w.update(abs(lhs - rhs), ("point-sum", x), lhs, rhs)
+
+
+def ref_binom_translate(ctx, w, a=None):
+    # the right side as the literal character sum, not through the FFT
+    L = ctx.q - 1
+    for aa in range(L) if a is None else [a % L]:
+        binoms = [sums.greene_binom(ctx, aa, k) for k in range(L)]
+        for x in ctx.elements():
+            lhs = chars.mul_char(ctx, aa, ctx.add(1, x))
+            rhs = (1 if x == 0 else 0) + ctx.q / L * sum(
+                binoms[k] * chars.mul_char(ctx, k, x) for k in range(L)
+            )
+            w.update(abs(lhs - rhs), (aa, x), lhs, rhs)
+
+
+def ref_binom_grid(rhs_of):
+    def check(ctx, w):
+        L = ctx.q - 1
+        for a in range(L):
+            for b in range(L):
+                lhs = sums.greene_binom(ctx, a, b)
+                rhs = rhs_of(ctx, a, b)
+                w.update(abs(lhs - rhs), (a, b), lhs, rhs)
+
+    return check
+
+
+def ref_gauss_special(ctx, w):
+    G = sums.gauss_table(ctx)
+    w.update(abs(G[0] - (-1)), ("trivial",), complex(G[0]), -1 + 0j)
+    if ctx.q % 2:
+        expect = sums.quadratic_gauss_value(ctx)
+        got = complex(G[(ctx.q - 1) // 2])
+        w.update(abs(got - expect), ("quadratic",), got, expect)
+
+
+def ref_theta_delta(ctx, w):
+    theta = chars.theta_table(ctx)
+    zs = np.arange(ctx.q, dtype=np.int64)
+    for wdiff in ctx.elements():
+        lhs = np.sum(theta[ctx.mul_vec(zs, wdiff)])
+        rhs = ctx.q if wdiff == 0 else 0.0
+        w.update(abs(lhs - rhs), (wdiff,), lhs, rhs)
+
+
+def _sign(ctx, k):
+    return chars.mul_char(ctx, k, ctx.minus_one())
+
+
+REFERENCE = {
+    "gauss-reflection": ref_gauss_reflection,
+    "gauss-shift": ref_gauss_shift,
+    "jacobi-gauss": ref_jacobi_gauss,
+    "theta-expansion": ref_theta_expansion,
+    "orthogonality": ref_orthogonality,
+    "binom-translate": ref_binom_translate,
+    "binom-absorb": ref_binom_grid(lambda ctx, a, b: sums.greene_binom(ctx, a, a - b)),
+    "binom-complement": ref_binom_grid(
+        lambda ctx, a, b: sums.greene_binom(ctx, b - a, b) * _sign(ctx, b)),
+    "binom-transpose": ref_binom_grid(
+        lambda ctx, a, b: sums.greene_binom(ctx, -b, -a) * _sign(ctx, a + b)),
+    "gauss-special": ref_gauss_special,
+    "theta-delta": ref_theta_delta,
+}
+
+
+def ref_davenport_hasse(ctx, w, d, l=None, t=1):
+    L = ctx.q - 1
+    G = sums.gauss_table(ctx)
+    step = L // d
+    d_pow = ctx.pow(ctx.embed(d), d)
+    if d % 2:
+        sign_exp = (d - 1) * (d + 1) * L // (8 * d)
+        scale = ctx.q ** ((d - 1) // 2) * _sign(ctx, sign_exp)
+    else:
+        sign_exp = (d - 2) * L // 8
+        scale = ctx.q ** ((d - 2) // 2) * G[L // 2] * _sign(ctx, sign_exp)
+    for ll in range(L) if l is None else [l % L]:
+        lhs = complex(np.prod(G[(ll + t * step * np.arange(d)) % L]))
+        rhs = scale * chars.mul_char(ctx, -ll, d_pow) * G[(ll * d) % L]
+        w.update(abs(lhs - rhs), (ll, t), lhs, rhs)
+
+
+def run_reference(ctx, name, **params):
+    ref = RefWorst()
+    if name == "davenport-hasse":
+        ref_davenport_hasse(ctx, ref, **params)
+    else:
+        REFERENCE[name](ctx, ref, **params)
+    return ref
+
+
+def run_grid(ctx, name, **params):
+    if name == "davenport-hasse":
+        return sums.davenport_hasse(ctx, **params)
+    return sums.verify_identity(ctx, name, **params)
+
+
+# The default cell budget holds every grid at q <= 37 in one chunk; the small
+# budgets force several chunks per grid, of several rows and of one row.
+BLOCK_SIZES = (sums._GRID_BLOCK_CELLS, 100, 5)
+
+
+def assert_matches_reference(report, ref):
+    assert (report.cases, report.skipped) == (ref.cases, ref.skipped)
+    assert report.match == (ref.disc < report.tol)
+    assert abs(report.disc - ref.disc) <= 1e-12
+    if report.worst_case != ref.case:
+        # a tie: the two cases' discrepancies agree
+        assert abs(ref.seen[report.worst_case][0] - ref.disc) <= 1e-13
+    if report.worst_case:
+        # the reported values belong to the reported case
+        _, lhs, rhs = ref.seen[report.worst_case]
+        assert abs(report.formula - lhs) <= 1e-12
+        assert abs(report.oracle - rhs.real) <= 1e-12
+
+
+GRID_FIELDS = [(13, 1), (5, 2), (37, 1)]
+DH_CASES = [dict(d=d, t=t) for d in (3, 4) for t in (1, -1)]
+
+
+@pytest.mark.parametrize("pn", GRID_FIELDS, ids=["13", "25", "37"])
+@pytest.mark.parametrize("name", sums.IDENTITY_NAMES)
+def test_grid_matches_reference_loop(name, pn, monkeypatch):
+    ctx = field(*pn)
+    ref = run_reference(ctx, name)
+    for block in BLOCK_SIZES:
+        monkeypatch.setattr(sums, "_GRID_BLOCK_CELLS", block)
+        assert_matches_reference(sums.verify_identity(ctx, name), ref)
+
+
+@pytest.mark.parametrize("pn", [(13, 1), (37, 1)], ids=["13", "37"])
+def test_davenport_hasse_matches_reference_loop(pn, monkeypatch):
+    ctx = field(*pn)
+    for params in DH_CASES:
+        ref = run_reference(ctx, "davenport-hasse", **params)
+        for block in BLOCK_SIZES:
+            monkeypatch.setattr(sums, "_GRID_BLOCK_CELLS", block)
+            assert_matches_reference(sums.davenport_hasse(ctx, **params), ref)
+
+
+PINNED = [
+    ("gauss-reflection", dict(m=5)),
+    ("gauss-reflection", dict(m=0)),  # T^0 trivial: skipped
+    ("gauss-shift", dict(m=3)),
+    ("gauss-shift", dict(n=5)),
+    ("gauss-shift", dict(m=0)),
+    ("gauss-shift", dict(m=-1, n=4)),
+    ("gauss-shift", dict(m=3, n=3)),  # skipped
+    ("binom-translate", dict(a=2)),
+    ("binom-translate", dict(a=0)),
+] + [("davenport-hasse", dict(l=3, **dh)) for dh in DH_CASES]
+
+
+@pytest.mark.parametrize("pn", GRID_FIELDS, ids=["13", "25", "37"])
+def test_pinned_grid_matches_reference_loop(pn, monkeypatch):
+    ctx = field(*pn)
+    for name, params in PINNED:
+        if name == "davenport-hasse" and (ctx.q - 1) % params["d"]:
+            continue
+        ref = run_reference(ctx, name, **params)
+        for block in BLOCK_SIZES:
+            monkeypatch.setattr(sums, "_GRID_BLOCK_CELLS", block)
+            assert_matches_reference(run_grid(ctx, name, **params), ref)
+
+
+def noisy_field(p, n, tables):
+    """A fresh context whose cached tables carry seeded noise of 1e-3, so
+    that the discrepancies of a grid lie far apart, apart from cases that tie
+    by symmetry (gauss-shift at (0, n) and (-n, 0)); both routes read the
+    same noisy values."""
+    ctx = make_field(p, n)
+    sums.gauss_table(ctx)
+    rng = np.random.default_rng(17)
+    for key in tables:
+        tab = {"gauss": sums.gauss_table, "theta": chars.theta_table,
+               "unit_roots": chars.unit_roots}[key](ctx)
+        ctx._cache[key] = tab + 1e-3 * (rng.standard_normal(tab.shape)
+                                       + 1j * rng.standard_normal(tab.shape))
+    return ctx
+
+
+# orthogonality reads only the roots of unity, theta-delta only theta; the
+# rest read G (theta-expansion also theta).  Roots of unity stay exact
+# elsewhere, because the reference takes degenerate Jacobi sums from them.
+# binom-transpose is left out: both of its sides are the same G quotient.
+NOISY_TABLES = {"orthogonality": ("unit_roots",), "theta-delta": ("theta",)}
+NOISY_GRIDS = [n for n in sums.IDENTITY_NAMES if n != "binom-transpose"]
+# the jacobi-gauss triples also read G; without them the worst case is the grid's
+NOISY_PARAMS = {"davenport-hasse": DH_CASES, "jacobi-gauss": [{}, dict(triples=0)]}
+
+
+@pytest.mark.parametrize("pn", [(13, 1), (37, 1)], ids=["13", "37"])
+@pytest.mark.parametrize("name", NOISY_GRIDS + ["davenport-hasse"])
+def test_grid_worst_case_under_noise(name, pn, monkeypatch):
+    ctx = noisy_field(*pn, NOISY_TABLES.get(name, ("gauss", "theta")))
+    for params in NOISY_PARAMS.get(name, [{}]):
+        ref = run_reference(ctx, name, **params)
+        assert ref.disc > 1e-6  # the noise shows
+        for block in BLOCK_SIZES:
+            monkeypatch.setattr(sums, "_GRID_BLOCK_CELLS", block)
+            assert_matches_reference(run_grid(ctx, name, **params), ref)
+
+
+@pytest.mark.parametrize("pn", [(13, 1), (5, 2), (3, 3)], ids=["13", "25", "27"])
+def test_binom_grid_matches_greene_binom(pn):
+    ctx = field(*pn)
+    L = ctx.q - 1
+    ks = np.arange(L)
+    grid = sums.binom_grid(ctx, ks[:, None], ks)
+    for a in range(L):
+        for b in range(L):
+            assert abs(grid[a, b] - sums.greene_binom(ctx, a, b)) < 1e-14
+    # exponents are taken mod q-1
+    assert np.array_equal(sums.binom_grid(ctx, ks[:, None] - L, ks + 2 * L), grid)
+
+
+@pytest.mark.parametrize("pn", [(13, 1), (3, 2)], ids=["13", "9"])
+def test_jacobi_direct_rows_match_scalar(pn):
+    ctx = field(*pn)
+    L = ctx.q - 1
+    rows = sums.jacobi_direct_rows(ctx, np.arange(L))
+    for a in range(L):
+        for b in range(L):
+            assert abs(rows[a, b] - sums.jacobi_direct(ctx, a, b)) < 1e-12
+            assert abs(rows[a, b] - jacobi_oracle(ctx, a, b)) < 1e-12
+
+
+def test_grids_bounded_memory_at_size_cap():
+    # the row chunks hold each grid's temporaries to a fixed budget: lines at
+    # q = 65521 and a full 16.7M-case grid at q = 4093, in a fresh process
+    code = """
+import resource
+from charsum import make_field, sums
+big, mid = make_field(65521), make_field(4093)
+sums.gauss_table(big)
+sums.gauss_table(mid)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+reports = [
+    sums.verify_identity(big, "gauss-shift", m=12345),
+    sums.verify_identity(big, "binom-translate", a=777),
+    sums.verify_identity(big, "gauss-reflection"),
+    sums.verify_identity(mid, "binom-absorb"),
+]
+reports += [sums.davenport_hasse(big, d, t=t) for d in (3, 4) for t in (1, -1)]
+assert all(r.match for r in reports), [(r.name, r.disc) for r in reports]
+assert reports[3].cases == 4092 ** 2
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) // 1024)
+"""
+    src_dir = os.path.dirname(os.path.dirname(charsum.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_dir},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100  # MB of peak RSS growth
