@@ -10,8 +10,8 @@ transcription or precision failure.
 
 Two enumeration oracles check them: count_bruteforce looks up the e-th
 power class of each x-value (O(q)), and count_naive compares all (x, y)
-pairs in fixed-size blocks with arithmetic that does not read the exp/dlog
-tables (O(q^2) time, O(q) memory).
+pairs in fixed-size blocks with polynomial arithmetic that reads none of the
+field's tables (O(q^2) time, O(q * n) memory).
 """
 
 from __future__ import annotations
@@ -113,7 +113,8 @@ def _unit_values(spec: CurveSpec) -> np.ndarray:
         xd = ctx.exp[(spec.d * np.arange(L, dtype=np.int64)) % L]
         xd.setflags(write=False)
         ctx._cache[key] = xd
-    ax = np.roll(ctx.exp, -int(ctx.dlog[spec.a]))
+    s = int(ctx.dlog[spec.a])
+    ax = np.concatenate((ctx.exp[s:], ctx.exp[:s]))  # np.roll(exp, -s), at a third of the cost
     return ctx.add_vec(ctx.add_vec(xd, ax), spec.b)
 
 
@@ -126,23 +127,42 @@ def count_bruteforce(spec: CurveSpec) -> int:
     return int(counts[spec.b]) + int(np.sum(counts[_unit_values(spec)]))
 
 
-def count_naive(spec: CurveSpec) -> int:
-    """Plain enumeration over all (x, y) pairs, without the exp/dlog tables.
+def _coeff_mulmod(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of coefficient rows (..., n), reduced mod the modulus and p."""
+    n, p = ctx.n, ctx.p
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (2 * n - 1,)
+    out = np.zeros(shape, dtype=np.int64)
+    for i in range(n):
+        out[..., i:i + n] += a[..., i:i + 1] * b
+    for i in range(2 * n - 2, n - 1, -1):  # c t^i -> c t^i - c t^(i-n) * modulus
+        out[..., i - n:i] -= (out[..., i:i + 1] % p) * np.array(ctx.modulus[:n])
+    return out[..., :n] % p
 
-    x^d + a*x + b and y^e are evaluated once per element with the table-free
-    construction arithmetic; the pairs are then compared in blocks of x rows
-    of about _NAIVE_BLOCK_CELLS cells, so memory stays O(q) at every q.
+
+def _coeff_pow(ctx: FieldCtx, c: np.ndarray, e: int) -> np.ndarray:
+    """Coefficient rows of c^e, e >= 1, by square and multiply."""
+    if e == 1:
+        return c
+    half = _coeff_pow(ctx, _coeff_mulmod(ctx, c, c), e // 2)
+    return _coeff_mulmod(ctx, half, c) if e & 1 else half
+
+
+def count_naive(spec: CurveSpec) -> int:
+    """Plain enumeration over all (x, y) pairs, without the field's tables.
+
+    x^d + a*x + b and y^e are evaluated for every element at once, as
+    polynomial arithmetic on the (q, n) array of coefficient vectors; the
+    pairs are then compared in blocks of x rows of about _NAIVE_BLOCK_CELLS
+    cells, so memory stays O(q * n) at every q.
     """
     ctx = spec.ctx
+    basis = np.array(ctx._pow_basis, dtype=np.int64)
+    xs = (np.arange(ctx.q, dtype=np.int64)[:, None] // basis) % ctx.p
+    a, b = (np.array(ctx.to_coeffs(v), dtype=np.int64) for v in (spec.a, spec.b))
+    rhs = (_coeff_pow(ctx, xs, spec.d) + _coeff_mulmod(ctx, a, xs) + b) % ctx.p
     dtype = np.min_scalar_type(ctx.q - 1)  # narrow values halve the compare time
-    rhs = np.array(
-        [
-            ctx.add(ctx.add(ctx._raw_pow(x, spec.d), ctx._raw_mul(spec.a, x)), spec.b)
-            for x in ctx.elements()
-        ],
-        dtype=dtype,
-    )
-    lhs = np.array([ctx._raw_pow(y, spec.e) for y in ctx.elements()], dtype=dtype)
+    rhs = (rhs @ basis).astype(dtype)
+    lhs = (_coeff_pow(ctx, xs, spec.e) @ basis).astype(dtype)
     rows = max(1, _NAIVE_BLOCK_CELLS // ctx.q)
     return sum(
         int(np.count_nonzero(rhs[i:i + rows, None] == lhs[None, :]))

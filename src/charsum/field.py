@@ -12,6 +12,11 @@ polynomial product per element: multiplication by g is an n x n matrix, so
 the coefficient vectors of all powers g^k come from about log2(q) matrix
 products, and the trace, being F_p-linear, is the digit table of all
 indices times the traces of the n basis elements.
+
+Addition is digit-wise mod p with no carry, so the low k = n // 2 digits and
+the high n - k digits add separately: x + y is one read in a P x P table of
+low-digit sums (P = p^k) plus one in an H x H table of high-digit sums
+pre-scaled by P (H = p^(n-k)); P^2 + H^2 entries, 2q for even n.
 """
 
 from __future__ import annotations
@@ -60,8 +65,7 @@ def prime_factors(n: int) -> list[int]:
 # Polynomial arithmetic over F_p (coefficient tuples, ascending degree).
 # Used during construction, on a few elements: the modulus and generator
 # searches and the matrix of x -> g*x.  The q-sized tables are array work;
-# runtime arithmetic is table-driven.  curves.count_naive also uses it, as
-# arithmetic independent of the tables it checks.
+# runtime arithmetic is table-driven.
 # ---------------------------------------------------------------------------
 
 def _poly_trim(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -191,13 +195,22 @@ class FieldCtx:
             self.trace_tab = np.arange(q, dtype=np.int64)
         else:
             # Digits of every index, in the smallest dtype that holds the sum
-            # of two digits (add_vec adds digit rows before reducing).
-            self._digits = (
+            # of two digits (the sum tables add digit columns before reducing).
+            digits = (
                 (np.arange(q, dtype=np.int64)[:, None] // pow_basis) % p
             ).astype(np.min_scalar_type(2 * (p - 1)))
-            self._carry = p * pow_basis
-            self._neg_tab = ((p - self._digits) % p) @ pow_basis
-            self.trace_tab = (self._digits @ self._basis_traces()) % p
+            k = n // 2
+            self._P, self._H = P, H = p**k, p ** (n - k)
+            S = np.zeros((H, H), dtype=np.int64)  # S[x, y] = x + y in F_q for x, y < H
+            for c in reversed(digits[:H, :n - k].T):  # Horner's rule over the digits
+                s = c[:, None] + c[None, :]
+                S *= p
+                S += np.where(s >= p, s - p, s)
+            self._add_lo = S[:P, :P].flatten()  # a copy, before S is scaled
+            S *= P
+            self._add_hi = S.ravel()
+            self._neg_tab = ((p - digits) % p) @ pow_basis
+            self.trace_tab = (digits @ self._basis_traces()) % p
         self._cache: dict = {}  # derived tables, single-writer init
 
     # -- construction helpers -------------------------------------------------
@@ -300,16 +313,13 @@ class FieldCtx:
     # -- arithmetic -------------------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
+        """x + y; for n > 1 one read in each half-digit sum table."""
         if self.n == 1:
             return (x + y) % self.p
-        # add_vec on one pair, with the digit loop in Python: numpy's
-        # per-call cost on rows of n digits exceeds the loop itself
-        p, D = self.p, self._digits
-        out = x + y
-        for cx, cy, b in zip(D[x].tolist(), D[y].tolist(), self._pow_basis):
-            if cx + cy >= p:
-                out -= p * b
-        return int(out)
+        P = self._P
+        xh, xl = divmod(x, P)
+        yh, yl = divmod(y, P)
+        return int(self._add_hi[xh * self._H + yh] + self._add_lo[xl * P + yl])
 
     def neg(self, x: int) -> int:
         if self.n == 1:
@@ -355,7 +365,10 @@ class FieldCtx:
     # -- vectorized arithmetic over index arrays ----------------------------------
 
     def add_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Elementwise sum of reduced indices in [0, q); at least one an array."""
+        """Elementwise sum of reduced indices in [0, q); at least one an array.
+
+        For n > 1 one read in each half-digit sum table.
+        """
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
         if self.n == 1:
@@ -365,10 +378,10 @@ class FieldCtx:
             r = s - np.uint64(self.p)
             np.minimum(s, r, out=r)
             return r.view(np.int64)
-        # digit-wise addition without carry: subtract p from each digit
-        # position whose sum reached p
-        D = self._digits
-        return xs + ys - ((D[xs] + D[ys]) >= self.p) @ self._carry
+        P = self._P
+        xh = xs // P
+        yh = ys // P
+        return self._add_hi[xh * self._H + yh] + self._add_lo[(xs - xh * P) * P + (ys - yh * P)]
 
     def neg_vec(self, xs: np.ndarray) -> np.ndarray:
         """Elementwise negation of reduced indices in [0, q)."""

@@ -51,6 +51,17 @@ def test_bruteforce_matches_naive_every_pair(pn, eds):
                 assert curves.count_bruteforce(spec) == curves.count_naive(spec), (e, d, a, b)
 
 
+@pytest.mark.parametrize(
+    "p,n,e,d", [(2, 16, 3, 5), (2, 16, 5, 3), (3, 9, 2, 5)],
+    ids=["2^16-3-5", "2^16-5-3", "3^9-2-5"],
+)
+def test_naive_matches_bruteforce_large_extensions(p, n, e, d):
+    ctx = field(p, n)
+    rng = random.Random(ctx.q + e)
+    spec = curves.CurveSpec(ctx, e, d, rng.randrange(1, ctx.q), rng.randrange(1, ctx.q))
+    assert curves.count_naive(spec) == curves.count_bruteforce(spec)
+
+
 # Fields for the differential test, prime and extension, each with its (e, d)
 # pairs with e >= 2, d <= 6 and q = 1 mod e*d*(d-1).
 _DIFF_FIELDS = [(13, 1), (37, 1), (41, 1), (61, 1), (73, 1), (5, 2), (7, 2), (3, 4), (11, 2)]

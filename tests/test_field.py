@@ -245,17 +245,49 @@ def coeffwise_neg(ctx, x):
     return sum(((-c) % ctx.p) * ctx.p**i for i, c in enumerate(ctx.to_coeffs(x)))
 
 
-@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (3, 3)], ids=["8", "9", "25", "27"])
+def assert_add_matches_coefficientwise(ctx, xs, ys):
+    got = ctx.add_vec(xs, ys)
+    bx, by = np.broadcast_arrays(xs, ys)
+    assert got.shape == bx.shape and got.dtype == np.int64
+    pairs = [(int(x), int(y)) for x, y in zip(bx.ravel(), by.ravel())]
+    want = [coeffwise_add(ctx, x, y) for x, y in pairs]
+    assert np.ravel(got).tolist() == want
+    scalar = [ctx.add(x, y) for x, y in pairs]
+    assert scalar == want and all(type(v) is int for v in scalar)
+
+
+@pytest.mark.parametrize(
+    "p,n", [(2, 3), (3, 2), (5, 2), (3, 3), (2, 5), (3, 4), (5, 3), (7, 2)],
+    ids=["8", "9", "25", "27", "32", "81", "125", "49"],
+)
 def test_scalar_add_neg_match_coefficientwise(p, n):
-    # the scalar ops read the digit tables; the reference works on the
-    # coefficient vectors, so neither side is built from the other
+    # add, add_vec and neg read the sum and negation tables; the reference
+    # works on the coefficient vectors, so neither side is built from the
+    # other.  Odd n splits the digits into unequal halves.
     ctx = field(p, n)
     for x in ctx.elements():
         assert ctx.neg(x) == coeffwise_neg(ctx, x)
         assert type(ctx.neg(x)) is int
-        for y in ctx.elements():
-            got = ctx.add(x, y)
-            assert got == coeffwise_add(ctx, x, y) and type(got) is int
+    xs = np.arange(ctx.q, dtype=np.int64)
+    assert_add_matches_coefficientwise(ctx, xs[:, None], xs[None, :])
+
+
+# -- the half-digit sum tables on larger fields --------------------------------
+
+@pytest.mark.parametrize(
+    "p,n", [(7, 4), (3, 8), (3, 9), (2, 16)], ids=["7^4", "3^8", "3^9", "2^16"],
+)
+def test_add_matches_coefficientwise_seeded_pairs(p, n):
+    ctx = field(p, n)
+    rng = np.random.default_rng(ctx.q)
+    xs = rng.integers(0, ctx.q, 2000)
+    ys = rng.integers(0, ctx.q, 2000)
+    # same, outer, scalar and row broadcast shapes
+    assert_add_matches_coefficientwise(ctx, xs, ys)
+    assert_add_matches_coefficientwise(ctx, xs[:50, None], ys[None, :40])
+    assert_add_matches_coefficientwise(ctx, int(xs[0]), ys)
+    assert_add_matches_coefficientwise(ctx, xs, int(ys[0]))
+    assert_add_matches_coefficientwise(ctx, xs.reshape(40, 50), ys[:50])
 
 
 # -- the size cap: fields that took a minute to build before the tables were
