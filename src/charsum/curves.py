@@ -88,15 +88,31 @@ def _round_guarded(ctx: FieldCtx, z: complex) -> int:
 # Enumeration oracles
 # ---------------------------------------------------------------------------
 
+def _cached(ctx: FieldCtx, key, build):
+    """ctx._cache[key], built by build() on the first call."""
+    value = ctx._cache.get(key)
+    if value is None:
+        value = ctx._cache[key] = build()
+    return value
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def power_count_table(ctx: FieldCtx, e: int) -> np.ndarray:
     """counts[v] = #{y in F_q : y^e = v}; one pass over y."""
-    key = ("power_counts", e)
-    tab = ctx._cache.get(key)
-    if tab is None:
-        ys = np.arange(ctx.q, dtype=np.int64)
-        tab = np.bincount(ctx.pow_vec(ys, e), minlength=ctx.q)
-        ctx._cache[key] = tab
-    return tab
+    return _cached(ctx, ("power_counts", e), lambda: np.bincount(
+        ctx.pow_vec(np.arange(ctx.q, dtype=np.int64), e), minlength=ctx.q))
+
+
+def _pow_by_exp(ctx: FieldCtx, d: int) -> np.ndarray:
+    """x^d at x = g^k for k in [0, q-2]: exp[d*k mod (q-1)], cached per d."""
+    L = ctx.q - 1
+    return _cached(ctx, ("pow_by_exp", d), lambda: _frozen(
+        ctx.exp[(d * np.arange(L, dtype=np.int64)) % L])[0])
 
 
 def _unit_values(spec: CurveSpec) -> np.ndarray:
@@ -106,25 +122,50 @@ def _unit_values(spec: CurveSpec) -> np.ndarray:
     (cached per d) and a*x = exp[k + dlog(a)], a rotation of exp.
     """
     ctx = spec.ctx
-    key = ("pow_by_exp", spec.d)
-    xd = ctx._cache.get(key)
-    if xd is None:
-        L = ctx.q - 1
-        xd = ctx.exp[(spec.d * np.arange(L, dtype=np.int64)) % L]
-        xd.setflags(write=False)
-        ctx._cache[key] = xd
     s = int(ctx.dlog[spec.a])
     ax = np.concatenate((ctx.exp[s:], ctx.exp[:s]))  # np.roll(exp, -s), at a third of the cost
-    return ctx.add_vec(ctx.add_vec(xd, ax), spec.b)
+    return ctx.add_vec(ctx.add_vec(_pow_by_exp(ctx, spec.d), ax), spec.b)
+
+
+def _spread_planes(ctx: FieldCtx, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Read-only spread planes of the index array xs: (xs,) for n = 1, where
+    the spread of x is x itself, and (spread_hi[xs], spread_lo[xs]) else."""
+    return _frozen(xs) if ctx.n == 1 else _frozen(ctx._spread_hi[xs], ctx._spread_lo[xs])
 
 
 def count_bruteforce(spec: CurveSpec) -> int:
     """Affine point count by tabulating the e-th power class of each x-value.
 
-    x = 0 contributes counts[b]; the units are summed in generator order.
+    x = 0 contributes counts[b].  The units x = g^k are summed in generator
+    order: x^d + a*x + b is the sum of the spread planes of x^d and of exp
+    rotated by dlog(a), plus the spread of b, which enters as an offset into
+    the table the sum indexes.  For n = 1 that is one add and one gather from
+    counts tiled three times (counts composed with s -> s mod p on [0, 3p-2));
+    for n > 1 one add and one reduction gather per digit half, then one
+    gather from counts.  The arrays are per-context buffers, so a warm call
+    allocates no length-(q-1) array, and calls on one context must not overlap.
     """
-    counts = power_count_table(spec.ctx, spec.e)
-    return int(counts[spec.b]) + int(np.sum(counts[_unit_values(spec)]))
+    ctx, b, d = spec.ctx, spec.b, spec.d
+    L = ctx.q - 1
+    s = int(ctx.dlog[spec.a])
+    counts = power_count_table(ctx, spec.e)
+    xd = _cached(ctx, ("spread_pow_by_exp", d), lambda: _spread_planes(ctx, _pow_by_exp(ctx, d)))
+    # exp written twice over: exp rotated by s is the slice [s:s+L]
+    ex = _cached(ctx, "spread_exp2", lambda: _spread_planes(ctx, np.concatenate((ctx.exp, ctx.exp))))
+    idx, val, got = _cached(ctx, "oracle_buffers", lambda: np.empty((3, L), dtype=np.int64))
+    np.add(xd[0], ex[0][s:s + L], out=idx)
+    if ctx.n == 1:
+        tiled = _cached(ctx, ("power_counts_tiled", spec.e),
+                        lambda: np.tile(counts, 3)[:3 * ctx.p - 2])
+        # mode="clip" writes straight to out ("raise" buffers it); indices lie in range
+        np.take(tiled[b:], idx, out=got, mode="clip")
+    else:
+        np.take(ctx._red_hi[ctx._spread_hi[b]:], idx, out=val, mode="clip")
+        np.add(xd[1], ex[1][s:s + L], out=idx)
+        np.take(ctx._red_lo[ctx._spread_lo[b]:], idx, out=got, mode="clip")
+        val += got
+        np.take(counts, val, out=got, mode="clip")
+    return int(counts[b]) + int(got.sum())
 
 
 def _coeff_mulmod(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:

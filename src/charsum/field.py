@@ -13,10 +13,17 @@ the coefficient vectors of all powers g^k come from about log2(q) matrix
 products, and the trace, being F_p-linear, is the digit table of all
 indices times the traces of the n basis elements.
 
-Addition is digit-wise mod p with no carry, so the low k = n // 2 digits and
-the high n - k digits add separately: x + y is one read in a P x P table of
-low-digit sums (P = p^k) plus one in an H x H table of high-digit sums
-pre-scaled by P (H = p^(n-k)); P^2 + H^2 entries, 2q for even n.
+Addition is digit-wise mod p with no carry between digits.  For n > 1 the
+digits split at k = n // 2, and each half of every element is re-read in
+base B = 3p - 2: spread_lo[x] and spread_hi[x] hold the low k and the high
+n - k digits of x as base-B integers.  A digit sum of up to three elements is
+at most 3(p - 1) = B - 1, so the spread values of up to three elements add as
+plain integers with no carry, and two reduction tables map the sums back:
+red_lo[s] reduces each base-B digit of s mod p (B^k entries) and red_hi does
+the same pre-scaled by P = p^k (B^(n-k) entries).  So x + y is
+red_hi[spread_hi[x] + spread_hi[y]] + red_lo[spread_lo[x] + spread_lo[y]],
+with 2q spread entries and B^k + B^(n-k) table entries (about 12,000 at
+F_{37^3}, 2q at F_{2^16}).
 """
 
 from __future__ import annotations
@@ -160,6 +167,16 @@ def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     raise FieldError(f"no irreducible polynomial of degree {n} over F_{p}")
 
 
+def _reduction_table(p: int, B: int, m: int) -> np.ndarray:
+    """red[s] = sum_i (s_i mod p) * p^i over the m base-B digits s_i of s."""
+    s = np.arange(B**m, dtype=np.int64)
+    red = np.zeros_like(s)
+    for i in reversed(range(m)):  # Horner's rule, most significant digit first
+        red *= p
+        red += (s // B**i) % B % p
+    return red
+
+
 class FieldCtx:
     """Immutable description of F_q with generator, dlog table, and trace.
 
@@ -171,6 +188,12 @@ class FieldCtx:
         dlog: int64 array over all indices; dlog[0] = -1 sentinel.
         trace_tab: int64 array, absolute trace to F_p per index.
         tol: base absolute tolerance per summand (scaled by sum length).
+
+    For n > 1, addition reads the spread-digit encoding of the module
+    docstring: _spread_lo and _spread_hi (length q) and the reduction tables
+    _red_lo and _red_hi (B^k and B^(n-k) entries, _red_hi pre-scaled by
+    p^k).  Sums of up to three elements fit the tables, so callers may
+    add three spread values before one reduction.
     """
 
     def __init__(self, p: int, n: int, size_cap: int, tol: float):
@@ -194,21 +217,17 @@ class FieldCtx:
         if n == 1:
             self.trace_tab = np.arange(q, dtype=np.int64)
         else:
-            # Digits of every index, in the smallest dtype that holds the sum
-            # of two digits (the sum tables add digit columns before reducing).
-            digits = (
-                (np.arange(q, dtype=np.int64)[:, None] // pow_basis) % p
-            ).astype(np.min_scalar_type(2 * (p - 1)))
+            # Digits of every index, narrow: the tables below are linear in them.
+            digits = np.empty((q, n), dtype=np.min_scalar_type(p - 1))
+            v = np.arange(q, dtype=np.int64)
+            for i in range(n):
+                v, digits[:, i] = np.divmod(v, p)
             k = n // 2
-            self._P, self._H = P, H = p**k, p ** (n - k)
-            S = np.zeros((H, H), dtype=np.int64)  # S[x, y] = x + y in F_q for x, y < H
-            for c in reversed(digits[:H, :n - k].T):  # Horner's rule over the digits
-                s = c[:, None] + c[None, :]
-                S *= p
-                S += np.where(s >= p, s - p, s)
-            self._add_lo = S[:P, :P].flatten()  # a copy, before S is scaled
-            S *= P
-            self._add_hi = S.ravel()
+            B = 3 * p - 2
+            self._spread_lo = digits[:, :k] @ B ** np.arange(k, dtype=np.int64)
+            self._spread_hi = digits[:, k:] @ B ** np.arange(n - k, dtype=np.int64)
+            self._red_lo = _reduction_table(p, B, k)
+            self._red_hi = _reduction_table(p, B, n - k) * p**k
             self._neg_tab = ((p - digits) % p) @ pow_basis
             self.trace_tab = (digits @ self._basis_traces()) % p
         self._cache: dict = {}  # derived tables, single-writer init
@@ -313,13 +332,11 @@ class FieldCtx:
     # -- arithmetic -------------------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
-        """x + y; for n > 1 one read in each half-digit sum table."""
+        """x + y; for n > 1 through the spread-digit encoding."""
         if self.n == 1:
             return (x + y) % self.p
-        P = self._P
-        xh, xl = divmod(x, P)
-        yh, yl = divmod(y, P)
-        return int(self._add_hi[xh * self._H + yh] + self._add_lo[xl * P + yl])
+        hi, lo = self._spread_hi, self._spread_lo
+        return int(self._red_hi[hi[x] + hi[y]] + self._red_lo[lo[x] + lo[y]])
 
     def neg(self, x: int) -> int:
         if self.n == 1:
@@ -367,7 +384,7 @@ class FieldCtx:
     def add_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Elementwise sum of reduced indices in [0, q); at least one an array.
 
-        For n > 1 one read in each half-digit sum table.
+        For n > 1 through the spread-digit encoding.
         """
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
@@ -378,10 +395,10 @@ class FieldCtx:
             r = s - np.uint64(self.p)
             np.minimum(s, r, out=r)
             return r.view(np.int64)
-        P = self._P
-        xh = xs // P
-        yh = ys // P
-        return self._add_hi[xh * self._H + yh] + self._add_lo[(xs - xh * P) * P + (ys - yh * P)]
+        hi, lo = self._spread_hi, self._spread_lo
+        out = self._red_hi.take(hi.take(xs) + hi.take(ys))
+        out += self._red_lo.take(lo.take(xs) + lo.take(ys))
+        return out
 
     def neg_vec(self, xs: np.ndarray) -> np.ndarray:
         """Elementwise negation of reduced indices in [0, q)."""

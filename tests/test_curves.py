@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,34 @@ def test_naive_matches_bruteforce_large_extensions(p, n, e, d):
     rng = random.Random(ctx.q + e)
     spec = curves.CurveSpec(ctx, e, d, rng.randrange(1, ctx.q), rng.randrange(1, ctx.q))
     assert curves.count_naive(spec) == curves.count_bruteforce(spec)
+
+
+def test_bruteforce_wide_power_classes():
+    # e = q - 1 sends every unit to 1, so counts[1] = 1020: a count table or
+    # buffer in a narrow dtype would wrap.
+    ctx = field(1021)
+    assert curves.power_count_table(ctx, 1020)[1] == 1020
+    rng = random.Random(1021)
+    for d in (2, 3, 5):
+        spec = curves.CurveSpec(ctx, 1020, d, rng.randrange(1, 1021), rng.randrange(1, 1021))
+        assert curves.count_bruteforce(spec) == curves.count_naive(spec)
+
+
+@pytest.mark.parametrize("p,n", [(16381, 1), (3, 8)], ids=["16381", "3^8"])
+def test_bruteforce_warm_call_allocates_no_length_q_array(p, n):
+    ctx = field(p, n)
+    curves.count_bruteforce(curves.CurveSpec(ctx, 2, 3, 5, 7))  # builds the cached tables
+    spec = curves.CurveSpec(ctx, 2, 3, 11, 13)
+    tracemalloc.start()
+    try:
+        n_points = curves.count_bruteforce(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # under 64 KB, and under half of one int64 array of length q - 1
+    assert peak < min(64 * 1024, 4 * (ctx.q - 1))
+    counts = curves.power_count_table(ctx, 2)
+    assert n_points == counts[spec.b] + counts[curves._unit_values(spec)].sum()
 
 
 # Fields for the differential test, prime and extension, each with its (e, d)

@@ -1,6 +1,7 @@
 """Field construction, arithmetic, dlog tables, and the trace map."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,10 +273,11 @@ def test_scalar_add_neg_match_coefficientwise(p, n):
     assert_add_matches_coefficientwise(ctx, xs[:, None], xs[None, :])
 
 
-# -- the half-digit sum tables on larger fields --------------------------------
+# -- the spread-digit encoding on larger fields --------------------------------
 
 @pytest.mark.parametrize(
-    "p,n", [(7, 4), (3, 8), (3, 9), (2, 16)], ids=["7^4", "3^8", "3^9", "2^16"],
+    "p,n", [(7, 4), (3, 8), (3, 9), (2, 16), (37, 3)],
+    ids=["7^4", "3^8", "3^9", "2^16", "37^3"],
 )
 def test_add_matches_coefficientwise_seeded_pairs(p, n):
     ctx = field(p, n)
@@ -288,6 +290,41 @@ def test_add_matches_coefficientwise_seeded_pairs(p, n):
     assert_add_matches_coefficientwise(ctx, int(xs[0]), ys)
     assert_add_matches_coefficientwise(ctx, xs, int(ys[0]))
     assert_add_matches_coefficientwise(ctx, xs.reshape(40, 50), ys[:50])
+
+
+@pytest.mark.parametrize(
+    "p,n", [(2, 5), (3, 3), (7, 4), (37, 3)], ids=["2^5", "3^3", "7^4", "37^3"],
+)
+def test_three_operand_sums_reach_top_of_reduction_tables(p, n):
+    # Sums of three spread values must stay inside the reduction tables; the
+    # element with every digit p - 1 reads the last entry of each.
+    ctx = field(p, n)
+    B, k = 3 * p - 2, n // 2
+    assert (len(ctx._red_lo), len(ctx._red_hi)) == (B**k, B ** (n - k))
+    rng = np.random.default_rng(ctx.q)
+    xs = rng.integers(0, ctx.q, (3, 300))
+    xs[:, 0] = ctx.q - 1
+    hi = ctx._spread_hi[xs].sum(axis=0)
+    lo = ctx._spread_lo[xs].sum(axis=0)
+    assert (hi[0], lo[0]) == (B ** (n - k) - 1, B**k - 1)
+    got = ctx._red_hi[hi] + ctx._red_lo[lo]
+    want = [coeffwise_add(ctx, coeffwise_add(ctx, int(x), int(y)), int(z)) for x, y, z in xs.T]
+    assert got.tolist() == want
+    assert want[0] == sum((3 * (p - 1) % p) * p**i for i in range(n))
+
+
+def test_addition_tables_bounded_at_odd_degree():
+    # Half-digit sum tables would hold q(p + 1/p) entries here, the most under
+    # the default cap; the reduction tables hold B + B^2 (B = 109), next to
+    # the O(q) exp, dlog, trace, negation and spread arrays.
+    tracemalloc.start()
+    try:
+        ctx = make_field(37, 3)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(ctx._red_lo) + len(ctx._red_hi) == 109 + 109**2
+    assert retained < 4_000_000
 
 
 # -- the size cap: fields that took a minute to build before the tables were
