@@ -37,7 +37,6 @@ from .curves import (
 from .apps import (
     cubic_transform_check,
     e34_trace,
-    edwards_count,
     lennon_trace,
     shifted_cubic_count,
     special_value_check,
@@ -68,7 +67,6 @@ __all__ = [
     "delta_char",
     "delta_elem",
     "e34_trace",
-    "edwards_count",
     "gauss_sum",
     "gauss_table",
     "greene_binom",

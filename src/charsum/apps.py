@@ -10,8 +10,6 @@ classes, from the table curves.power_count_table(ctx, 2).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from . import chars, hyperf, sums
@@ -124,14 +122,6 @@ def edwards_count_formula(ctx: FieldCtx, alpha: int, beta: int) -> int:
     return _round_guarded(ctx, total)
 
 
-def edwards_count(ctx: FieldCtx, alpha: int, beta: int, mode: str = "formula") -> int:
-    if mode == "bruteforce":
-        return edwards_count_bruteforce(ctx, alpha, beta)
-    if mode == "formula":
-        return edwards_count_formula(ctx, alpha, beta)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # Shifted cubic y^2 = x^3 + a*x^2 + b*x
 # ---------------------------------------------------------------------------
@@ -187,7 +177,6 @@ def cubic_transform_check(ctx: FieldCtx, a: int, b: int, branch: int = 0) -> Ver
     #E + 2 = #C + 3 + phi(a^2 - 4b) + phi(a*b - 2*b*r), with r the chosen
     root, alpha = a + 2r, beta = a - 2r.
     """
-    t0 = time.perf_counter()
     L = ctx.q - 1
     _require(L % 12 == 0, f"q = {ctx.q} is not 1 mod 12")
     _require_unit(ctx, a, "a")
@@ -232,7 +221,6 @@ def cubic_transform_check(ctx: FieldCtx, a: int, b: int, branch: int = 0) -> Ver
         tol=tol,
         cases=1,
         worst_case=(branch, bridge_lhs, bridge_rhs),
-        ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
@@ -242,7 +230,6 @@ def cubic_transform_check(ctx: FieldCtx, a: int, b: int, branch: int = 0) -> Ver
 
 def special_value_check(ctx: FieldCtx, which: str) -> VerifyReport:
     """Closed-form 2F1 evaluations at 1/2 and at 1323/1331."""
-    t0 = time.perf_counter()
     L = ctx.q - 1
     phi = L // 2 if ctx.q % 2 else None
     if which == "half":
@@ -278,5 +265,4 @@ def special_value_check(ctx: FieldCtx, which: str) -> VerifyReport:
         disc=disc,
         tol=tol,
         cases=1,
-        ms=(time.perf_counter() - t0) * 1e3,
     )

@@ -17,33 +17,30 @@ import numpy as np
 from .field import FieldCtx
 
 
+def _roots(n: int) -> np.ndarray:
+    """exp(2*pi*i*k/n) for k in [0, n-1]."""
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def _theta(ctx: FieldCtx) -> np.ndarray:
+    return _roots(ctx.p)[ctx.trace_tab]
+
+
 def unit_roots(ctx: FieldCtx) -> np.ndarray:
     """Table of exp(2*pi*i*k/(q-1)) for k in [0, q-2], cached on ctx."""
-    tab = ctx._cache.get("unit_roots")
-    if tab is None:
-        L = ctx.q - 1
-        tab = np.exp(2j * np.pi * np.arange(L) / L)
-        ctx._cache["unit_roots"] = tab
-    return tab
+    return ctx.cached("unit_roots", _roots, ctx.q - 1)
 
 
 def theta_table(ctx: FieldCtx) -> np.ndarray:
     """Additive character values theta(x) indexed by element, cached."""
-    tab = ctx._cache.get("theta")
-    if tab is None:
-        zeta = np.exp(2j * np.pi * np.arange(ctx.p) / ctx.p)
-        tab = zeta[ctx.trace_tab]
-        ctx._cache["theta"] = tab
-    return tab
+    return ctx.cached("theta", _theta, ctx)
 
 
 def theta_by_exp(ctx: FieldCtx) -> np.ndarray:
-    """theta(g^k) for k in [0, q-2], the summand order used by Gauss sums."""
-    tab = ctx._cache.get("theta_by_exp")
-    if tab is None:
-        tab = theta_table(ctx)[ctx.exp]
-        ctx._cache["theta_by_exp"] = tab
-    return tab
+    """theta(g^k) for k in [0, q-2], the summand order used by Gauss sums.
+
+    A gather from theta_table, not cached: only the Gauss table reads it."""
+    return theta_table(ctx)[ctx.exp]
 
 
 def mul_char(ctx: FieldCtx, m: int, x: int) -> complex:

@@ -117,6 +117,19 @@ class _Emitter:
             self.stream.write("  ".join(cells) + "\n")
 
 
+def _timed(rows):
+    """(row, ms) for each item of the generator `rows`, ms being the wall time
+    of the step that produced it; what the caller does with a row is outside."""
+    rows = iter(rows)
+    while True:
+        t0 = time.perf_counter()
+        try:
+            row = next(rows)
+        except StopIteration:
+            return
+        yield row, (time.perf_counter() - t0) * 1e3
+
+
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
@@ -140,6 +153,31 @@ def _count_cases(ctx, args):
         yield a, b
 
 
+def _count_rows(ctx, args):
+    for a, b in _count_cases(ctx, args):
+        spec = curves.CurveSpec(ctx, args.e, args.d, a, b)
+        oracle = curves.count_bruteforce(spec)
+        try:
+            formula = curves.count_theorem(spec)
+            disc = float(abs(formula - oracle))
+            formula_re = float(formula)
+        except curves.RoundingGuardError:
+            formula_re = float("nan")
+            disc = float("inf")
+        yield {
+            "q": ctx.q,
+            "e": args.e,
+            "d": args.d,
+            "a": a,
+            "b": b,
+            "formula_re": formula_re,
+            "formula_im": 0.0,
+            "oracle": oracle,
+            "match": disc == 0.0,
+            "disc": disc,
+        }
+
+
 def cmd_count(args, emitter: _Emitter) -> None:
     ctx = _build_field(args)
     if args.e < 1 or args.d < 2:
@@ -152,33 +190,9 @@ def cmd_count(args, emitter: _Emitter) -> None:
     # Every row shares the Gauss table; building it here keeps the build
     # out of the first row's ms.
     sums.gauss_table(ctx)
-    for a, b in _count_cases(ctx, args):
-        spec = curves.CurveSpec(ctx, args.e, args.d, a, b)
-        t0 = time.perf_counter()
-        oracle = curves.count_bruteforce(spec)
-        try:
-            formula = curves.count_theorem(spec)
-            disc = float(abs(formula - oracle))
-            formula_re = float(formula)
-        except curves.RoundingGuardError:
-            formula_re = float("nan")
-            disc = float("inf")
-        ms = (time.perf_counter() - t0) * 1e3
-        emitter.emit(
-            {
-                "q": ctx.q,
-                "e": args.e,
-                "d": args.d,
-                "a": a,
-                "b": b,
-                "formula_re": formula_re,
-                "formula_im": 0.0,
-                "oracle": oracle,
-                "match": disc == 0.0,
-                "disc": disc,
-                "ms": ms,
-            }
-        )
+    for row, ms in _timed(_count_rows(ctx, args)):
+        row["ms"] = ms
+        emitter.emit(row)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +269,8 @@ def _suite_edwards(ctx, args):
     # sampling sticks to the off-diagonal where it is an identity
     rng = random.Random(args.seed)
     for alpha, beta in _random_unit_pairs(ctx, rng, args.count, distinct=True):
-        t0 = time.perf_counter()
         oracle = apps.edwards_count_bruteforce(ctx, alpha, beta)
         formula = apps.edwards_count_formula(ctx, alpha, beta)
-        ms = (time.perf_counter() - t0) * 1e3
         report = VerifyReport(
             name="edwards",
             q=ctx.q,
@@ -269,7 +281,6 @@ def _suite_edwards(ctx, args):
             match=formula == oracle,
             disc=float(abs(formula - oracle)),
             cases=1,
-            ms=ms,
         )
         yield "edwards", report
 
@@ -281,11 +292,9 @@ def _trace_suite(ctx, args, label, congruence, trace_fn, curve_ed):
     pairs = _random_unit_pairs(ctx, rng, args.count)
     e, d = curve_ed
     for a, b in pairs:
-        t0 = time.perf_counter()
         spec = curves.CurveSpec(ctx, e, d, a, b)
         oracle = ctx.q - curves.count_bruteforce(spec)
         formula = trace_fn(ctx, a, b)
-        ms = (time.perf_counter() - t0) * 1e3
         yield label, VerifyReport(
             name=label,
             q=ctx.q,
@@ -298,7 +307,6 @@ def _trace_suite(ctx, args, label, congruence, trace_fn, curve_ed):
             match=formula == oracle,
             disc=float(abs(formula - oracle)),
             cases=1,
-            ms=ms,
         )
 
 
@@ -328,7 +336,8 @@ def cmd_verify(args, emitter: _Emitter) -> None:
             f"unknown suite {args.suite!r}; known: {', '.join(VERIFY_SUITES)}"
         )
     ctx = _build_field(args)
-    for case, report in _SUITE_RUNNERS[args.suite](ctx, args):
+    for (case, report), ms in _timed(_SUITE_RUNNERS[args.suite](ctx, args)):
+        report.ms = ms
         emitter.emit(report.to_row(), case=case)
 
 

@@ -88,31 +88,23 @@ def _round_guarded(ctx: FieldCtx, z: complex) -> int:
 # Enumeration oracles
 # ---------------------------------------------------------------------------
 
-def _cached(ctx: FieldCtx, key, build):
-    """ctx._cache[key], built by build() on the first call."""
-    value = ctx._cache.get(key)
-    if value is None:
-        value = ctx._cache[key] = build()
-    return value
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
 def power_count_table(ctx: FieldCtx, e: int) -> np.ndarray:
     """counts[v] = #{y in F_q : y^e = v}; one pass over y."""
-    return _cached(ctx, ("power_counts", e), lambda: np.bincount(
-        ctx.pow_vec(np.arange(ctx.q, dtype=np.int64), e), minlength=ctx.q))
+    return ctx.cached(("power_counts", e), _power_counts, ctx, e)
+
+
+def _power_counts(ctx: FieldCtx, e: int) -> np.ndarray:
+    return np.bincount(ctx.pow_vec(np.arange(ctx.q, dtype=np.int64), e), minlength=ctx.q)
 
 
 def _pow_by_exp(ctx: FieldCtx, d: int) -> np.ndarray:
     """x^d at x = g^k for k in [0, q-2]: exp[d*k mod (q-1)], cached per d."""
+    return ctx.cached(("pow_by_exp", d), _exp_multiples, ctx, d)
+
+
+def _exp_multiples(ctx: FieldCtx, d: int) -> np.ndarray:
     L = ctx.q - 1
-    return _cached(ctx, ("pow_by_exp", d), lambda: _frozen(
-        ctx.exp[(d * np.arange(L, dtype=np.int64)) % L])[0])
+    return ctx.exp[(d * np.arange(L, dtype=np.int64)) % L]
 
 
 def _unit_values(spec: CurveSpec) -> np.ndarray:
@@ -127,10 +119,13 @@ def _unit_values(spec: CurveSpec) -> np.ndarray:
     return ctx.add_vec(ctx.add_vec(_pow_by_exp(ctx, spec.d), ax), spec.b)
 
 
-def _spread_planes(ctx: FieldCtx, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Read-only spread planes of the index array xs: (xs,) for n = 1, where
-    the spread of x is x itself, and (spread_hi[xs], spread_lo[xs]) else."""
-    return _frozen(xs) if ctx.n == 1 else _frozen(ctx._spread_hi[xs], ctx._spread_lo[xs])
+def _spread_planes(ctx: FieldCtx, d: int | None) -> tuple[np.ndarray, ...]:
+    """Spread planes of x^d at x = g^k for k in [0, q-2] or, with d None, of
+    exp written twice over (exp rotated by s is its slice [s:s+q-1]): (xs,)
+    for n = 1, where the spread of x is x itself, and (spread_hi[xs],
+    spread_lo[xs]) else."""
+    xs = np.tile(ctx.exp, 2) if d is None else _pow_by_exp(ctx, d)
+    return (xs,) if ctx.n == 1 else (ctx._spread_hi[xs], ctx._spread_lo[xs])
 
 
 def count_bruteforce(spec: CurveSpec) -> int:
@@ -149,14 +144,16 @@ def count_bruteforce(spec: CurveSpec) -> int:
     L = ctx.q - 1
     s = int(ctx.dlog[spec.a])
     counts = power_count_table(ctx, spec.e)
-    xd = _cached(ctx, ("spread_pow_by_exp", d), lambda: _spread_planes(ctx, _pow_by_exp(ctx, d)))
-    # exp written twice over: exp rotated by s is the slice [s:s+L]
-    ex = _cached(ctx, "spread_exp2", lambda: _spread_planes(ctx, np.concatenate((ctx.exp, ctx.exp))))
-    idx, val, got = _cached(ctx, "oracle_buffers", lambda: np.empty((3, L), dtype=np.int64))
+    xd = ctx.cached(("spread_pow_by_exp", d), _spread_planes, ctx, d)
+    ex = ctx.cached("spread_exp2", _spread_planes, ctx, None)
+    # Writable scratch, not a table, so not through ctx.cached, which freezes.
+    buffers = ctx._cache.get("oracle_buffers")
+    if buffers is None:
+        buffers = ctx._cache["oracle_buffers"] = np.empty((3, L), dtype=np.int64)
+    idx, val, got = buffers
     np.add(xd[0], ex[0][s:s + L], out=idx)
     if ctx.n == 1:
-        tiled = _cached(ctx, ("power_counts_tiled", spec.e),
-                        lambda: np.tile(counts, 3)[:3 * ctx.p - 2])
+        tiled = ctx.cached(("power_counts_tiled", spec.e), np.resize, counts, 3 * ctx.p - 2)
         # mode="clip" writes straight to out ("raise" buffers it); indices lie in range
         np.take(tiled[b:], idx, out=got, mode="clip")
     else:

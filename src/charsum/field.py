@@ -230,7 +230,18 @@ class FieldCtx:
             self._red_hi = _reduction_table(p, B, n - k) * p**k
             self._neg_tab = ((p - digits) % p) @ pow_basis
             self.trace_tab = (digits @ self._basis_traces()) % p
-        self._cache: dict = {}  # derived tables, single-writer init
+        self._cache: dict = {}  # derived tables, written through cached()
+
+    def cached(self, key, build, *args):
+        """The derived table under `key`, built as build(*args) on the first
+        call and made read-only (an ndarray, or each ndarray of a tuple)."""
+        value = self._cache.get(key)
+        if value is None:
+            value = build(*args)
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.setflags(write=False)
+            self._cache[key] = value
+        return value
 
     # -- construction helpers -------------------------------------------------
 

@@ -3,10 +3,11 @@
 The series sums q/(q-1) * binom(A_0*chi, chi) * prod_i binom(A_i*chi, B_i*chi)
 * chi(x) over all q-1 characters chi.  Each factor, swept over chi = T^k, is
 one row of binomial coefficients binom(T^(a+k), T^(b+k)), built vectorized
-from the Gauss table and memoized per context.  At x = g^j the sum is
-q/(q-1) * sum_k P[k] exp(2*pi*i*k*j/(q-1)) with P the product of the rows,
-so the series at every x at once is q times the inverse DFT of P: one FFT
-per parameter tuple, cached, after which an evaluation is a table lookup.
+from the Gauss table and multiplied into the row product P.  At x = g^j the
+sum is q/(q-1) * sum_k P[k] exp(2*pi*i*k*j/(q-1)), so the series at every x
+at once is q times the inverse DFT of P: one FFT per parameter tuple, cached
+on the context, after which an evaluation is a table lookup.  The rows are
+not kept.
 """
 
 from __future__ import annotations
@@ -17,23 +18,14 @@ from . import chars, sums
 from .field import FieldCtx
 
 
-def binom_row(ctx: FieldCtx, a: int, b: int) -> np.ndarray:
-    """binom(T^(a+k), T^(b+k)) for k in [0, q-2], cached per (a, b)."""
-    L = ctx.q - 1
-    a %= L
-    b %= L
-    cache = ctx._cache.setdefault("binom_rows", {})
-    row = cache.get((a, b))
-    if row is not None:
-        return row
-    row = sums.binom_grid(ctx, a + np.arange(L), b + np.arange(L))
-    row.setflags(write=False)
-    cache[(a, b)] = row
-    return row
+def _shifted_row(ctx: FieldCtx, a: int, b: int) -> np.ndarray:
+    """binom(T^(a+k), T^(b+k)) for k in [0, q-2], from the Gauss table."""
+    k = np.arange(ctx.q - 1)
+    return sums.binom_grid(ctx, a + k, b + k)
 
 
 def binom_row_direct(ctx: FieldCtx, a: int, b: int) -> np.ndarray:
-    """Same row computed entry-by-entry through the defining Jacobi sum."""
+    """The same row entry by entry through the defining Jacobi sum."""
     L = ctx.q - 1
     sign_base = ctx.minus_one()
     out = np.empty(L, dtype=np.complex128)
@@ -51,31 +43,33 @@ def _check_params(upper, lower):
         )
 
 
-def _row_product(ctx: FieldCtx, upper, lower, builder) -> np.ndarray:
-    """P[k] = binom(T^(A_0+k), T^k) * prod_i binom(T^(A_i+k), T^(B_i+k))."""
-    acc = builder(ctx, upper[0], 0).copy()
+def _row_product(ctx: FieldCtx, upper, lower, row) -> np.ndarray:
+    """P[k] = binom(T^(A_0+k), T^k) * prod_i binom(T^(A_i+k), T^(B_i+k)).
+
+    Multiplied up one row at a time: one broadcast over all the rows peaked
+    at about three times the memory (302 against 92 MB at q = 1048573).
+    """
+    acc = row(ctx, upper[0], 0)
     for a_i, b_i in zip(upper[1:], lower):
-        acc *= builder(ctx, a_i, b_i)
+        acc *= row(ctx, a_i, b_i)
     return acc
+
+
+def _series_table(ctx: FieldCtx, upper, lower) -> np.ndarray:
+    return ctx.q * np.fft.ifft(_row_product(ctx, upper, lower, _shifted_row))
 
 
 def hf_table(ctx: FieldCtx, upper, lower) -> np.ndarray:
     """The series at x = g^j for every j in [0, q-2], cached per parameter tuple.
 
     Exponents are taken mod q-1, so equal characters share one table.  The
-    table is q * ifft(P) over the row product P and is read-only.
+    table is read-only.
     """
     L = ctx.q - 1
     upper = tuple(int(m) % L for m in upper)
     lower = tuple(int(m) % L for m in lower)
     _check_params(upper, lower)
-    cache = ctx._cache.setdefault("hf_tables", {})
-    tab = cache.get((upper, lower))
-    if tab is None:
-        tab = ctx.q * np.fft.ifft(_row_product(ctx, upper, lower, binom_row))
-        tab.setflags(write=False)
-        cache[(upper, lower)] = tab
-    return tab
+    return ctx.cached(("hf", upper, lower), _series_table, ctx, upper, lower)
 
 
 def hf_eval(

@@ -11,7 +11,9 @@ class VerifyReport:
 
     For identity grids, `disc` is the worst absolute discrepancy seen and
     `worst_case` the parameter tuple achieving it; `cases`/`skipped` count
-    grid points checked respectively gated out by preconditions.
+    grid points checked respectively gated out by preconditions.  The library
+    leaves `ms` at 0.0; the CLI sets it to the wall time of the step that
+    produced the row, its one clock.
     """
 
     name: str

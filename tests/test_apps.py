@@ -55,12 +55,8 @@ def test_e34_preconditions(f13):
 
 
 def test_edwards_formula_vs_bruteforce(f13, f17):
-    assert apps.edwards_count(f13, 2, 3, "formula") == apps.edwards_count(
-        f13, 2, 3, "bruteforce"
-    )
-    assert apps.edwards_count(f17, 1, 4, "formula") == apps.edwards_count(
-        f17, 1, 4, "bruteforce"
-    )
+    assert apps.edwards_count_formula(f13, 2, 3) == apps.edwards_count_bruteforce(f13, 2, 3)
+    assert apps.edwards_count_formula(f17, 1, 4) == apps.edwards_count_bruteforce(f17, 1, 4)
 
 
 def test_edwards_off_diagonal_sweep(f13):
@@ -98,11 +94,6 @@ def test_edwards_bruteforce_extension():
                         if ctx.add(ax2, y2) == ctx.add(1, ctx.mul(bx2, y2)):
                             expect += 1
                 assert apps.edwards_count_bruteforce(ctx, alpha, beta) == expect
-
-
-def test_edwards_mode_validation(f13):
-    with pytest.raises(ValueError):
-        apps.edwards_count(f13, 1, 2, "guess")
 
 
 def test_shifted_cubic_count_example(f13):

@@ -345,3 +345,40 @@ def test_fields_at_size_cap(p, n):
     assert np.array_equal(tr[ctx.pow_vec(xs, p)], tr[xs])
     assert np.array_equal(tr[ctx.add_vec(xs, ys)], (tr[xs] + tr[ys]) % p)
     assert np.array_equal(ctx.add_vec(xs, ctx.neg_vec(xs)), np.zeros_like(xs))
+
+
+# -- derived tables: built once through FieldCtx.cached and read-only ----------
+
+def test_cached_builds_once_and_freezes():
+    ctx = make_field(13)
+    calls = []
+
+    def build(n):
+        calls.append(n)
+        return np.arange(n), np.ones(n)
+
+    pair = ctx.cached("pair", build, 4)
+    assert ctx.cached("pair", build, 4) is pair
+    assert calls == [4]
+    for arr in pair:
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+@pytest.mark.parametrize("pn", [(13, 1), (5, 2)], ids=["13", "25"])
+def test_every_cached_table_is_read_only(pn):
+    from charsum import curves, hyperf, sums
+
+    ctx = make_field(*pn)
+    # a count (oracle and closed form), a series evaluation and one grid
+    spec = curves.CurveSpec(ctx, 2, 3, 1, 1)
+    assert curves.count_theorem(spec) == curves.count_bruteforce(spec)
+    hyperf.hf_eval(ctx, [1, 5], [6], 2)
+    assert sums.verify_identity(ctx, "jacobi-gauss").match
+    # the oracle's buffers are writable scratch, not a table
+    keys = set(ctx._cache) - {"oracle_buffers"}
+    assert {"gauss", "theta", "unit_roots", "jacobi_logs"} <= keys
+    for key in keys:
+        value = ctx._cache[key]
+        for arr in value if isinstance(value, tuple) else (value,):
+            assert not arr.flags.writeable, key

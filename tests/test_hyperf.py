@@ -67,19 +67,12 @@ def test_direct_rows_agree_with_cached(f13):
         assert abs(fast - slow) < 1e-9 * f13.q
 
 
-def test_binom_row_matches_scalar(f13):
+def test_shifted_binom_rows_match_scalar(f13):
+    k = np.arange(12)
     for a, b in [(1, 0), (5, 6), (0, 4), (7, 7), (3, 6)]:
-        row = hyperf.binom_row(f13, a, b)
-        for k in range(12):
-            assert abs(row[k] - sums.greene_binom(f13, a + k, b + k)) < 1e-12
-
-
-def test_binom_row_cached_and_frozen(f13):
-    r1 = hyperf.binom_row(f13, 1, 0)
-    r2 = hyperf.binom_row(f13, 1, 0)
-    assert r1 is r2
-    with pytest.raises(ValueError):
-        r1[0] = 0
+        row = sums.binom_grid(f13, a + k, b + k)
+        for j in range(12):
+            assert abs(row[j] - sums.greene_binom(f13, a + j, b + j)) < 1e-12
 
 
 def test_half_argument_special_value():
@@ -110,9 +103,9 @@ def test_trivial_parameters_handled_literally(f13):
 def dot_at(ctx, upper, lower, x):
     """The series at one x as one O(q) dot of the row product with chi(x)."""
     L = ctx.q - 1
-    acc = hyperf.binom_row(ctx, upper[0], 0).copy()
-    for a_i, b_i in zip(upper[1:], lower):
-        acc *= hyperf.binom_row(ctx, a_i, b_i)
+    k = np.arange(L)
+    rows = sums.binom_grid(ctx, np.array(upper)[:, None] + k, np.array([0] + lower)[:, None] + k)
+    acc = np.prod(rows, axis=0)
     chi_x = chars.unit_roots(ctx)[(np.arange(L) * ctx.dlog_of(x)) % L]
     return ctx.q / L * complex(np.dot(acc, chi_x))
 

@@ -181,13 +181,6 @@ def test_binom_identity_grid(f17):
             assert abs(lhs - rhs) < 1e-10
 
 
-def test_binom_vec_fixed_top(f13):
-    for a in (0, 3, 6):
-        row = sums.binom_vec_fixed_top(f13, a)
-        for k in range(12):
-            assert abs(row[k] - sums.greene_binom(f13, a, k)) < 1e-12
-
-
 @pytest.mark.parametrize("pn", [(13, 1), (5, 2)], ids=["13", "25"])
 def test_binom_translate_rhs_matches_character_sum(pn):
     ctx = field(*pn)
@@ -412,8 +405,10 @@ REFERENCE = {
     "binom-absorb": ref_binom_grid(lambda ctx, a, b: sums.greene_binom(ctx, a, a - b)),
     "binom-complement": ref_binom_grid(
         lambda ctx, a, b: sums.greene_binom(ctx, b - a, b) * _sign(ctx, b)),
+    # binom(T^-b, T^-a) from its defining Jacobi sum J(T^-b, T^a), not from G
     "binom-transpose": ref_binom_grid(
-        lambda ctx, a, b: sums.greene_binom(ctx, -b, -a) * _sign(ctx, a + b)),
+        lambda ctx, a, b: _sign(ctx, -a) / ctx.q * sums.jacobi_direct(ctx, -b, a)
+        * _sign(ctx, a + b)),
     "gauss-special": ref_gauss_special,
     "theta-delta": ref_theta_delta,
 }
@@ -538,15 +533,13 @@ def noisy_field(p, n, tables):
 # orthogonality reads only the roots of unity, theta-delta only theta; the
 # rest read G (theta-expansion also theta).  Roots of unity stay exact
 # elsewhere, because the reference takes degenerate Jacobi sums from them.
-# binom-transpose is left out: both of its sides are the same G quotient.
 NOISY_TABLES = {"orthogonality": ("unit_roots",), "theta-delta": ("theta",)}
-NOISY_GRIDS = [n for n in sums.IDENTITY_NAMES if n != "binom-transpose"]
 # the jacobi-gauss triples also read G; without them the worst case is the grid's
 NOISY_PARAMS = {"davenport-hasse": DH_CASES, "jacobi-gauss": [{}, dict(triples=0)]}
 
 
 @pytest.mark.parametrize("pn", [(13, 1), (37, 1)], ids=["13", "37"])
-@pytest.mark.parametrize("name", NOISY_GRIDS + ["davenport-hasse"])
+@pytest.mark.parametrize("name", sums.IDENTITY_NAMES + ("davenport-hasse",))
 def test_grid_worst_case_under_noise(name, pn, monkeypatch):
     ctx = noisy_field(*pn, NOISY_TABLES.get(name, ("gauss", "theta")))
     for params in NOISY_PARAMS.get(name, [{}]):
