@@ -98,5 +98,6 @@ def char_order(ctx: FieldCtx, m: int) -> int:
 
 
 def char_at_minus_one(ctx: FieldCtx, m):
-    """T^m(-1) over an exponent array (or one exponent); a sign for q odd."""
-    return unit_roots(ctx)[(np.asarray(m) * ctx.dlog_of(ctx.minus_one())) % (ctx.q - 1)]
+    """T^m(-1) over an exponent array (or one exponent) as a real sign:
+    (-1)^m for odd q, where -1 = g^((q-1)/2), and 1 for even q, where -1 = 1."""
+    return np.where(np.asarray(m) & (ctx.q % 2), -1.0, 1.0)

@@ -83,16 +83,18 @@ def jacobi_sum(ctx: FieldCtx, a: int, b: int) -> complex:
 
 
 def _convolve_add(ctx: FieldCtx, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Additive convolution over F_q: out[s] = sum_{u+v=s} f[u] g[v].
+    """Additive convolution over F_q along the last axis:
+    out[..., s] = sum_{u+v=s} f[..., u] g[..., v], leading axes a batch.
 
     Element indices are base-p digit vectors and addition is digit-wise mod
-    p, so reshaping to (p,)*n lays F_q out as the group (Z/p)^n and the
-    convolution is a cyclic one along every axis (a plain cyclic
-    convolution for n = 1).
+    p, so reshaping the last axis to (p,)*n lays F_q out as the group
+    (Z/p)^n and the convolution is a cyclic one along each of those axes (a
+    plain cyclic convolution for n = 1).
     """
-    shape = (ctx.p,) * ctx.n
-    out = np.fft.ifftn(np.fft.fftn(f.reshape(shape)) * np.fft.fftn(g.reshape(shape)))
-    return out.reshape(ctx.q)
+    axes = tuple(range(-ctx.n, 0))
+    f, g = (np.reshape(x, x.shape[:-1] + (ctx.p,) * ctx.n) for x in (f, g))
+    out = np.fft.ifftn(np.fft.fftn(f, axes=axes) * np.fft.fftn(g, axes=axes), axes=axes)
+    return out.reshape(out.shape[:out.ndim - ctx.n] + (ctx.q,))
 
 
 def jacobi_multi(ctx: FieldCtx, exps) -> complex:
@@ -131,20 +133,27 @@ def binom_grid(ctx: FieldCtx, top, bottom) -> np.ndarray:
     The Gauss quotient T^b(-1)/q * G_a G_-b / G_(a-b), with the entries of
     degenerate Jacobi sums in closed form: -1/q where the bottom character
     is trivial or equals the top one, -T^b(-1)/q where only the top one is
-    trivial, and (q-2)/q where both are.
+    trivial, and (q-2)/q where both are.  The quotient is gathered into one
+    output array and finished in place, so a call holds about three arrays
+    of the output's size at once.
     """
-    L = ctx.q - 1
+    L, q = ctx.q - 1, ctx.q
     top, bottom = np.asarray(top) % L, np.asarray(bottom) % L
+    shape = np.broadcast_shapes(top.shape, bottom.shape)
     G = gauss_table(ctx)
-    sign = chars.char_at_minus_one(ctx, bottom)
-    out = sign / ctx.q * G[top]  # broadcast shape; updated in place
-    out *= G[-bottom % L]
-    out /= G[(top - bottom) % L]
-    top, bottom, sign = np.broadcast_arrays(top, bottom, sign)
-    out[(bottom == 0) | (top == bottom)] = -1 / ctx.q
-    top_trivial = top == 0
-    out[top_trivial] = -sign[top_trivial] / ctx.q
-    out[top_trivial & (bottom == 0)] = (ctx.q - 2) / ctx.q
+    # degenerate entries, found before the exponent arrays are reused
+    equal = (bottom == 0) | (top == bottom)
+    top_trivial = np.broadcast_to(top == 0, shape)
+    bottom_at_trivial = np.broadcast_to(bottom, shape)[top_trivial]
+    out = np.multiply(G[top], 1 / q, out=np.empty(shape, dtype=np.complex128))
+    out *= chars.char_at_minus_one(ctx, bottom)
+    bottom = L - bottom  # G_-b; the index L wraps to 0
+    out *= np.take(G, bottom, mode="wrap")
+    top = top + bottom  # a - b + L, in [1, 2L)
+    out /= np.take(G, top, mode="wrap")
+    out[equal] = -1 / q
+    out[top_trivial] = np.where(bottom_at_trivial == 0, (q - 2) / q,
+                                -chars.char_at_minus_one(ctx, bottom_at_trivial) / q)
     return out
 
 
@@ -224,25 +233,29 @@ def _check_gauss_reflection(ctx: FieldCtx, w: _Worst, m=None, **_):
     ms = _params(L, m, start=1)
     for s in _blocks(len(ms), 1):
         mm = ms[s]
-        lhs = G[mm] * G[-mm % L]
+        lhs = G[mm] * np.take(G, -mm, mode="wrap")
         rhs = ctx.q * chars.char_at_minus_one(ctx, mm)
         w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(mm[i]),), skip=mm == 0)
 
 
 def _check_gauss_shift(ctx: FieldCtx, w: _Worst, m=None, n=None, **_):
+    """G_m G_-n = J(T^m, T^-n) G_(m-n) wherever T^(m-n) is nontrivial, with J
+    from the defining sums, so that an error in G shows on every entry."""
     L = ctx.q - 1
     G = gauss_table(ctx)
     ms, nn = _params(L, m), _params(L, n)
-    sign = chars.char_at_minus_one(ctx, nn)
+    minus_n = -nn % L
+    # J is symmetric: a pinned n needs one defining row, J(T^-n, T^m) over m
+    pinned_row = None if n is None else jacobi_direct_rows(ctx, minus_n)[0]
     for s in _blocks(len(ms), len(nn)):
         mm = ms[s, None]
-        lhs = G[mm] * G[-nn % L]
-        shift = G[(mm - nn) % L]
-        rhs1 = ctx.q * binom_grid(ctx, mm, nn) * shift * sign
-        # J(T^m, T^-n) as jacobi_sum takes it: -1 when one character is trivial
-        rhs2 = np.where((mm == 0) | (nn == 0), -1, lhs / shift) * shift
-        disc = np.maximum(np.abs(lhs - rhs1), np.abs(lhs - rhs2))
-        w.update_all(disc, lhs, rhs1, lambda i, j: (int(mm[i, 0]), int(nn[j])),
+        lhs = G[mm] * G[minus_n]
+        if pinned_row is None:
+            rhs = jacobi_direct_rows(ctx, ms[s])[:, minus_n]
+        else:
+            rhs = pinned_row[mm]
+        rhs *= np.take(G, mm - nn, mode="wrap")
+        w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i, j: (int(mm[i, 0]), int(nn[j])),
                      skip=mm == nn)
 
 
@@ -257,17 +270,19 @@ def _check_jacobi_gauss(ctx: FieldCtx, w: _Worst, seed=0, triples=24, **_):
         w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i, j: (int(a[i, 0]), j + 1),
                      skip=(a + b) % L == 0)
     rng = random.Random(seed)
-    seen = 0
-    while seen < triples:
-        ks = [rng.randrange(1, L) for _ in range(3)]
-        if sum(ks) % L == 0:
-            continue
-        lhs = jacobi_multi(ctx, ks)  # quotient path
-        # defining multi-sum, forced through the convolution route
-        f1, f2, f3 = (chars.mul_char_vec(ctx, e, np.arange(ctx.q)) for e in ks)
-        rhs = complex(_convolve_add(ctx, _convolve_add(ctx, f1, f2), f3)[1])
-        w.update_all(abs(lhs - rhs), lhs, rhs, lambda: tuple(ks))
-        seen += 1
+    ks = []
+    while len(ks) < triples:
+        k = [rng.randrange(1, L) for _ in range(3)]
+        if sum(k) % L:
+            ks.append(k)
+    if not ks:
+        return
+    lhs = np.array([jacobi_multi(ctx, k) for k in ks])  # quotient path
+    # the defining multi-sums, forced through two batched convolutions
+    f = np.zeros((len(ks), 3, ctx.q), dtype=np.complex128)
+    f[..., 1:] = chars.unit_roots(ctx)[(np.array(ks)[..., None] * ctx.dlog[1:]) % L]
+    rhs = _convolve_add(ctx, _convolve_add(ctx, f[:, 0], f[:, 1]), f[:, 2])[:, 1]
+    w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: tuple(ks[i]))
 
 
 def _check_theta_expansion(ctx: FieldCtx, w: _Worst, **_):
@@ -310,13 +325,19 @@ def binom_translate_rhs(ctx: FieldCtx, a) -> np.ndarray:
     return out
 
 
+def _dlog_one_plus(ctx: FieldCtx) -> np.ndarray:
+    return ctx.dlog[ctx.add_vec(np.arange(ctx.q), 1)]
+
+
 def _check_binom_translate(ctx: FieldCtx, w: _Worst, a=None, **_):
     L = ctx.q - 1
-    k1 = ctx.dlog[ctx.add_vec(np.arange(ctx.q), 1)]  # dlog(1 + x); -1 at x = -1
+    # dlog(1 + x) for every x, cached; -1 at x = -1, where T^a(1 + x) = 0
+    k1 = ctx.cached("dlog_one_plus", _dlog_one_plus, ctx)
     tops = _params(L, a)
     for s in _blocks(len(tops), ctx.q):
         aa = tops[s]
-        lhs = np.where(k1 >= 0, chars.unit_roots(ctx)[(aa[:, None] * k1) % L], 0)
+        lhs = chars.unit_roots(ctx)[(aa[:, None] * k1) % L]
+        lhs[:, ctx.minus_one()] = 0
         rhs = binom_translate_rhs(ctx, aa)
         w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i, x: (int(aa[i]), x))
 
@@ -437,10 +458,19 @@ def davenport_hasse(ctx: FieldCtx, d: int, l: int | None = None, t: int = 1) -> 
         scale = ctx.q ** ((d - 2) // 2) * G[L // 2] * sign
     w = _Worst()
     ls = _params(L, l)
-    for s in _blocks(len(ls), d):
-        ll = ls[s]
-        lhs = np.prod(G[(ll[:, None] + t * (L // d) * np.arange(d)) % L], axis=1)
-        rhs = scale * chars.unit_roots(ctx)[(-ll * kd) % L] * G[(ll * d) % L]
+    for s in _blocks(len(ls), 1):
+        ll = ls[s]  # consecutive values of l
+        # factor j over the block is G rotated by l_0 + j*t*(q-1)/d: at most
+        # two slices of G, multiplied in place
+        lhs = G[ll]
+        for j in range(1, d):
+            r = (int(ll[0]) + j * t * (L // d)) % L
+            k = min(len(ll), L - r)
+            lhs[:k] *= G[r:r + k]
+            lhs[k:] *= G[:len(ll) - k]
+        rhs = chars.unit_roots(ctx)[ll * (-kd % L) % L]
+        rhs *= scale
+        rhs *= np.take(G, ll * d, mode="wrap")
         w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(ll[i]), t))
     # the product's magnitude grows like q^(d/2)
     return w.report("davenport-hasse", ctx, ctx.tol * ctx.q ** (d / 2), d=d)

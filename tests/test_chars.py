@@ -123,3 +123,18 @@ def test_unit_root_values_single_trig_call(f13):
     roots = chars.unit_roots(f13)
     ks = np.arange(12)
     np.testing.assert_allclose(roots, np.exp(2j * np.pi * ks / 12), atol=1e-15)
+
+
+@pytest.mark.parametrize("pn", [(13, 1), (5, 2), (3, 3), (2, 4)], ids=["13", "25", "27", "16"])
+def test_char_at_minus_one_is_real_sign(pn):
+    ctx = field(*pn)
+    L = ctx.q - 1
+    ms = np.arange(-2 * L, 2 * L)
+    got = chars.char_at_minus_one(ctx, ms)
+    assert got.dtype == np.float64 and set(np.unique(got)) <= {-1.0, 1.0}
+    want = np.array([chars.mul_char(ctx, int(m), ctx.minus_one()) for m in ms])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    if ctx.q % 2 == 0:  # -1 = 1
+        assert np.all(got == 1.0)
+    assert np.shape(chars.char_at_minus_one(ctx, 3)) == ()
+    assert chars.char_at_minus_one(ctx, np.arange(6).reshape(2, 3)).shape == (2, 3)

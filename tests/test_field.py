@@ -370,14 +370,15 @@ def test_every_cached_table_is_read_only(pn):
     from charsum import curves, hyperf, sums
 
     ctx = make_field(*pn)
-    # a count (oracle and closed form), a series evaluation and one grid
+    # a count (oracle and closed form), a series evaluation, a grid and a line
     spec = curves.CurveSpec(ctx, 2, 3, 1, 1)
     assert curves.count_theorem(spec) == curves.count_bruteforce(spec)
     hyperf.hf_eval(ctx, [1, 5], [6], 2)
     assert sums.verify_identity(ctx, "jacobi-gauss").match
+    assert sums.verify_identity(ctx, "binom-translate", a=2).match
     # the oracle's buffers are writable scratch, not a table
     keys = set(ctx._cache) - {"oracle_buffers"}
-    assert {"gauss", "theta", "unit_roots", "jacobi_logs"} <= keys
+    assert {"gauss", "theta", "unit_roots", "jacobi_logs", "dlog_one_plus"} <= keys
     for key in keys:
         value = ctx._cache[key]
         for arr in value if isinstance(value, tuple) else (value,):

@@ -1,11 +1,12 @@
 """Hypergeometric series evaluation against a literal-definition oracle."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from charsum import chars, hyperf, sums
+from charsum import chars, hyperf, make_field, sums
 
 from conftest import field
 
@@ -144,3 +145,26 @@ def test_table_cached_frozen_and_reduced(f13):
     assert hyperf.hf_table(f13, (1, 5), (-5,)) is not tab
     with pytest.raises(ValueError):
         hyperf.hf_table(f13, [1], [6])
+
+
+def test_binom_row_and_series_table_peak_memory():
+    # tracemalloc peaks at q = 4093, in rows of 16(q-1) bytes: measured 3.64
+    # for a full binom_grid row and 5.16 for a 4F3 table build (the table
+    # itself is one row), against 5.0 and 6.5 with a temporary per factor
+    ctx = make_field(4093)
+    sums.gauss_table(ctx)
+    L = ctx.q - 1
+    row = 16 * L
+    top, bottom = np.arange(5, 5 + L), np.arange(7, 7 + L)
+    sums.binom_grid(ctx, top, bottom)  # any table it reads is built here
+    tracemalloc.start()
+    try:
+        sums.binom_grid(ctx, top, bottom)
+        grid_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        hyperf.hf_table(ctx, (L // 2, L // 4, 3 * L // 4, L // 3), (L // 6, 1, L // 2))
+        table_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid_peak < 4.0 * row
+    assert table_peak < 5.7 * row
