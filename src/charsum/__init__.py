@@ -29,8 +29,6 @@ from .curves import (
     count_bruteforce,
     count_naive,
     count_theorem,
-    count_theorem_even,
-    count_theorem_odd,
     thm_coeffs,
     trace_frobenius,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "count_bruteforce",
     "count_naive",
     "count_theorem",
-    "count_theorem_even",
-    "count_theorem_odd",
     "cubic_transform_check",
     "davenport_hasse",
     "delta_char",

@@ -135,11 +135,18 @@ def _timed(rows):
 # ---------------------------------------------------------------------------
 
 def _count_cases(ctx, args):
+    chosen = [name for name, given in (
+        ("--sweep", args.sweep),
+        ("--random", args.random is not None),
+        ("--a/--b", args.a is not None or args.b is not None),
+    ) if given]
+    if len(chosen) > 1:
+        raise CliError(f"{' and '.join(chosen)} conflict; choose one way to pick (a, b)")
     if args.sweep:
         for a in ctx.units():
             for b in ctx.units():
                 yield a, b
-    elif args.random:
+    elif args.random is not None:
         rng = random.Random(args.seed)
         for _ in range(args.random):
             yield rng.randrange(1, ctx.q), rng.randrange(1, ctx.q)
@@ -388,6 +395,14 @@ def cmd_eval(args, emitter: _Emitter) -> None:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _count_arg(text: str) -> int:
+    """A sample or row count: an integer >= 0 (argparse exits 2 otherwise)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {value}")
+    return value
+
+
 def _add_field_args(parser):
     parser.add_argument("--q", type=int, help="field size (prime power)")
     parser.add_argument("--p", type=int, help="characteristic (alternative to --q)")
@@ -415,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--a", type=str, help="element literal")
     p_count.add_argument("--b", type=str, help="element literal")
     p_count.add_argument("--sweep", action="store_true", help="all (a, b) pairs")
-    p_count.add_argument("--random", type=int, default=0, metavar="N",
+    p_count.add_argument("--random", type=_count_arg, metavar="N",
                          help="N seeded random (a, b) pairs")
     p_count.set_defaults(func=cmd_count)
 
@@ -425,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"one of: {', '.join(VERIFY_SUITES)}")
     p_verify.add_argument("--d", type=int, default=None,
                           help="section order for davenport-hasse")
-    p_verify.add_argument("--count", type=int, default=100,
+    p_verify.add_argument("--count", type=_count_arg, default=100,
                           help="sample size for randomized suites")
     p_verify.set_defaults(func=cmd_verify)
 

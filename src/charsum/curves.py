@@ -3,10 +3,11 @@
 The closed-form counts hold for d >= 2 and q = 1 mod e*d*(d-1) and assemble
 Gauss-sum coefficients with one hypergeometric factor per i in [1, e-1]:
 a dF(d-1) series at argument alpha for even d, a (d-1)F(d-2) series at
--alpha for odd d, with alpha = (d/a) * (b*d/(a*(d-1)))^(d-1).  Every count
-is an exact integer; the evaluator rounds the assembled real part and
-refuses loudly when the imaginary part or the rounding residue indicates a
-transcription or precision failure.
+-alpha for odd d, with alpha = (d/a) * (b*d/(a*(d-1)))^(d-1).  Everything
+but the characters of b and alpha is fixed by (q, e, d), so it is cached as
+one plan per family.  Every count is an exact integer; the evaluator rounds
+the assembled real part and refuses loudly when the imaginary part or the
+rounding residue indicates a transcription or precision failure.
 
 Two enumeration oracles check them: count_bruteforce looks up the e-th
 power class of each x-value (O(q)), and count_naive compares all (x, y)
@@ -105,18 +106,6 @@ def _pow_by_exp(ctx: FieldCtx, d: int) -> np.ndarray:
 def _exp_multiples(ctx: FieldCtx, d: int) -> np.ndarray:
     L = ctx.q - 1
     return ctx.exp[(d * np.arange(L, dtype=np.int64)) % L]
-
-
-def _unit_values(spec: CurveSpec) -> np.ndarray:
-    """Indices of x^d + a*x + b at x = g^k for k in [0, q-2].
-
-    In generator order both terms are table reads: x^d = exp[d*k mod (q-1)]
-    (cached per d) and a*x = exp[k + dlog(a)], a rotation of exp.
-    """
-    ctx = spec.ctx
-    s = int(ctx.dlog[spec.a])
-    ax = np.concatenate((ctx.exp[s:], ctx.exp[:s]))  # np.roll(exp, -s), at a third of the cost
-    return ctx.add_vec(ctx.add_vec(_pow_by_exp(ctx, spec.d), ax), spec.b)
 
 
 def _spread_planes(ctx: FieldCtx, d: int | None) -> tuple[np.ndarray, ...]:
@@ -221,9 +210,7 @@ def _alpha(spec: CurveSpec) -> int:
     return ctx.mul(ctx.div(d_el, spec.a), ctx.pow(base, spec.d - 1))
 
 
-def _steps(spec: CurveSpec):
-    L = spec.ctx.q - 1
-    e, d = spec.e, spec.d
+def _steps(L: int, e: int, d: int):
     return (
         L // e,  # T^(q-1)/e steps
         L // (e * (d - 1)),  # psi steps, order e(d-1)
@@ -232,152 +219,141 @@ def _steps(spec: CurveSpec):
     )
 
 
-def _degenerate_ks(spec: CurveSpec, i: int, skip: int | None = None):
+def _degenerate_ks(e: int, d: int, i: int, skip: int | None = None):
     """k values whose Gauss pair collapses to a trivial-character product.
 
     The closed-form reduction pairs G_(m + k(q-1)/d) with
     G_(-m - (ke-i)(q-1)/(e(d-1))); when i*d == k*e the pair's index
     difference vanishes and the generic binomial step understates it by a
     factor q except at one residue, so the series term is rescaled and an
-    exact correction added (see the *_theorem evaluators).
+    exact correction added (see _count_plan).
     """
-    return [
-        k
-        for k in range(1, spec.d)
-        if k != skip and i * spec.d == k * spec.e
-    ]
+    return [k for k in range(1, d) if k != skip and i * d == k * e]
 
 
-def count_theorem_even(spec: CurveSpec) -> int:
-    """Closed-form count for even d."""
-    if spec.d % 2:
-        raise ValueError("even-d evaluator needs even d")
-    require_congruence(spec)
-    ctx = spec.ctx
-    q, L = ctx.q, ctx.q - 1
-    e, d, b = spec.e, spec.d, spec.b
-    m1, mpsi, meta, md = _steps(spec)
-    G = sums.gauss_table(ctx)
-    minus_one = ctx.minus_one()
-    alpha = _alpha(spec)
+def _gauss_products(G: np.ndarray, e: int, d: int, i: int):
+    """The Gauss-product coefficients (M_i, N_i) of term i; N_i is None for even d."""
+    L = G.size
+    m1, mpsi, meta, md = _steps(L, e, d)
     half = d // 2
-
-    pref_exp = _exact_div((d - 2) * (2 * d - 1) * L, 8 * (d - 1))
-    prefactor = chars.mul_char(ctx, -pref_exp, minus_one)
-    pref_raw = prefactor / (q ** (d - 2) * (q - 1) * G[L // 2])
-    dm1_over_b = ctx.div(ctx.embed(d - 1), b)
-
-    total = complex(q)
-    for i in range(1, e):
-        total += chars.mul_char(ctx, -i * m1, b)
-    for i in range(1, e):
-        m_i = G[(-i * m1) % L] * G[(-(half * e - i) * mpsi) % L]
-        for k in range(1, d):
-            if k == half:
-                continue
+    m_i = 1 + 0j
+    for k in range(1, d):
+        if d % 2 or k != half:
             m_i *= G[((i * d - k * e) * meta) % L]
-        upper = [L // 2, 0] + [j * md for j in range(1, d) if j != half]
-        lower = [(half * e - i) * mpsi] + [
-            (j * e - i) * mpsi for j in range(1, d) if j != half
-        ]
-        series = hyperf.hf_eval(ctx, upper, lower, alpha)
-        deg = _degenerate_ks(spec, i, skip=half)
-        total += (
-            q ** len(deg)
-            * prefactor
-            * m_i
-            * chars.mul_char(ctx, i * m1, dm1_over_b)
-            * series
-        )
-        if deg:
-            glt = (
-                G[(-i * m1) % L]
-                * chars.mul_char(ctx, (e - i) * m1, b)
-                * chars.mul_char(ctx, i * m1, minus_one)
-                * chars.mul_char(ctx, -(e - i) * m1, ctx.embed(d - 1))
-            )
-            corr = 0j
+    if d % 2 == 0:
+        return m_i * G[(-i * m1) % L] * G[(-(half * e - i) * mpsi) % L], None
+    n_i = 1 + 0j
+    for k in range(1, d):
+        n_i *= G[(k * md) % L] * G[(-(k * e - i) * mpsi) % L]
+    return m_i, n_i
+
+
+def _count_plan(spec: CurveSpec) -> tuple:
+    """The closed-form count of spec's (e, d) family as arrays; reads only
+    spec.ctx, e and d, so it is built once per (field, e, d).
+
+    The count is the sum over terms t of coef[t] * T^u_b(b) * T^u_alpha(alpha),
+    (u_b, u_alpha) = expo[:, t], each of the first len(tables) terms also
+    times its series table at dlog(alpha) + shift (the series sit at -alpha
+    for odd d).  dlog(alpha) = c0 + (d-1)*dlog(b) - d*dlog(a) mod q-1, where
+    c0 = dlog(d) + (d-1)*(dlog(d) - dlog(d-1)); d and d-1 are units since
+    d*(d-1) divides q-1.  Returns (coef, expo, [c0, shift], *tables); the
+    tables are the hyperf.hf_table arrays themselves, not copies.
+    """
+    require_congruence(spec)
+    ctx, e, d = spec.ctx, spec.e, spec.d
+    q, L = ctx.q, ctx.q - 1
+    m1, mpsi, meta, md = _steps(L, e, d)
+    G = sums.gauss_table(ctx)
+    roots = chars.unit_roots(ctx)
+    l_neg, ld, ld1 = (ctx.dlog_of(x) for x in (ctx.minus_one(), ctx.embed(d), ctx.embed(d - 1)))
+
+    def t(m, l):  # T^m(g^l)
+        return complex(roots[(m * l) % L])
+
+    series = []  # (coef, u_b, u_alpha, table)
+    plain = {(0, 0): complex(q)}  # (u_b, u_alpha) mod q-1 -> coef
+
+    def add(coef, u_b, u_alpha):
+        key = (u_b % L, u_alpha % L)
+        plain[key] = plain.get(key, 0j) + coef
+
+    for i in range(1, e):
+        add(1, -i * m1, 0)  # T^(-i(q-1)/e)(b)
+    half = d // 2
+    if d % 2 == 0:
+        shift = 0
+        prefactor = t(-_exact_div((d - 2) * (2 * d - 1) * L, 8 * (d - 1)), l_neg)
+        pref_raw = prefactor / (q ** (d - 2) * (q - 1) * G[L // 2])
+        for i in range(1, e):
+            m_i, _ = _gauss_products(G, e, d, i)
+            upper = [L // 2, 0] + [j * md for j in range(1, d) if j != half]
+            lower = [(half * e - i) * mpsi] + [
+                (j * e - i) * mpsi for j in range(1, d) if j != half
+            ]
+            deg = _degenerate_ks(e, d, i, skip=half)
+            # T^(i(q-1)/e)((d-1)/b) splits into a constant and T^u_b(b)
+            coef = q ** len(deg) * prefactor * m_i * t(i * m1, ld1)
+            series.append((coef, -i * m1, 0, hyperf.hf_table(ctx, upper, lower)))
+            glt = G[(-i * m1) % L] * t(i * m1, l_neg) * t(-(e - i) * m1, ld1) * pref_raw / q
             for k0 in deg:
                 m0 = (-k0 * md) % L
                 rest = G[(m0 + L // 2) % L] * G[(-m0) % L]
                 rest *= G[m0] * G[(-m0 - (half * e - i) * mpsi) % L]
                 for k in range(1, d):
-                    if k in (half, k0):
-                        continue
-                    rest *= G[(m0 + k * md) % L] * G[(-m0 - (k * e - i) * mpsi) % L]
-                corr += (q - 1) ** 2 * chars.mul_char(ctx, m0, alpha) * rest
-            total += pref_raw * glt * corr / q
-    return _round_guarded(ctx, total)
-
-
-def count_theorem_odd(spec: CurveSpec) -> int:
-    """Closed-form count for odd d."""
-    if spec.d % 2 == 0:
-        raise ValueError("odd-d evaluator needs odd d")
-    require_congruence(spec)
-    ctx = spec.ctx
-    q, L = ctx.q, ctx.q - 1
-    e, d, b = spec.e, spec.d, spec.b
-    m1, mpsi, meta, md = _steps(spec)
-    G = sums.gauss_table(ctx)
-    minus_one = ctx.minus_one()
-    alpha = _alpha(spec)
-    neg_alpha = ctx.neg(alpha)
-    g_half = G[L // 2]
-
-    sign2 = chars.mul_char(ctx, _exact_div((3 * d - 1) * L, 8 * d), minus_one)
-    sign3 = chars.mul_char(ctx, _exact_div((4 * d * d + 3 * d - 1) * L, 8 * d), minus_one)
-    b_over_dm1 = ctx.div(b, ctx.embed(d - 1))
-
-    pref_raw = sign2 / ((q - 1) * q ** (d - 2) * g_half)
-    total = complex(q)
-    for i in range(1, e):
-        total += chars.mul_char(ctx, -i * m1, b)
-    d_term = 0j
-    for i in range(1, e):
-        n_i = 1 + 0j
-        m_i = 1 + 0j
-        for k in range(1, d):
-            n_i *= G[(k * md) % L] * G[(-(k * e - i) * mpsi) % L]
-            m_i *= G[((i * d - k * e) * meta) % L]
-        g_lead = G[(-i * m1) % L]
-        glt = (
-            g_lead
-            * chars.mul_char(ctx, i * m1, minus_one)
-            * chars.mul_char(ctx, -i * m1, b_over_dm1)
-        )
-        d_term -= sign2 / (q ** (d - 2) * g_half) * glt * n_i
-        upper = [(j * e * (d - 1) - d * (e - i)) * meta for j in range(1, d)]
-        lower = [j * e * mpsi for j in range(1, d - 1)]
-        series = hyperf.hf_eval(ctx, upper, lower, neg_alpha)
-        deg = _degenerate_ks(spec, i)
-        d_term += (
-            q ** (1 + len(deg))
-            * sign3
-            / g_half
-            * g_lead
-            * chars.mul_char(ctx, -i * m1, b_over_dm1)
-            * m_i
-            * chars.mul_char(ctx, -(e - i) * mpsi, neg_alpha)
-            * series
-        )
-        if deg:
-            corr = 0j
+                    if k not in (half, k0):
+                        rest *= G[(m0 + k * md) % L] * G[(-m0 - (k * e - i) * mpsi) % L]
+                add((q - 1) ** 2 * glt * rest, (e - i) * m1, m0)
+    else:
+        shift = l_neg
+        g_half = G[L // 2]
+        sign2 = t(_exact_div((3 * d - 1) * L, 8 * d), l_neg)
+        sign3 = t(_exact_div((4 * d * d + 3 * d - 1) * L, 8 * d), l_neg)
+        for i in range(1, e):
+            m_i, n_i = _gauss_products(G, e, d, i)
+            # with T^u_b(b) at u_b = -i(q-1)/e: G * T^(-i(q-1)/e)(b/(d-1))
+            g_lead = G[(-i * m1) % L] * t(i * m1, ld1)
+            glt = g_lead * t(i * m1, l_neg)
+            add(-sign2 / (q ** (d - 1) * g_half) * glt * n_i, -i * m1, 0)
+            upper = [(j * e * (d - 1) - d * (e - i)) * meta for j in range(1, d)]
+            lower = [j * e * mpsi for j in range(1, d - 1)]
+            deg = _degenerate_ks(e, d, i)
+            u_alpha = -(e - i) * mpsi
+            coef = q ** len(deg) * sign3 / g_half * g_lead * m_i * t(u_alpha, l_neg)
+            series.append((coef, -i * m1, u_alpha, hyperf.hf_table(ctx, upper, lower)))
+            glt *= sign2 * (q - 1) / (q ** (d - 2) * g_half)
             for k0 in deg:
                 m0 = (-k0 * md) % L
                 rest = 1 + 0j
                 for k in range(1, d):
-                    if k == k0:
-                        continue
-                    rest *= G[(m0 + k * md) % L] * G[(-m0 - (k * e - i) * mpsi) % L]
-                corr += (q - 1) ** 2 * chars.mul_char(ctx, m0, neg_alpha) * rest
-            d_term += pref_raw * glt * q * corr
-    total += d_term / q
-    return _round_guarded(ctx, total)
+                    if k != k0:
+                        rest *= G[(m0 + k * md) % L] * G[(-m0 - (k * e - i) * mpsi) % L]
+                add(glt * rest * t(m0, l_neg), -i * m1, m0)
+    terms = [s[:3] for s in series] + [(c, u_b, u_a) for (u_b, u_a), c in plain.items()]
+    coef = np.array([c for c, _, _ in terms], dtype=np.complex128)
+    expo = np.array([[u_b for _, u_b, _ in terms], [u_a for _, _, u_a in terms]], dtype=np.int64)
+    c0 = (ld + (d - 1) * (ld - ld1)) % L
+    return (coef, expo, np.array([c0, shift], dtype=np.int64), *(s[3] for s in series))
 
 
 def count_theorem(spec: CurveSpec) -> int:
-    return count_theorem_even(spec) if spec.d % 2 == 0 else count_theorem_odd(spec)
+    """Closed-form count: the (field, e, d) plan read at dlog(a) and dlog(b).
+
+    Plans hold a handful of terms, so they are summed as Python scalars;
+    array operations on them cost more than the arithmetic."""
+    ctx, d = spec.ctx, spec.d
+    L = ctx.q - 1
+    coef, expo, consts, *tables = ctx.cached(("count_plan", spec.e, d), _count_plan, spec)
+    c0, shift = consts.tolist()
+    lb, la = int(ctx.dlog[spec.b]), int(ctx.dlog[spec.a])
+    l_alpha = (c0 + (d - 1) * lb - d * la) % L
+    s = (l_alpha + shift) % L
+    root = chars.unit_roots(ctx).item
+    total = 0j
+    for j, (c, u_b, u_alpha) in enumerate(zip(coef.tolist(), *expo.tolist())):
+        z = c * root((u_b * lb + u_alpha * l_alpha) % L)
+        total += z * tables[j].item(s) if j < len(tables) else z
+    return _round_guarded(ctx, total)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +388,7 @@ def thm_coeffs(spec: CurveSpec) -> ThmCoeffs:
     ctx = spec.ctx
     q, L = ctx.q, ctx.q - 1
     e, d = spec.e, spec.d
-    m1, mpsi, meta, md = _steps(spec)
+    m1, mpsi, meta, md = _steps(L, e, d)
     G = sums.gauss_table(ctx)
     minus_one = ctx.minus_one()
     even = d % 2 == 0
@@ -422,12 +398,9 @@ def thm_coeffs(spec: CurveSpec) -> ThmCoeffs:
     n_prod, n_simp = ([], []) if not even else (None, None)
     for i in range(1, e):
         raw_exps = [(i * d - k * e) * meta for k in range(1, d)]
+        m_i, n_i = _gauss_products(G, e, d, i)
+        m_prod.append(complex(m_i))
         if even:
-            m_i = G[(-i * m1) % L] * G[(-(half * e - i) * mpsi) % L]
-            for k in range(1, d):
-                if k != half:
-                    m_i *= G[((i * d - k * e) * meta) % L]
-            m_prod.append(complex(m_i))
             if e == 2:
                 m_simp.append(
                     q ** (d // 2) * chars.mul_char(ctx, L // 2, minus_one)
@@ -451,12 +424,6 @@ def thm_coeffs(spec: CurveSpec) -> ThmCoeffs:
                 )
                 m_simp.append(complex(val))
         else:
-            m_i = 1 + 0j
-            n_i = 1 + 0j
-            for k in range(1, d):
-                m_i *= G[((i * d - k * e) * meta) % L]
-                n_i *= G[(k * md) % L] * G[(-(k * e - i) * mpsi) % L]
-            m_prod.append(complex(m_i))
             n_prod.append(complex(n_i))
             if e == 2:
                 sign = chars.mul_char(ctx, -_exact_div((d - 1) * L, 8 * d), minus_one)
@@ -491,7 +458,7 @@ def thm_coeffs(spec: CurveSpec) -> ThmCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# Trace of Frobenius and character-sum decomposition
+# Trace of Frobenius
 # ---------------------------------------------------------------------------
 
 def trace_frobenius(spec: CurveSpec, method: str = "auto") -> int:
@@ -511,56 +478,3 @@ def trace_frobenius(spec: CurveSpec, method: str = "auto") -> int:
             f"trace {a_q} violates the Hasse bound for e=2, d=3"
         )
     return a_q
-
-
-def _difference_histogram(ctx: FieldCtx, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """hist[s] = #{(i, j) : us[i] - vs[j] = s} as float64 integers, in O(q)
-    memory: the additive correlation of the two value histograms."""
-    counts = np.bincount(us, minlength=ctx.q), np.bincount(ctx.neg_vec(vs), minlength=ctx.q)
-    return np.rint(sums._convolve_add(ctx, *counts).real)
-
-
-def indicator_decomposition(spec: CurveSpec) -> dict:
-    """Directly summed pieces of q*N = q^2 + A + B + C + D.
-
-    A and B carry closed forms (A = -1, B = 1 + q * sum_i T^(-i(q-1)/e)(b));
-    C + D is exactly q*N - q^2 - q*sum_i T^(-i(q-1)/e)(b).  Every piece here
-    is computed from its defining character sum for cross-checking.
-    """
-    ctx = spec.ctx
-    q = ctx.q
-    theta = chars.theta_table(ctx)
-    zs = np.arange(1, q, dtype=np.int64)
-
-    a_direct = complex(np.sum(theta[ctx.mul_vec(zs, spec.b)]))
-
-    ye = ctx.pow_vec(zs, spec.e)  # y^e over nonzero y
-    b_direct = 0j
-    for z in ctx.units():
-        bz = theta[ctx.mul(spec.b, z)]
-        b_direct += bz * np.sum(theta[ctx.mul_vec(ye, ctx.neg(z))])
-
-    vals = _unit_values(spec)  # x^d + a*x + b over nonzero x
-    c_direct = 0j
-    for z in ctx.units():
-        c_direct += np.sum(theta[ctx.mul_vec(vals, z)])
-
-    # D accumulated through the multiplicity histogram of v(x) - y^e
-    hist = _difference_histogram(ctx, vals, ye)
-    d_direct = 0j
-    for z in ctx.units():
-        d_direct += np.sum(hist * theta[ctx.mul_vec(np.arange(q, dtype=np.int64), z)])
-
-    b_closed = None
-    if (q - 1) % spec.e == 0:
-        m1 = (q - 1) // spec.e
-        b_closed = 1 + q * sum(
-            chars.mul_char(ctx, -i * m1, spec.b) for i in range(1, spec.e)
-        )
-    return {
-        "a_direct": a_direct,
-        "a_closed": -1 + 0j,
-        "b_direct": b_direct,
-        "b_closed": b_closed,
-        "cd_direct": c_direct + d_direct,
-    }

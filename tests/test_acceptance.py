@@ -44,7 +44,7 @@ def test_criterion_01_elliptic_sweep():
             for b in ctx.units():
                 spec = curves.CurveSpec(ctx, 2, 3, a, b)
                 n_brute = curves.count_bruteforce(spec)
-                if curves.count_theorem_odd(spec) != n_brute:
+                if curves.count_theorem(spec) != n_brute:
                     failures += 1
                 if apps.lennon_trace(ctx, a, b) != q - n_brute:
                     failures += 1
@@ -63,7 +63,7 @@ def test_criterion_02_even_d():
     for a in ctx.units():
         for b in ctx.units():
             spec = curves.CurveSpec(ctx, 2, 2, a, b)
-            if curves.count_theorem_even(spec) != curves.count_bruteforce(spec):
+            if curves.count_theorem(spec) != curves.count_bruteforce(spec):
                 failures += 1
     for q in (37, 73, 109):
         ctx = field(q)
@@ -72,7 +72,7 @@ def test_criterion_02_even_d():
             a = rng.randrange(1, q)
             b = rng.randrange(1, q)
             spec = curves.CurveSpec(ctx, 3, 4, a, b)
-            if curves.count_theorem_even(spec) != curves.count_bruteforce(spec):
+            if curves.count_theorem(spec) != curves.count_bruteforce(spec):
                 failures += 1
     elapsed = time.perf_counter() - t0
     ok = failures == 0 and elapsed < 60.0
@@ -92,7 +92,7 @@ def test_criterion_03_odd_d_beyond_cubics():
             a = rng.randrange(1, q)
             b = rng.randrange(1, q)
             spec = curves.CurveSpec(ctx, e, d, a, b)
-            if curves.count_theorem_odd(spec) != curves.count_bruteforce(spec):
+            if curves.count_theorem(spec) != curves.count_bruteforce(spec):
                 failures += 1
     elapsed = time.perf_counter() - t0
     ok = failures == 0 and elapsed < 60.0

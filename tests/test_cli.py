@@ -214,3 +214,38 @@ def test_count_builds_gauss_table_before_first_row(monkeypatch):
                        "--seed", "1", "--format", "json"])
     assert code == 0
     assert seen == [True, True, True]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["count", "--q", "13", "--e", "2", "--d", "3", "--random", "-3"], "--random"),
+        (["verify", "--suite", "lennon", "--q", "13", "--count", "-1"], "--count"),
+        (["verify", "--suite", "edwards", "--q", "13", "--count", "x"], "--count"),
+    ],
+    ids=["random", "count", "count-not-int"],
+)
+def test_negative_counts_exit_2(argv, flag, capsys):
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--random", "2", "--a", "1", "--b", "1"],
+        ["--random", "0", "--b", "1"],
+        ["--sweep", "--random", "2"],
+        ["--sweep", "--a", "1", "--b", "1"],
+    ],
+    ids=["random-ab", "random-b", "sweep-random", "sweep-ab"],
+)
+def test_conflicting_case_selectors_exit_2(extra, capsys):
+    code, out = run_cli(["count", "--q", "13", "--e", "2", "--d", "3"] + extra)
+    assert code == 2 and out == ""
+    assert "conflict" in capsys.readouterr().err
+
+
+def test_count_random_zero_emits_no_rows():
+    assert run_cli(["count", "--q", "13", "--e", "2", "--d", "3", "--random", "0"]) == (0, "")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import charsum
-from charsum import apps, chars, curves
+from charsum import apps, chars, curves, hyperf, sums
 
 from conftest import field
 
@@ -74,6 +74,15 @@ def test_bruteforce_wide_power_classes():
         assert curves.count_bruteforce(spec) == curves.count_naive(spec)
 
 
+def _unit_values(spec):
+    """Indices of x^d + a*x + b at x = g^k for k in [0, q-2], built with the
+    field's vector adds rather than the oracle's spread planes."""
+    ctx = spec.ctx
+    s = int(ctx.dlog[spec.a])
+    ax = np.concatenate((ctx.exp[s:], ctx.exp[:s]))  # a*x = exp[k + dlog(a)]
+    return ctx.add_vec(ctx.add_vec(curves._pow_by_exp(ctx, spec.d), ax), spec.b)
+
+
 @pytest.mark.parametrize("p,n", [(16381, 1), (3, 8)], ids=["16381", "3^8"])
 def test_bruteforce_warm_call_allocates_no_length_q_array(p, n):
     ctx = field(p, n)
@@ -88,7 +97,7 @@ def test_bruteforce_warm_call_allocates_no_length_q_array(p, n):
     # under 64 KB, and under half of one int64 array of length q - 1
     assert peak < min(64 * 1024, 4 * (ctx.q - 1))
     counts = curves.power_count_table(ctx, 2)
-    assert n_points == counts[spec.b] + counts[curves._unit_values(spec)].sum()
+    assert n_points == counts[spec.b] + counts[_unit_values(spec)].sum()
 
 
 # Fields for the differential test, prime and extension, each with its (e, d)
@@ -125,7 +134,7 @@ def test_function_graph_count(f13):
     # e = 1 makes y = x^d + a*x + b a function of x
     spec = curves.CurveSpec(f13, 1, 2, 1, 1)
     assert curves.count_bruteforce(spec) == 13
-    assert curves.count_theorem_even(spec) == 13
+    assert curves.count_theorem(spec) == 13
 
 
 def test_spec_validation(f13):
@@ -141,27 +150,27 @@ def test_spec_validation(f13):
 
 def test_congruence_errors(f13):
     with pytest.raises(curves.CongruenceError):
-        curves.count_theorem_even(curves.CurveSpec(f13, 3, 4, 1, 1))
+        curves.count_theorem(curves.CurveSpec(f13, 3, 4, 1, 1))
     with pytest.raises(curves.CongruenceError):
-        curves.count_theorem_odd(curves.CurveSpec(f13, 3, 3, 1, 1))
-    with pytest.raises(ValueError):
-        curves.count_theorem_even(curves.CurveSpec(f13, 2, 3, 1, 1))
-    with pytest.raises(ValueError):
-        curves.count_theorem_odd(curves.CurveSpec(f13, 2, 2, 1, 1))
+        curves.count_theorem(curves.CurveSpec(f13, 3, 3, 1, 1))
+    # a refused plan is not cached, so the error repeats
+    with pytest.raises(curves.CongruenceError):
+        curves.count_theorem(curves.CurveSpec(f13, 3, 3, 2, 5))
+    assert ("count_plan", 3, 3) not in f13._cache
 
 
 def test_theorem_odd_cubic_full_sweep(f13):
     for a in f13.units():
         for b in f13.units():
             spec = curves.CurveSpec(f13, 2, 3, a, b)
-            assert curves.count_theorem_odd(spec) == curves.count_bruteforce(spec)
+            assert curves.count_theorem(spec) == curves.count_bruteforce(spec)
 
 
 def test_theorem_even_quadratic_full_sweep(f13):
     for a in f13.units():
         for b in f13.units():
             spec = curves.CurveSpec(f13, 2, 2, a, b)
-            n = curves.count_theorem_even(spec)
+            n = curves.count_theorem(spec)
             assert n == curves.count_bruteforce(spec)
             # y^2 = x^2 + ax + b factors through (y-u)(y+u) = b - a^2/4
             disc = f13.sub(f13.pow(a, 2), f13.mul(4, b))
@@ -186,9 +195,63 @@ def test_theorem_extension_field():
     ctx = field(5, 2)  # q = 25 = 1 mod 12 and 1 mod 4
     for a, b in [(3, 7), (11, 21), (6, 6)]:
         spec = curves.CurveSpec(ctx, 2, 3, a, b)
-        assert curves.count_theorem_odd(spec) == curves.count_bruteforce(spec)
+        assert curves.count_theorem(spec) == curves.count_bruteforce(spec)
         spec = curves.CurveSpec(ctx, 2, 2, a, b)
-        assert curves.count_theorem_even(spec) == curves.count_bruteforce(spec)
+        assert curves.count_theorem(spec) == curves.count_bruteforce(spec)
+
+
+# Every prime power q <= 81 with an admissible (e, d), e, d <= 6, then the
+# degenerate-k families at 181, where a Gauss pair collapses and the plan
+# carries correction terms.
+_PLAN_SWEEPS = [
+    ((p, n), None)
+    for p, n in [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2), (29, 1), (37, 1),
+                 (41, 1), (7, 2), (53, 1), (61, 1), (73, 1), (3, 4)]
+] + [((181, 1), [(3, 3), (3, 6)])]
+
+
+@pytest.mark.parametrize(
+    "pn,families", _PLAN_SWEEPS, ids=[str(p**n) for (p, n), _ in _PLAN_SWEEPS]
+)
+def test_plan_counts_every_curve(pn, families):
+    ctx = field(*pn)
+    families = families or _admissible(ctx.q)
+    assert families
+    for e, d in families:
+        for a in ctx.units():
+            for b in ctx.units():
+                spec = curves.CurveSpec(ctx, e, d, a, b)
+                assert curves.count_theorem(spec) == curves.count_bruteforce(spec), (e, d, a, b)
+
+
+def test_plan_built_once_per_family():
+    ctx = charsum.make_field(37)
+    families = _admissible(37)
+    rng = random.Random(37)
+    for _ in range(300):
+        e, d = rng.choice(families)
+        a, b = rng.randrange(1, 37), rng.randrange(1, 37)
+        curves.count_theorem(curves.CurveSpec(ctx, e, d, a, b))
+    plans = [k for k in ctx._cache if isinstance(k, tuple) and k[0] == "count_plan"]
+    assert sorted(plans) == sorted(("count_plan", e, d) for e, d in families)
+
+
+@pytest.mark.parametrize("pn,e,d", [((37, 1), 3, 4), ((181, 1), 3, 3), ((3, 4), 5, 2)],
+                         ids=["37-3-4", "181-3-3", "81-5-2"])
+def test_plan_reads_the_series_tables_in_place(pn, e, d):
+    ctx = charsum.make_field(*pn)
+    curves.count_theorem(curves.CurveSpec(ctx, e, d, 1, 2))
+    plan = ctx._cache[("count_plan", e, d)]
+    coef, expo, _, *tables = plan
+    assert len(tables) == e - 1 and expo.shape == (2, coef.size)
+    for arr in plan:
+        assert not arr.flags.writeable
+    series = [
+        hyperf.hf_table(ctx, *key[1:])
+        for key in ctx._cache if isinstance(key, tuple) and key[0] == "hf"
+    ]
+    for tab in tables:
+        assert any(np.shares_memory(tab, s) for s in series)
 
 
 def test_thm_coeffs_dual_forms():
@@ -214,10 +277,65 @@ def test_thm_coeffs_e2_closed_forms(f13):
     assert abs(tc.m_simplified[0] - 13 * sign) < 1e-9
 
 
+# -- the count as directly summed character sums (O(q^2) time, tests only) ----
+
+def _difference_histogram(ctx, us, vs):
+    """hist[s] = #{(i, j) : us[i] - vs[j] = s} as float64 integers, in O(q)
+    memory: the additive correlation of the two value histograms."""
+    counts = np.bincount(us, minlength=ctx.q), np.bincount(ctx.neg_vec(vs), minlength=ctx.q)
+    return np.rint(sums._convolve_add(ctx, *counts).real)
+
+
+def indicator_decomposition(spec):
+    """Directly summed pieces of q*N = q^2 + A + B + C + D.
+
+    A and B carry closed forms (A = -1, B = 1 + q * sum_i T^(-i(q-1)/e)(b));
+    C + D is exactly q*N - q^2 - q*sum_i T^(-i(q-1)/e)(b).  Every piece here
+    is computed from its defining character sum for cross-checking.
+    """
+    ctx = spec.ctx
+    q = ctx.q
+    theta = chars.theta_table(ctx)
+    zs = np.arange(1, q, dtype=np.int64)
+
+    a_direct = complex(np.sum(theta[ctx.mul_vec(zs, spec.b)]))
+
+    ye = ctx.pow_vec(zs, spec.e)  # y^e over nonzero y
+    b_direct = 0j
+    for z in ctx.units():
+        bz = theta[ctx.mul(spec.b, z)]
+        b_direct += bz * np.sum(theta[ctx.mul_vec(ye, ctx.neg(z))])
+
+    vals = _unit_values(spec)  # x^d + a*x + b over nonzero x
+    c_direct = 0j
+    for z in ctx.units():
+        c_direct += np.sum(theta[ctx.mul_vec(vals, z)])
+
+    # D accumulated through the multiplicity histogram of v(x) - y^e
+    hist = _difference_histogram(ctx, vals, ye)
+    d_direct = 0j
+    for z in ctx.units():
+        d_direct += np.sum(hist * theta[ctx.mul_vec(np.arange(q, dtype=np.int64), z)])
+
+    b_closed = None
+    if (q - 1) % spec.e == 0:
+        m1 = (q - 1) // spec.e
+        b_closed = 1 + q * sum(
+            chars.mul_char(ctx, -i * m1, spec.b) for i in range(1, spec.e)
+        )
+    return {
+        "a_direct": a_direct,
+        "a_closed": -1 + 0j,
+        "b_direct": b_direct,
+        "b_closed": b_closed,
+        "cd_direct": c_direct + d_direct,
+    }
+
+
 def test_indicator_decomposition(f13, f19):
     for ctx, e, d in [(f13, 2, 3), (f13, 3, 2), (f19, 3, 3)]:
         spec = curves.CurveSpec(ctx, e, d, 1, 5)
-        parts = curves.indicator_decomposition(spec)
+        parts = indicator_decomposition(spec)
         q = ctx.q
         tol = 1e-9 * q * q
         assert abs(parts["a_direct"] - parts["a_closed"]) < tol
@@ -234,11 +352,11 @@ def test_difference_histogram_matches_outer_difference(pn):
     ctx = field(*pn)
     for e, d, a, b in [(2, 3, 1, 5), (3, 2, 2, 1), (3, 3, 1, 1)]:
         spec = curves.CurveSpec(ctx, e, d, a, b)
-        vals = curves._unit_values(spec)
+        vals = _unit_values(spec)
         ye = ctx.pow_vec(np.arange(1, ctx.q), e)
         diff = ctx.add_vec(vals[:, None], ctx.neg_vec(ye)[None, :])
         want = np.bincount(diff.ravel(), minlength=ctx.q)
-        got = curves._difference_histogram(ctx, vals, ye)
+        got = _difference_histogram(ctx, vals, ye)
         assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
@@ -246,7 +364,7 @@ def test_count_residual_identity(f13):
     # q*N - q^2 - q*sum_i T^(-i(q-1)/e)(b) equals the C+D character sums
     for e, d, a, b in [(2, 3, 1, 1), (3, 2, 2, 5)]:
         spec = curves.CurveSpec(f13, e, d, a, b)
-        parts = curves.indicator_decomposition(spec)
+        parts = indicator_decomposition(spec)
         q = f13.q
         m1 = (q - 1) // e
         sum_b = sum(chars.mul_char(f13, -i * m1, b) for i in range(1, e))
@@ -261,7 +379,7 @@ def test_trace_frobenius(f13, f37):
         spec, method="theorem"
     )
     spec = curves.CurveSpec(f37, 3, 4, 1, 1)
-    assert curves.trace_frobenius(spec) == 37 - curves.count_theorem_even(spec)
+    assert curves.trace_frobenius(spec) == 37 - curves.count_theorem(spec)
 
 
 def test_trace_hasse_bound_sweep(f13):
