@@ -5,18 +5,22 @@ JSON output is line-delimited with the fixed key set
 {q, e, d, a, b, formula_re, formula_im, oracle, match, disc, ms};
 verify streams add a leading "case" key naming the checked identity/config.
 CSV uses the same columns in the same order.  The "table" format is for
-humans and not schema-stable.
+humans and not schema-stable.  A `count` row's ms is its block's wall time
+divided by the block's rows.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import random
 import sys
 import time
+
+import numpy as np
 
 from . import apps, chars, curves, hyperf, sums
 from .field import DEFAULT_SIZE_CAP, DEFAULT_TOL, FieldError, factor_prime_power, make_field
@@ -143,9 +147,7 @@ def _count_cases(ctx, args):
     if len(chosen) > 1:
         raise CliError(f"{' and '.join(chosen)} conflict; choose one way to pick (a, b)")
     if args.sweep:
-        for a in ctx.units():
-            for b in ctx.units():
-                yield a, b
+        yield from itertools.product(ctx.units(), repeat=2)
     elif args.random is not None:
         rng = random.Random(args.seed)
         for _ in range(args.random):
@@ -160,46 +162,49 @@ def _count_cases(ctx, args):
         yield a, b
 
 
+def _guarded_count(spec):
+    try:
+        return curves.count_theorem(spec)
+    except curves.RoundingGuardError:
+        return None
+
+
 def _count_rows(ctx, args):
-    for a, b in _count_cases(ctx, args):
-        spec = curves.CurveSpec(ctx, args.e, args.d, a, b)
-        oracle = curves.count_bruteforce(spec)
+    """Row dicts of the (a, b) selection, a list per block of curves.BLOCK_CELLS cells."""
+    e, d = args.e, args.d
+    cases = _count_cases(ctx, args)
+    while block := list(itertools.islice(cases, max(1, curves.BLOCK_CELLS // (ctx.q - 1)))):
+        a, b = np.array(block, dtype=np.int64).T
+        spec = curves.CurveSpec(ctx, e, d, a, b)
+        oracle = curves.count_bruteforce(spec).tolist()
         try:
-            formula = curves.count_theorem(spec)
-            disc = float(abs(formula - oracle))
-            formula_re = float(formula)
-        except curves.RoundingGuardError:
-            formula_re = float("nan")
-            disc = float("inf")
-        yield {
-            "q": ctx.q,
-            "e": args.e,
-            "d": args.d,
-            "a": a,
-            "b": b,
-            "formula_re": formula_re,
-            "formula_im": 0.0,
-            "oracle": oracle,
-            "match": disc == 0.0,
-            "disc": disc,
-        }
+            formula = curves.count_theorem(spec).tolist()
+        except curves.RoundingGuardError:  # one row at a time: only failing rows read NaN
+            formula = [_guarded_count(curves.CurveSpec(ctx, e, d, *ab)) for ab in block]
+        rows = []
+        for (a_i, b_i), n_i, f_i in zip(block, oracle, formula):
+            disc = float("inf") if f_i is None else float(abs(f_i - n_i))
+            rows.append({
+                "q": ctx.q, "e": e, "d": d, "a": a_i, "b": b_i,
+                "formula_re": float("nan") if f_i is None else float(f_i),
+                "formula_im": 0.0, "oracle": n_i, "match": disc == 0.0, "disc": disc,
+            })
+        yield rows
 
 
 def cmd_count(args, emitter: _Emitter) -> None:
     ctx = _build_field(args)
     if args.e < 1 or args.d < 2:
         raise CliError("need e >= 1 and d >= 2")
-    probe = curves.CurveSpec(ctx, args.e, args.d, 1, 1)
     try:
-        curves.require_congruence(probe)
+        # the Gauss table, plan and oracle tables, built outside every block's ms
+        curves.count_tables(ctx, args.e, args.d)
     except curves.CongruenceError as exc:
         raise CliError(str(exc)) from exc
-    # Every row shares the Gauss table; building it here keeps the build
-    # out of the first row's ms.
-    sums.gauss_table(ctx)
-    for row, ms in _timed(_count_rows(ctx, args)):
-        row["ms"] = ms
-        emitter.emit(row)
+    for rows, ms in _timed(_count_rows(ctx, args)):
+        for row in rows:
+            row["ms"] = ms / len(rows)
+            emitter.emit(row)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +279,8 @@ def _random_unit_pairs(ctx, rng, count, distinct=False):
 def _suite_edwards(ctx, args):
     # the closed form does not cover alpha == beta (series argument 1);
     # sampling sticks to the off-diagonal where it is an identity
+    if ctx.q % 2 == 0:  # and at q = 2 the off-diagonal is empty
+        raise CliError(f"edwards needs odd q, got q = {ctx.q}")
     rng = random.Random(args.seed)
     for alpha, beta in _random_unit_pairs(ctx, rng, args.count, distinct=True):
         oracle = apps.edwards_count_bruteforce(ctx, alpha, beta)
@@ -403,11 +410,19 @@ def _count_arg(text: str) -> int:
     return value
 
 
+def _tol_arg(text: str) -> float:
+    """A tolerance: a finite float > 0 (argparse exits 2 otherwise)."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"need a finite value > 0, got {text}")
+    return value
+
+
 def _add_field_args(parser):
     parser.add_argument("--q", type=int, help="field size (prime power)")
     parser.add_argument("--p", type=int, help="characteristic (alternative to --q)")
     parser.add_argument("--n", type=int, default=1, help="extension degree (with --p)")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    parser.add_argument("--tol", type=_tol_arg, default=DEFAULT_TOL,
                         help="base per-summand tolerance")
     parser.add_argument("--size-cap", type=int, default=None,
                         help="max permitted q (env CHARSUM_SIZE_CAP)")

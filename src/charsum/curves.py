@@ -26,6 +26,9 @@ from . import chars, hyperf, sums
 from .field import FieldCtx
 
 ROUND_GUARD = 0.01
+# Oracle cells (curves times q-1) that count_bruteforce holds at once for
+# arrays of curves; `charsum count` cuts its selection into blocks of this size.
+BLOCK_CELLS = 1 << 15
 # Cells of the (x, y) comparison matrix that count_naive holds at once.
 _NAIVE_BLOCK_CELLS = 1 << 20
 
@@ -40,7 +43,7 @@ class RoundingGuardError(ArithmeticError):
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Curve y^e = x^d + a*x + b over a fixed field context."""
+    """Curve y^e = x^d + a*x + b over a fixed field context, or a block of them."""
 
     ctx: FieldCtx
     e: int
@@ -53,7 +56,14 @@ class CurveSpec:
             raise ValueError("need e >= 1")
         if self.d < 2:
             raise ValueError("need d >= 2")
-        if not (0 < self.a < self.ctx.q) or not (0 < self.b < self.ctx.q):
+        a, b, q = self.a, self.b, self.ctx.q
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            a, b = np.asarray(a), np.asarray(b)
+            if a.ndim != 1 or a.shape != b.shape or {a.dtype.kind, b.dtype.kind} != {"i"}:
+                raise ValueError("array a, b must be 1-D signed-int arrays of equal length")
+            # the smallest and the largest entry stand for both arrays
+            a, b = min(a.min(initial=1), b.min(initial=1)), max(a.max(initial=1), b.max(initial=1))
+        if not (0 < a < q and 0 < b < q):
             raise ValueError("coefficients a, b must be nonzero field elements")
 
     @property
@@ -98,26 +108,29 @@ def _power_counts(ctx: FieldCtx, e: int) -> np.ndarray:
     return np.bincount(ctx.pow_vec(np.arange(ctx.q, dtype=np.int64), e), minlength=ctx.q)
 
 
-def _pow_by_exp(ctx: FieldCtx, d: int) -> np.ndarray:
-    """x^d at x = g^k for k in [0, q-2]: exp[d*k mod (q-1)], cached per d."""
-    return ctx.cached(("pow_by_exp", d), _exp_multiples, ctx, d)
-
-
-def _exp_multiples(ctx: FieldCtx, d: int) -> np.ndarray:
-    L = ctx.q - 1
-    return ctx.exp[(d * np.arange(L, dtype=np.int64)) % L]
-
-
 def _spread_planes(ctx: FieldCtx, d: int | None) -> tuple[np.ndarray, ...]:
     """Spread planes of x^d at x = g^k for k in [0, q-2] or, with d None, of
     exp written twice over (exp rotated by s is its slice [s:s+q-1]): (xs,)
     for n = 1, where the spread of x is x itself, and (spread_hi[xs],
     spread_lo[xs]) else."""
-    xs = np.tile(ctx.exp, 2) if d is None else _pow_by_exp(ctx, d)
+    L = ctx.q - 1
+    xs = np.tile(ctx.exp, 2) if d is None else ctx.exp[(d * np.arange(L, dtype=np.int64)) % L]
     return (xs,) if ctx.n == 1 else (ctx._spread_hi[xs], ctx._spread_lo[xs])
 
 
-def count_bruteforce(spec: CurveSpec) -> int:
+def _oracle_tables(ctx: FieldCtx, e: int, d: int) -> tuple:
+    """(counts, gathers, xd, ex) of count_bruteforce, gathers being the tables
+    a sum of spread planes indexes: tiled counts for n = 1, _red_hi, _red_lo else."""
+    counts = power_count_table(ctx, e)
+    if ctx.n == 1:
+        gathers = (ctx.cached(("power_counts_tiled", e), np.resize, counts, 3 * ctx.p - 2),)
+    else:
+        gathers = (ctx._red_hi, ctx._red_lo)
+    return (counts, gathers, ctx.cached(("spread_pow_by_exp", d), _spread_planes, ctx, d),
+            ctx.cached("spread_exp2", _spread_planes, ctx, None))
+
+
+def count_bruteforce(spec: CurveSpec) -> int | np.ndarray:
     """Affine point count by tabulating the e-th power class of each x-value.
 
     x = 0 contributes counts[b].  The units x = g^k are summed in generator
@@ -128,23 +141,41 @@ def count_bruteforce(spec: CurveSpec) -> int:
     for n > 1 one add and one reduction gather per digit half, then one
     gather from counts.  The arrays are per-context buffers, so a warm call
     allocates no length-(q-1) array, and calls on one context must not overlap.
+    Array a, b give an int64 array, BLOCK_CELLS cells at a time: one add per
+    row writes x^d + a*x into the buffers, and each other step is one call.
     """
     ctx, b, d = spec.ctx, spec.b, spec.d
     L = ctx.q - 1
-    s = int(ctx.dlog[spec.a])
-    counts = power_count_table(ctx, spec.e)
-    xd = ctx.cached(("spread_pow_by_exp", d), _spread_planes, ctx, d)
-    ex = ctx.cached("spread_exp2", _spread_planes, ctx, None)
-    # Writable scratch, not a table, so not through ctx.cached, which freezes.
+    counts, gathers, xd, ex = _oracle_tables(ctx, spec.e, d)
+    # Writable scratch, not a table, so not through ctx.cached, which freezes:
+    # three rows for one curve, three blocks of BLOCK_CELLS cells for arrays.
     buffers = ctx._cache.get("oracle_buffers")
     if buffers is None:
-        buffers = ctx._cache["oracle_buffers"] = np.empty((3, L), dtype=np.int64)
-    idx, val, got = buffers
+        buffers = ctx._cache["oracle_buffers"] = (
+            np.empty((3, L), dtype=np.int64),
+            np.empty((3, max(1, BLOCK_CELLS // L), L), dtype=np.int64))
+    if isinstance(b, np.ndarray):
+        step = buffers[1].shape[1]
+        offsets = (b,) if ctx.n == 1 else (ctx._spread_hi[b], ctx._spread_lo[b])
+        shifts, total = ctx.dlog[spec.a].tolist(), counts[b]
+        for i in range(0, b.size, step):
+            val, got, tmp = buffers[1][:, :min(step, b.size - i)]
+            for k, (table, offset, plane, rotated) in enumerate(zip(gathers, offsets, xd, ex)):
+                for row, s in zip(val, shifts[i:i + step]):
+                    np.add(plane, rotated[s:s + L], out=row)
+                val += offset[i:i + step, None]
+                np.take(table, val, out=tmp if k else got, mode="clip")
+            if ctx.n > 1:
+                got += tmp
+                np.take(counts, got, out=tmp, mode="clip")
+            total[i:i + step] += (got if ctx.n == 1 else tmp).sum(axis=1)
+        return total
+    s = int(ctx.dlog[spec.a])
+    idx, val, got = buffers[0]
     np.add(xd[0], ex[0][s:s + L], out=idx)
     if ctx.n == 1:
-        tiled = ctx.cached(("power_counts_tiled", spec.e), np.resize, counts, 3 * ctx.p - 2)
         # mode="clip" writes straight to out ("raise" buffers it); indices lie in range
-        np.take(tiled[b:], idx, out=got, mode="clip")
+        np.take(gathers[0][b:], idx, out=got, mode="clip")
     else:
         np.take(ctx._red_hi[ctx._spread_hi[b]:], idx, out=val, mode="clip")
         np.add(xd[1], ex[1][s:s + L], out=idx)
@@ -336,15 +367,38 @@ def _count_plan(spec: CurveSpec) -> tuple:
     return (coef, expo, np.array([c0, shift], dtype=np.int64), *(s[3] for s in series))
 
 
-def count_theorem(spec: CurveSpec) -> int:
+def count_tables(ctx: FieldCtx, e: int, d: int) -> None:
+    """Build the plan (checking the congruence) and oracle tables of the (e, d) family."""
+    ctx.cached(("count_plan", e, d), _count_plan, CurveSpec(ctx, e, d, 1, 1))
+    _oracle_tables(ctx, e, d)
+
+
+def count_theorem(spec: CurveSpec) -> int | np.ndarray:
     """Closed-form count: the (field, e, d) plan read at dlog(a) and dlog(b).
 
-    Plans hold a handful of terms, so they are summed as Python scalars;
-    array operations on them cost more than the arithmetic."""
+    Plans hold a handful of terms, so one curve's terms are summed as Python
+    scalars; array operations on them cost more than the arithmetic.  Array
+    a, b give an int64 array: one gather per term over all rows."""
     ctx, d = spec.ctx, spec.d
     L = ctx.q - 1
     coef, expo, consts, *tables = ctx.cached(("count_plan", spec.e, d), _count_plan, spec)
     c0, shift = consts.tolist()
+    if isinstance(spec.b, np.ndarray):
+        lb, la = ctx.dlog[spec.b], ctx.dlog[spec.a]
+        l_alpha = (c0 + (d - 1) * lb - d * la) % L
+        phase = (expo[0][:, None] * lb + expo[1][:, None] * l_alpha) % L
+        z = coef[:, None] * chars.unit_roots(ctx)[phase]
+        s = (l_alpha + shift) % L
+        for j, table in enumerate(tables):
+            z[j] *= table[s]
+        # _round_guarded's guards, refusing the block if any row fails
+        z, imag_tol = z.sum(axis=0), min(ROUND_GUARD, ctx.tol * ctx.q * ctx.q)
+        r = np.round(z.real)
+        im, re = np.abs(z.imag), np.abs(z.real - r)
+        if not ((im < imag_tol) & (re < ROUND_GUARD)).all():
+            raise RoundingGuardError(f"worst residues: imaginary {im.max():.3e} (guard "
+                                     f"{imag_tol:.3e}), rounding {re.max():.3e}")
+        return r.astype(np.int64)
     lb, la = int(ctx.dlog[spec.b]), int(ctx.dlog[spec.a])
     l_alpha = (c0 + (d - 1) * lb - d * la) % L
     s = (l_alpha + shift) % L

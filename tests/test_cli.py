@@ -1,15 +1,17 @@
 """CLI behavior: formats, exit codes, determinism, env overrides."""
 
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import charsum
-from charsum import cli
+from charsum import cli, curves
 
 
 def run_cli(argv):
@@ -199,21 +201,83 @@ def test_exit_code_one_on_mismatch(monkeypatch):
 
 
 def test_count_builds_gauss_table_before_first_row(monkeypatch):
-    # the table build belongs to no row, so it must not land in row 1's ms
+    # the table builds belong to no row, so they must not land in block 1's ms
     from charsum import curves as curves_mod
 
     real = curves_mod.count_bruteforce
     seen = []
+    built = ("gauss", ("count_plan", 3, 4), ("power_counts", 3), ("power_counts_tiled", 3),
+             ("spread_pow_by_exp", 4), "spread_exp2")
 
     def spy(spec):
-        seen.append("gauss" in spec.ctx._cache)
+        seen.append(all(key in spec.ctx._cache for key in built))
         return real(spec)
 
     monkeypatch.setattr(cli.curves, "count_bruteforce", spy)
     code, _ = run_cli(["count", "--q", "37", "--e", "3", "--d", "4", "--random", "3",
                        "--seed", "1", "--format", "json"])
     assert code == 0
-    assert seen == [True, True, True]
+    assert seen and all(seen)
+
+
+def _scalar_rows(ctx, e, d, cases):
+    """The rows of `count` as the scalar counts give them, one curve per call."""
+    for a, b in cases:
+        spec = curves.CurveSpec(ctx, e, d, a, b)
+        oracle = curves.count_bruteforce(spec)
+        try:
+            formula = curves.count_theorem(spec)
+            formula_re, disc = float(formula), float(abs(formula - oracle))
+        except curves.RoundingGuardError:
+            formula_re, disc = float("nan"), float("inf")
+        yield json.dumps({"q": ctx.q, "e": e, "d": d, "a": a, "b": b, "formula_re": formula_re,
+                          "formula_im": 0.0, "oracle": oracle, "match": disc == 0.0,
+                          "disc": disc})
+
+
+def _rows_without_ms(out):
+    # the text of each JSON line with its last key, ms, cut off
+    return [line[:line.rindex(', "ms": ')] + "}" for line in out.splitlines()]
+
+
+@pytest.mark.parametrize(
+    "p,n,e,d,select",
+    [
+        (37, 1, 3, 3, ["--sweep"]),
+        (181, 1, 2, 3, ["--random", "500", "--seed", "4"]),  # blocks of 182 rows
+        (7, 4, 2, 5, ["--random", "100", "--seed", "3"]),
+        (13, 1, 2, 3, ["--a", "5", "--b", "7"]),
+    ],
+    ids=["sweep-37", "random-181", "random-7^4", "a-b"],
+)
+def test_count_block_rows_equal_scalar_rows(p, n, e, d, select):
+    code, out = run_cli(["count", "--p", str(p), "--n", str(n), "--e", str(e), "--d", str(d),
+                         *select, "--format", "json"])
+    assert code == 0
+    ctx = charsum.make_field(p, n)
+    if select[0] == "--sweep":
+        cases = itertools.product(ctx.units(), repeat=2)
+    elif select[0] == "--random":
+        rng = random.Random(int(select[3]))
+        cases = [(rng.randrange(1, ctx.q), rng.randrange(1, ctx.q)) for _ in range(int(select[1]))]
+    else:
+        cases = [(5, 7)]
+    assert _rows_without_ms(out) == list(_scalar_rows(ctx, e, d, cases))
+
+
+def test_count_guard_failures_stay_per_row(monkeypatch):
+    # a guard tight enough that some curves of the q = 37 (3, 4) family fail:
+    # their rows, and only theirs, read NaN and Infinity
+    monkeypatch.setattr(curves, "ROUND_GUARD", 1e-14)
+    code, out = run_cli(["count", "--q", "37", "--e", "3", "--d", "4", "--sweep",
+                         "--format", "json"])
+    assert code == 1
+    ctx = charsum.make_field(37)
+    want = list(_scalar_rows(ctx, 3, 4, ((a, b) for a in range(1, 37) for b in range(1, 37))))
+    assert _rows_without_ms(out) == want
+    failed = [row for row in want if '"formula_re": NaN' in row]
+    assert 0 < len(failed) < len(want)
+    assert all('"disc": Infinity' in row for row in failed)
 
 
 @pytest.mark.parametrize(
@@ -249,3 +313,32 @@ def test_conflicting_case_selectors_exit_2(extra, capsys):
 
 def test_count_random_zero_emits_no_rows():
     assert run_cli(["count", "--q", "13", "--e", "2", "--d", "3", "--random", "0"]) == (0, "")
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--q", "13", "--e", "2", "--d", "3", "--a", "1", "--b", "1"],
+        ["verify", "--suite", "lemmas", "--q", "13"],
+        ["eval", "gauss", "--q", "13", "--m", "1"],
+    ],
+    ids=["count", "verify", "eval"],
+)
+def test_tol_must_be_finite_and_positive(argv, tol, capsys):
+    code, out = run_cli(argv + ["--tol", tol])
+    assert code == 2 and out == ""
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_edwards_at_even_q_exits_2():
+    # at q = 2 the only unit pair has alpha == beta, which the suite skips
+    src_dir = os.path.dirname(os.path.dirname(charsum.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "charsum.cli", "verify", "--suite", "edwards", "--q", "2",
+         "--count", "1"],
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_dir},
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "odd q" in proc.stderr

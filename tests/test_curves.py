@@ -1,5 +1,6 @@
 """Point counting: enumeration oracles, closed forms, coefficient dual forms."""
 
+import itertools
 import math
 import os
 import random
@@ -80,7 +81,7 @@ def _unit_values(spec):
     ctx = spec.ctx
     s = int(ctx.dlog[spec.a])
     ax = np.concatenate((ctx.exp[s:], ctx.exp[:s]))  # a*x = exp[k + dlog(a)]
-    return ctx.add_vec(ctx.add_vec(curves._pow_by_exp(ctx, spec.d), ax), spec.b)
+    return ctx.add_vec(ctx.add_vec(ctx.pow_vec(ctx.exp, spec.d), ax), spec.b)
 
 
 @pytest.mark.parametrize("p,n", [(16381, 1), (3, 8)], ids=["16381", "3^8"])
@@ -222,6 +223,96 @@ def test_plan_counts_every_curve(pn, families):
             for b in ctx.units():
                 spec = curves.CurveSpec(ctx, e, d, a, b)
                 assert curves.count_theorem(spec) == curves.count_bruteforce(spec), (e, d, a, b)
+
+
+_ARRAY_SWEEPS = [sweep for sweep in _PLAN_SWEEPS if sweep[0][0] ** sweep[0][1] in (13, 37, 25, 49, 81, 181)]
+
+
+@pytest.mark.parametrize(
+    "pn,families", _ARRAY_SWEEPS, ids=[str(p**n) for (p, n), _ in _ARRAY_SWEEPS]
+)
+def test_array_route_equals_scalar_route(pn, families):
+    # every (a, b) once, in q-1 blocks whose rows vary in both a and b
+    ctx = field(*pn)
+    units = np.arange(1, ctx.q, dtype=np.int64)
+    for e, d in families or _admissible(ctx.q):
+        scalar = {}
+        for a in ctx.units():
+            for b in ctx.units():
+                spec = curves.CurveSpec(ctx, e, d, a, b)
+                scalar[a, b] = (curves.count_bruteforce(spec), curves.count_theorem(spec))
+        for shift in range(ctx.q - 1):
+            b = np.roll(units, shift)
+            block = curves.CurveSpec(ctx, e, d, units, b)
+            oracle, formula = curves.count_bruteforce(block), curves.count_theorem(block)
+            assert oracle.dtype == formula.dtype == np.int64
+            want = np.array([scalar[a, b_j] for a, b_j in zip(units.tolist(), b.tolist())])
+            assert np.array_equal(oracle, want[:, 0]), (e, d, shift)
+            assert np.array_equal(formula, want[:, 1]), (e, d, shift)
+
+
+@pytest.mark.parametrize("p,n,e,d", [(16381, 1, 3, 4), (3, 8, 5, 2)], ids=["16381", "3^8"])
+def test_array_route_random_curves_large_fields(p, n, e, d):
+    ctx = field(p, n)
+    rng = np.random.default_rng(ctx.q)
+    a, b = rng.integers(1, ctx.q, size=(2, 300))
+    block = curves.CurveSpec(ctx, e, d, a, b)
+    oracle, formula = curves.count_bruteforce(block), curves.count_theorem(block)
+    for j in range(a.size):
+        spec = curves.CurveSpec(ctx, e, d, int(a[j]), int(b[j]))
+        assert oracle[j] == curves.count_bruteforce(spec) == formula[j] == curves.count_theorem(spec)
+
+
+def test_array_spec_validation(f13):
+    ok = np.array([1, 5, 12])
+    for a, b in [
+        (np.array([1, 0, 3]), ok),  # a zero
+        (ok, np.array([1, 13, 3])),  # out of range
+        (ok, np.array([-1, 2, 3])),
+        (ok, ok[:2]),  # unequal lengths
+        (ok, 5),
+        (ok.reshape(1, 3), ok.reshape(1, 3)),
+        (ok.astype(float), ok),
+    ]:
+        with pytest.raises(ValueError):
+            curves.CurveSpec(f13, 2, 3, a, b)
+
+
+def _scalar_guard_failures(ctx, e, d, guard, monkeypatch):
+    monkeypatch.setattr(curves, "ROUND_GUARD", guard)
+    failing = set()
+    for a in ctx.units():
+        for b in ctx.units():
+            try:
+                curves.count_theorem(curves.CurveSpec(ctx, e, d, a, b))
+            except curves.RoundingGuardError:
+                failing.add((a, b))
+    return failing
+
+
+def test_array_route_guard_failure(monkeypatch):
+    # A guard tight enough that some curves of the q = 37 (3, 4) family fail;
+    # their residues are a few units in the last place.  A block is refused
+    # if one row fails at 1.5 times the guard on its own, and accepted if no
+    # row fails at 0.7 times it: the margin absorbs a last-place difference
+    # between the array and the scalar sums.
+    ctx = field(37)
+    guard = 1e-14
+    sure = _scalar_guard_failures(ctx, 3, 4, 1.5 * guard, monkeypatch)
+    maybe = _scalar_guard_failures(ctx, 3, 4, 0.7 * guard, monkeypatch)
+    clean = sorted(set(itertools.product(range(1, 37), repeat=2)) - maybe)
+    assert sure and clean
+    monkeypatch.setattr(curves, "ROUND_GUARD", guard)
+
+    def block(rows):
+        a, b = np.array(rows, dtype=np.int64).T
+        return curves.CurveSpec(ctx, 3, 4, a, b)
+
+    accepted = block(clean)
+    assert np.array_equal(curves.count_theorem(accepted), curves.count_bruteforce(accepted))
+    for j, row in enumerate(sorted(sure)):
+        with pytest.raises(curves.RoundingGuardError):
+            curves.count_theorem(block(clean[j:j + 10] + [row] + clean[j + 10:j + 20]))
 
 
 def test_plan_built_once_per_family():
