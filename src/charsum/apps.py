@@ -6,6 +6,13 @@ the quadratic-twist bridge between y^2 = x^3 + a*x^2 + b*x and twisted
 Edwards curves, and the resulting 2F1 evaluations at 1/2 and 1323/1331.
 The Edwards and shifted-cubic oracles count points in O(q) by square
 classes, from the table curves.power_count_table(ctx, 2).
+
+lennon_trace, e34_trace and both Edwards counts also take equal-length int
+arrays for (a, b) or (alpha, beta) and return int64 arrays, for blocks of
+curves: the formulas work out dlog of each series argument and character
+argument from dlog a and dlog b and gather from unit_roots and the
+hf_table arrays, and the Edwards oracle works through the per-field oracle
+buffers.  Int arguments keep the scalar code, which is faster on one curve.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import chars, hyperf, sums
-from .curves import _round_guarded, power_count_table
+from .curves import _oracle_buffers, _round_guarded, _unit_extremes, power_count_table
 from .field import FieldCtx
 from .report import VerifyReport
 
@@ -27,15 +34,41 @@ def _require_unit(ctx: FieldCtx, value: int, label: str):
     _require(0 < value < ctx.q, f"{label} must be a nonzero element of F_{ctx.q}")
 
 
-def lennon_trace(ctx: FieldCtx, a: int, b: int) -> int:
+def _require_units(ctx: FieldCtx, x, y, labels=("a", "b")) -> bool:
+    """Check that x and y are nonzero elements, or equal-length 1-D int arrays
+    of them; returns whether they are arrays."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        lo, hi = _unit_extremes(x, y)
+        _require(0 < lo and hi < ctx.q,
+                 f"{labels[0]}, {labels[1]} must be nonzero elements of F_{ctx.q}")
+        return True
+    _require_unit(ctx, x, labels[0])
+    _require_unit(ctx, y, labels[1])
+    return False
+
+
+def _dlogs(ctx: FieldCtx, *consts: int) -> list[int]:
+    """Discrete logs of integer constants embedded in F_q."""
+    return [ctx.dlog_of(ctx.embed(c)) for c in consts]
+
+
+def lennon_trace(ctx: FieldCtx, a, b):
     """Trace of Frobenius of y^2 = x^3 + a*x + b via the order-12 2F1 formula.
 
     Needs q = 1 mod 12 and a, b != 0 (equivalently j not in {0, 1728}).
+    Equal-length int arrays a, b give an int64 array of traces, read from
+    the series table at dlog of the argument worked out from dlog a, dlog b.
     """
     L = ctx.q - 1
     _require(L % 12 == 0, f"q = {ctx.q} is not 1 mod 12")
-    _require_unit(ctx, a, "a")
-    _require_unit(ctx, b, "b")
+    if _require_units(ctx, a, b):
+        la, lb = ctx.dlog[a], ctx.dlog[b]
+        l_neg, l4, l27 = _dlogs(ctx, -1, 4, 27)
+        # the argument -27 b^2 / (4 a^3) and a^3 / 27
+        series = hyperf.hf_table(ctx, [L // 12, 5 * L // 12], [L // 2])[
+            (l_neg + l27 + 2 * lb - l4 - 3 * la) % L]
+        char = chars.unit_roots(ctx)[(L // 4 * (3 * la - l27)) % L]
+        return _round_guarded(ctx, -ctx.q * char * series)
     a3_27 = ctx.div(ctx.pow(a, 3), ctx.embed(27))
     arg = ctx.neg(ctx.div(ctx.mul(ctx.embed(27), ctx.pow(b, 2)),
                           ctx.mul(ctx.embed(4), ctx.pow(a, 3))))
@@ -44,15 +77,17 @@ def lennon_trace(ctx: FieldCtx, a: int, b: int) -> int:
     return _round_guarded(ctx, total)
 
 
-def e34_trace(ctx: FieldCtx, a: int, b: int) -> int:
+def e34_trace(ctx: FieldCtx, a, b):
     """Trace of Frobenius of y^3 = x^4 + a*x + b via two 4F3 series.
 
-    Needs q = 1 mod 36 and a, b != 0.
+    Needs q = 1 mod 36 and a, b != 0.  Equal-length int arrays a, b give an
+    int64 array of traces; the binomial and Gauss constants are then scalars
+    computed once per call, and the characters and series are gathers.
     """
     L = ctx.q - 1
     _require(L % 36 == 0, f"q = {ctx.q} is not 1 mod 36")
-    _require_unit(ctx, a, "a")
-    _require_unit(ctx, b, "b")
+    if _require_units(ctx, a, b):
+        return _e34_trace_array(ctx, ctx.dlog[a], ctx.dlog[b])
     three_over_b = ctx.div(ctx.embed(3), b)
     # series argument is the even-d alpha = (4/a)(4b/(3a))^3 = 256 b^3 / (27 a^4)
     arg = ctx.div(ctx.mul(ctx.embed(256), ctx.pow(b, 3)),
@@ -85,17 +120,43 @@ def e34_trace(ctx: FieldCtx, a: int, b: int) -> int:
     return _round_guarded(ctx, total)
 
 
+def _e34_trace_array(ctx: FieldCtx, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """e34_trace at a = g^la, b = g^lb, the terms multiplied in the scalar order."""
+    L, q3 = ctx.q - 1, ctx.q**3
+    l_neg, l3, l27, l256 = _dlogs(ctx, -1, 3, 27, 256)
+    roots = chars.unit_roots(ctx)
+    l_arg = (l256 + 3 * lb - l27 - 4 * la) % L  # 256 b^3 / (27 a^4)
+    l_3b = l3 - lb  # 3/b
+    upper = [L // 2, 0, L // 4, 3 * L // 4]
+    f1 = hyperf.hf_table(ctx, upper, [5 * L // 9, 2 * L // 9, 8 * L // 9])[l_arg]
+    f2 = hyperf.hf_table(ctx, upper, [4 * L // 9, L // 9, 7 * L // 9])[l_arg]
+    c1 = (q3 * sums.greene_binom(ctx, 4 * L // 9, L // 3)
+          * sums.greene_binom(ctx, L // 36, 5 * L // 36))
+    c2 = (q3 * sums.greene_binom(ctx, 5 * L // 9, 2 * L // 3)
+          * sums.greene_binom(ctx, 5 * L // 36, L // 36)
+          * complex(roots[(2 * L // 9 * l_neg) % L]))
+    t1 = c1 * roots[(L // 3 * l_3b) % L] * f1
+    t2 = c2 * roots[(2 * L // 3 * l_3b) % L] * f2
+    total = -roots[(-L // 3 * lb) % L] - roots[(-2 * L // 3 * lb) % L] - t1 - t2
+    return _round_guarded(ctx, total)
+
+
 # ---------------------------------------------------------------------------
 # Twisted Edwards curves alpha*x^2 + y^2 = 1 + beta*x^2*y^2
 # ---------------------------------------------------------------------------
 
-def edwards_count_bruteforce(ctx: FieldCtx, alpha: int, beta: int) -> int:
+def edwards_count_bruteforce(ctx: FieldCtx, alpha, beta):
     """Point count by square classes, one x at a time, in O(q).
 
     For fixed x the curve reads y^2 * u = w with u = 1 - beta*x^2 and
     w = 1 - alpha*x^2.  Where u != 0 there are #{y : y^2 = w/u} solutions;
     where u = 0 every y solves it if w = 0 and none does otherwise.
+    Equal-length int arrays of units alpha, beta give an int64 array of
+    counts (see _edwards_count_array).
     """
+    if isinstance(alpha, np.ndarray) or isinstance(beta, np.ndarray):
+        _require_units(ctx, alpha, beta, ("alpha", "beta"))
+        return _edwards_count_array(ctx, alpha, beta)
     x2 = ctx.pow_vec(np.arange(ctx.q, dtype=np.int64), 2)
     u = ctx.add_vec(1, ctx.mul_vec(x2, ctx.neg(beta)))
     w = ctx.add_vec(1, ctx.mul_vec(x2, ctx.neg(alpha)))
@@ -105,12 +166,59 @@ def edwards_count_bruteforce(ctx: FieldCtx, alpha: int, beta: int) -> int:
     return int(squares.sum()) + ctx.q * int(np.count_nonzero(w[~unit] == 0))
 
 
-def edwards_count_formula(ctx: FieldCtx, alpha: int, beta: int) -> int:
-    """Point count via q - 1 - phi(beta) - phi(alpha*beta) + q*phi(-alpha)*2F1."""
-    _require(ctx.q % 2 == 1, "odd q required")
-    _require_unit(ctx, alpha, "alpha")
-    _require_unit(ctx, beta, "beta")
+def _edwards_classes(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """(chi, two_k): chi[t] = counts[1 + g^t] - 1 for t in [0, 2(q-1)), the
+    index taken mod q-1 and counts = power_count_table(ctx, 2), so chi is the
+    quadratic character of 1 + g^t (0 where 1 + g^t = 0, and 0 everywhere for
+    even q, where every element has one square root); two_k = 2k mod q-1."""
     L = ctx.q - 1
+    chi = power_count_table(ctx, 2)[ctx.add_vec(1, ctx.exp)] - 1
+    return np.tile(chi, 2), (2 * np.arange(L, dtype=np.int64)) % L
+
+
+def _edwards_count_array(ctx: FieldCtx, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """edwards_count_bruteforce over arrays of units, BLOCK_CELLS cells at a time.
+
+    Where u != 0, #{y : y^2 * u = w} = counts[w * u] = 1 + chi(u) chi(w).  At
+    x = g^k, u = 1 + g^(s + 2k) with s = dlog(-beta), so chi(u) is entry
+    s + 2k of the chi table, and likewise chi(w).  x = 0 adds counts[1]; u = 0
+    at the counts[beta] units x with beta*x^2 = 1, whose true count is q if
+    w = 1 - alpha/beta = 0 and 0 otherwise, against the 1 the sum gives.
+    The products go through the per-field oracle buffers, so no step
+    allocates a (rows, q-1) temporary.
+    """
+    L = ctx.q - 1
+    chi, two_k = ctx.cached("edwards_classes", _edwards_classes, ctx)
+    counts = power_count_table(ctx, 2)
+    l_neg = ctx.dlog_of(ctx.minus_one())
+    s_alpha, s_beta = ((ctx.dlog[v] + l_neg) % L for v in (alpha, beta))
+    total = counts[1] + L + counts[beta] * (ctx.q * (alpha == beta) - 1)
+    block = _oracle_buffers(ctx)[1]
+    step = block.shape[1]
+    for i in range(0, total.size, step):
+        idx, u, w = block[:, :min(step, total.size - i)]
+        np.add(s_beta[i:i + step, None], two_k, out=idx)
+        np.take(chi, idx, out=u, mode="clip")  # "clip" writes straight to out
+        np.add(s_alpha[i:i + step, None], two_k, out=idx)
+        np.take(chi, idx, out=w, mode="clip")
+        u *= w
+        total[i:i + step] += u.sum(axis=1)
+    return total
+
+
+def edwards_count_formula(ctx: FieldCtx, alpha, beta):
+    """Point count via q - 1 - phi(beta) - phi(alpha*beta) + q*phi(-alpha)*2F1.
+
+    Equal-length int arrays alpha, beta give an int64 array of counts."""
+    _require(ctx.q % 2 == 1, "odd q required")
+    L = ctx.q - 1
+    if _require_units(ctx, alpha, beta, ("alpha", "beta")):
+        la, lb = ctx.dlog[alpha], ctx.dlog[beta]
+        series = hyperf.hf_table(ctx, [L // 2, L // 2], [0])[(lb - la) % L]
+        char = chars.unit_roots(ctx)[(L // 2 * (la + ctx.dlog_of(ctx.minus_one()))) % L]
+        # phi(x) = 1 - 2 * (dlog x mod 2)
+        total = ctx.q - 1 - (1 - 2 * (lb & 1)) - (1 - 2 * ((la + lb) & 1))
+        return _round_guarded(ctx, total + ctx.q * char * series)
     series = hyperf.hf_eval(ctx, [L // 2, L // 2], [0], ctx.div(beta, alpha))
     total = (
         ctx.q

@@ -5,8 +5,11 @@ JSON output is line-delimited with the fixed key set
 {q, e, d, a, b, formula_re, formula_im, oracle, match, disc, ms};
 verify streams add a leading "case" key naming the checked identity/config.
 CSV uses the same columns in the same order.  The "table" format is for
-humans and not schema-stable.  A `count` row's ms is its block's wall time
-divided by the block's rows.
+humans and not schema-stable.  `count` and the lennon, e34 and edwards
+suites evaluate their (a, b) pairs in blocks, one array call of the oracle
+and of the closed form per block, and write a block's rows at once; such a
+row's ms is its block's wall time divided by the block's rows.  Every other
+row's ms is the wall time of the step that produced it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 
 from . import apps, chars, curves, hyperf, sums
 from .field import DEFAULT_SIZE_CAP, DEFAULT_TOL, FieldError, factor_prime_power, make_field
-from .report import VerifyReport
 
 VERIFY_SUITES = (
     "lemmas",
@@ -81,8 +83,44 @@ def _parse_exponents(text: str, label: str) -> list[int]:
         raise CliError(f"bad exponent list for {label}: {text!r}") from exc
 
 
+def _row_count(row: dict) -> int:
+    """Rows a row dict stands for: the length of its list values, else 1."""
+    return next((len(v) for v in row.values() if isinstance(v, list)), 1)
+
+
+_JSON_KEYS = {key: json.dumps(key) + ": " for key in ("case", *_COLUMNS)}
+
+
+def _json_lines(row: dict) -> str:
+    """The JSON lines of the rows a row dict stands for, each the text
+    json.dumps gives it.
+
+    Shared values are written once into a template with a %s slot per list
+    value, and the (nonempty) lists fill the slots.  One json.dumps writes
+    the shared numbers, booleans and nulls and every list: none of their
+    texts holds "[", "]" or ", ", so splitting there gives each entry's text.
+    Strings, which may, are written by json.dumps on their own.
+    """
+    lists = [v for v in row.values() if isinstance(v, list)]
+    if not lists:
+        return json.dumps(row) + "\n"
+    shared = [v for v in row.values() if not isinstance(v, (list, str))]
+    texts = [t.split(", ") for t in json.dumps([shared, *lists])[2:-2].split("], [")]
+    shared_texts = iter(texts[0])
+    template = "{" + ", ".join(_JSON_KEYS[key] + (
+        "%s" if isinstance(v, list) else
+        json.dumps(v).replace("%", "%%") if isinstance(v, str) else next(shared_texts))
+        for key, v in row.items()) + "}\n"
+    return "".join(map(template.__mod__, zip(*texts[1:])))
+
+
 class _Emitter:
-    """Serializes report rows in a fixed, deterministic column order."""
+    """Serializes report rows in a fixed, deterministic column order.
+
+    A row dict may stand for a block of rows: each list value gives one entry
+    per row, and every other value is shared by all of them.  A block is
+    written with one stream.write (JSON, table) or one writerows (CSV).
+    """
 
     def __init__(self, fmt: str, stream):
         self.fmt = fmt
@@ -92,7 +130,8 @@ class _Emitter:
         self.all_match = True
 
     def emit(self, row: dict, case: str | None = None):
-        if not row.get("match", False):
+        match = row.get("match", False)
+        if not (all(match) if isinstance(match, list) else match):
             self.all_match = False
         ordered = {}
         if case is not None:
@@ -100,25 +139,26 @@ class _Emitter:
         for key in _COLUMNS:
             ordered[key] = row.get(key)
         if self.fmt == "json":
-            self.stream.write(json.dumps(ordered) + "\n")
-        elif self.fmt == "csv":
+            self.stream.write(_json_lines(ordered))
+            return
+        rows = _row_count(ordered)
+        lines = list(zip(*(v if isinstance(v, list) else itertools.repeat(v, rows)
+                           for v in ordered.values())))
+        if self.fmt == "csv":
             if self._csv is None:
                 self._csv = csv.writer(self.stream)
             if not self._wrote_header:
                 self._csv.writerow(ordered.keys())
                 self._wrote_header = True
-            self._csv.writerow(ordered.values())
+            self._csv.writerows(lines)
         else:  # table
+            text = []
             if not self._wrote_header:
-                self.stream.write("  ".join(f"{k:>11}" for k in ordered) + "\n")
+                text.append("  ".join(f"{k:>11}" for k in ordered) + "\n")
                 self._wrote_header = True
-            cells = []
-            for v in ordered.values():
-                if isinstance(v, float):
-                    cells.append(f"{v:>11.4g}")
-                else:
-                    cells.append(f"{str(v):>11}")
-            self.stream.write("  ".join(cells) + "\n")
+            text.extend("  ".join(f"{v:>11.4g}" if isinstance(v, float) else f"{str(v):>11}"
+                                  for v in line) + "\n" for line in lines)
+            self.stream.write("".join(text))
 
 
 def _timed(rows):
@@ -162,49 +202,61 @@ def _count_cases(ctx, args):
         yield a, b
 
 
-def _guarded_count(spec):
+def _refused_as_nan(formula, a: int, b: int) -> float:
     try:
-        return curves.count_theorem(spec)
+        return float(formula(a, b))
     except curves.RoundingGuardError:
-        return None
+        return float("nan")
 
 
-def _count_rows(ctx, args):
-    """Row dicts of the (a, b) selection, a list per block of curves.BLOCK_CELLS cells."""
-    e, d = args.e, args.d
-    cases = _count_cases(ctx, args)
-    while block := list(itertools.islice(cases, max(1, curves.BLOCK_CELLS // (ctx.q - 1)))):
+def _block_rows(ctx, pairs, oracle, formula, e=None, d=None):
+    """The row dict of each block of max(1, curves.BLOCK_CELLS // (q-1))
+    (a, b) pairs, with list values: one oracle(a, b) and one formula(a, b)
+    call over int64 arrays per block.  A block the rounding guard refuses is
+    evaluated again one pair at a time, so only failing rows read NaN."""
+    pairs = iter(pairs)
+    while block := list(itertools.islice(pairs, max(1, curves.BLOCK_CELLS // (ctx.q - 1)))):
         a, b = np.array(block, dtype=np.int64).T
-        spec = curves.CurveSpec(ctx, e, d, a, b)
-        oracle = curves.count_bruteforce(spec).tolist()
+        counts = oracle(a, b)
         try:
-            formula = curves.count_theorem(spec).tolist()
-        except curves.RoundingGuardError:  # one row at a time: only failing rows read NaN
-            formula = [_guarded_count(curves.CurveSpec(ctx, e, d, *ab)) for ab in block]
-        rows = []
-        for (a_i, b_i), n_i, f_i in zip(block, oracle, formula):
-            disc = float("inf") if f_i is None else float(abs(f_i - n_i))
-            rows.append({
-                "q": ctx.q, "e": e, "d": d, "a": a_i, "b": b_i,
-                "formula_re": float("nan") if f_i is None else float(f_i),
-                "formula_im": 0.0, "oracle": n_i, "match": disc == 0.0, "disc": disc,
-            })
-        yield rows
+            values = formula(a, b).astype(np.float64)
+        except curves.RoundingGuardError:
+            values = np.array([_refused_as_nan(formula, *ab) for ab in block])
+        disc = np.abs(values - counts)
+        disc[np.isnan(disc)] = np.inf
+        yield {"q": ctx.q, "e": e, "d": d, "a": a.tolist(), "b": b.tolist(),
+               "formula_re": values.tolist(), "formula_im": 0.0, "oracle": counts.tolist(),
+               "match": (disc == 0.0).tolist(), "disc": disc.tolist()}
+
+
+def _build_tables(oracle, formula) -> None:
+    """Call both routes on an empty block, which builds every table they read
+    (and raises what they raise for the field) outside any block's ms."""
+    empty = np.empty(0, dtype=np.int64)
+    formula(empty, empty)
+    oracle(empty, empty)
 
 
 def cmd_count(args, emitter: _Emitter) -> None:
     ctx = _build_field(args)
-    if args.e < 1 or args.d < 2:
+    e, d = args.e, args.d
+    if e < 1 or d < 2:
         raise CliError("need e >= 1 and d >= 2")
+
+    def oracle(a, b):
+        return curves.count_bruteforce(curves.CurveSpec(ctx, e, d, a, b))
+
+    def formula(a, b):
+        return curves.count_theorem(curves.CurveSpec(ctx, e, d, a, b))
+
     try:
-        # the Gauss table, plan and oracle tables, built outside every block's ms
-        curves.count_tables(ctx, args.e, args.d)
+        _build_tables(oracle, formula)
     except curves.CongruenceError as exc:
         raise CliError(str(exc)) from exc
-    for rows, ms in _timed(_count_rows(ctx, args)):
-        for row in rows:
-            row["ms"] = ms / len(rows)
-            emitter.emit(row)
+    rows = _block_rows(ctx, _count_cases(ctx, args), oracle, formula, e, d)
+    for row, ms in _timed(rows):
+        row["ms"] = ms / len(row["a"])
+        emitter.emit(row)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +266,7 @@ def cmd_count(args, emitter: _Emitter) -> None:
 def _suite_lemmas(ctx, args):
     for name in sums.IDENTITY_NAMES:
         report = sums.verify_identity(ctx, name, seed=args.seed)
-        yield name, report
+        yield name, report.to_row()
 
 
 def _suite_davenport_hasse(ctx, args):
@@ -225,12 +277,12 @@ def _suite_davenport_hasse(ctx, args):
             report = sums.davenport_hasse(ctx, args.d, t=t)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-        yield f"davenport-hasse(t={t})", report
+        yield f"davenport-hasse(t={t})", report.to_row()
 
 
 def _suite_binom_props(ctx, args):
     for name in ("binom-translate", "binom-absorb", "binom-complement", "binom-transpose"):
-        yield name, sums.verify_identity(ctx, name)
+        yield name, sums.verify_identity(ctx, name).to_row()
 
 
 def _suite_special_values(ctx, args):
@@ -241,7 +293,7 @@ def _suite_special_values(ctx, args):
         except ValueError:
             continue
         ran += 1
-        yield f"special-{which}", report
+        yield f"special-{which}", report.to_row()
     if not ran:
         raise CliError(f"no special-value identity is admissible at q = {ctx.q}")
 
@@ -260,20 +312,29 @@ def _suite_cubic_transform(ctx, args):
                 except ValueError:
                     continue
                 ran += 1
-                yield f"cubic-transform(branch={branch})", report
+                yield f"cubic-transform(branch={branch})", report.to_row()
     if not ran:
         raise CliError("no admissible (a, b) pairs")
 
 
 def _random_unit_pairs(ctx, rng, count, distinct=False):
-    out = []
-    while len(out) < count:
+    """count seeded pairs of units, drawn as the blocks consume them."""
+    made = 0
+    while made < count:
         a = rng.randrange(1, ctx.q)
         b = rng.randrange(1, ctx.q)
         if distinct and a == b:
             continue
-        out.append((a, b))
-    return out
+        made += 1
+        yield a, b
+
+
+def _block_suite(ctx, args, label, oracle, formula, e=None, d=None, distinct=False):
+    """(label, row) for each block of args.count seeded random unit pairs.
+    Not a generator, so the tables are built before the first block is timed."""
+    _build_tables(oracle, formula)
+    pairs = _random_unit_pairs(ctx, random.Random(args.seed), args.count, distinct)
+    return ((label, row) for row in _block_rows(ctx, pairs, oracle, formula, e, d))
 
 
 def _suite_edwards(ctx, args):
@@ -281,55 +342,27 @@ def _suite_edwards(ctx, args):
     # sampling sticks to the off-diagonal where it is an identity
     if ctx.q % 2 == 0:  # and at q = 2 the off-diagonal is empty
         raise CliError(f"edwards needs odd q, got q = {ctx.q}")
-    rng = random.Random(args.seed)
-    for alpha, beta in _random_unit_pairs(ctx, rng, args.count, distinct=True):
-        oracle = apps.edwards_count_bruteforce(ctx, alpha, beta)
-        formula = apps.edwards_count_formula(ctx, alpha, beta)
-        report = VerifyReport(
-            name="edwards",
-            q=ctx.q,
-            a=alpha,
-            b=beta,
-            formula=complex(formula),
-            oracle=oracle,
-            match=formula == oracle,
-            disc=float(abs(formula - oracle)),
-            cases=1,
-        )
-        yield "edwards", report
+    return _block_suite(ctx, args, "edwards",
+                        lambda a, b: apps.edwards_count_bruteforce(ctx, a, b),
+                        lambda a, b: apps.edwards_count_formula(ctx, a, b), distinct=True)
 
 
-def _trace_suite(ctx, args, label, congruence, trace_fn, curve_ed):
+def _trace_suite(ctx, args, label, congruence, trace_fn, e, d):
     if (ctx.q - 1) % congruence:
         raise CliError(f"q = {ctx.q} is not 1 mod {congruence}")
-    rng = random.Random(args.seed)
-    pairs = _random_unit_pairs(ctx, rng, args.count)
-    e, d = curve_ed
-    for a, b in pairs:
-        spec = curves.CurveSpec(ctx, e, d, a, b)
-        oracle = ctx.q - curves.count_bruteforce(spec)
-        formula = trace_fn(ctx, a, b)
-        yield label, VerifyReport(
-            name=label,
-            q=ctx.q,
-            e=e,
-            d=d,
-            a=a,
-            b=b,
-            formula=complex(formula),
-            oracle=oracle,
-            match=formula == oracle,
-            disc=float(abs(formula - oracle)),
-            cases=1,
-        )
+
+    def oracle(a, b):
+        return ctx.q - curves.count_bruteforce(curves.CurveSpec(ctx, e, d, a, b))
+
+    return _block_suite(ctx, args, label, oracle, lambda a, b: trace_fn(ctx, a, b), e, d)
 
 
 def _suite_lennon(ctx, args):
-    yield from _trace_suite(ctx, args, "lennon", 12, apps.lennon_trace, (2, 3))
+    return _trace_suite(ctx, args, "lennon", 12, apps.lennon_trace, 2, 3)
 
 
 def _suite_e34(ctx, args):
-    yield from _trace_suite(ctx, args, "e34", 36, apps.e34_trace, (3, 4))
+    return _trace_suite(ctx, args, "e34", 36, apps.e34_trace, 3, 4)
 
 
 _SUITE_RUNNERS = {
@@ -350,9 +383,9 @@ def cmd_verify(args, emitter: _Emitter) -> None:
             f"unknown suite {args.suite!r}; known: {', '.join(VERIFY_SUITES)}"
         )
     ctx = _build_field(args)
-    for (case, report), ms in _timed(_SUITE_RUNNERS[args.suite](ctx, args)):
-        report.ms = ms
-        emitter.emit(report.to_row(), case=case)
+    for (case, row), ms in _timed(_SUITE_RUNNERS[args.suite](ctx, args)):
+        row["ms"] = ms / _row_count(row)
+        emitter.emit(row, case=case)
 
 
 # ---------------------------------------------------------------------------

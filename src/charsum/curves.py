@@ -41,6 +41,19 @@ class RoundingGuardError(ArithmeticError):
     """Assembled value is not close enough to an integer to round safely."""
 
 
+def _unit_extremes(a, b):
+    """(a, b) for ints; for arrays, the smallest and the largest entry of both,
+    which stand for them in a range check.  Raises ValueError unless a and b
+    are both ints or equal-length 1-D signed-int arrays."""
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return a, b
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 1 or a.shape != b.shape or a.dtype.kind != "i" or b.dtype.kind != "i":
+        raise ValueError("array a, b must be 1-D signed-int arrays of equal length")
+    both = np.concatenate((a, b))
+    return (both.min(), both.max()) if both.size else (1, 1)
+
+
 @dataclass(frozen=True)
 class CurveSpec:
     """Curve y^e = x^d + a*x + b over a fixed field context, or a block of them."""
@@ -56,14 +69,8 @@ class CurveSpec:
             raise ValueError("need e >= 1")
         if self.d < 2:
             raise ValueError("need d >= 2")
-        a, b, q = self.a, self.b, self.ctx.q
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            a, b = np.asarray(a), np.asarray(b)
-            if a.ndim != 1 or a.shape != b.shape or {a.dtype.kind, b.dtype.kind} != {"i"}:
-                raise ValueError("array a, b must be 1-D signed-int arrays of equal length")
-            # the smallest and the largest entry stand for both arrays
-            a, b = min(a.min(initial=1), b.min(initial=1)), max(a.max(initial=1), b.max(initial=1))
-        if not (0 < a < q and 0 < b < q):
+        a, b = _unit_extremes(self.a, self.b)
+        if not (0 < a < self.ctx.q and 0 < b < self.ctx.q):
             raise ValueError("coefficients a, b must be nonzero field elements")
 
     @property
@@ -85,8 +92,19 @@ def _exact_div(num: int, den: int) -> int:
     return num // den
 
 
-def _round_guarded(ctx: FieldCtx, z: complex) -> int:
+def _round_guarded(ctx: FieldCtx, z: complex) -> int | np.ndarray:
+    """z rounded to an integer once its imaginary part and rounding residue
+    pass their guards.  A complex array gives an int64 array; the guards then
+    apply element-wise and any failing entry refuses the whole call, the
+    message giving the worst residues."""
     imag_tol = min(ROUND_GUARD, ctx.tol * ctx.q * ctx.q)
+    if isinstance(z, np.ndarray):
+        r = np.round(z.real)
+        im, re = np.abs(z.imag), np.abs(z.real - r)
+        if not ((im < imag_tol) & (re < ROUND_GUARD)).all():
+            raise RoundingGuardError(f"worst residues: imaginary {im.max():.3e} (guard "
+                                     f"{imag_tol:.3e}), rounding {re.max():.3e}")
+        return r.astype(np.int64)
     if abs(z.imag) >= imag_tol:
         raise RoundingGuardError(f"imaginary residue {z.imag:.3e} exceeds {imag_tol:.3e}")
     r = round(z.real)
@@ -130,6 +148,21 @@ def _oracle_tables(ctx: FieldCtx, e: int, d: int) -> tuple:
             ctx.cached("spread_exp2", _spread_planes, ctx, None))
 
 
+def _oracle_buffers(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """The per-field int64 work buffers of the oracles: (3, q-1) for one
+    curve and (3, max(1, BLOCK_CELLS // (q-1)), q-1) for a block of curves.
+
+    Writable scratch, not a table, so not through ctx.cached, which freezes;
+    oracle calls on one context must not overlap."""
+    buffers = ctx._cache.get("oracle_buffers")
+    if buffers is None:
+        L = ctx.q - 1
+        buffers = ctx._cache["oracle_buffers"] = (
+            np.empty((3, L), dtype=np.int64),
+            np.empty((3, max(1, BLOCK_CELLS // L), L), dtype=np.int64))
+    return buffers
+
+
 def count_bruteforce(spec: CurveSpec) -> int | np.ndarray:
     """Affine point count by tabulating the e-th power class of each x-value.
 
@@ -147,13 +180,7 @@ def count_bruteforce(spec: CurveSpec) -> int | np.ndarray:
     ctx, b, d = spec.ctx, spec.b, spec.d
     L = ctx.q - 1
     counts, gathers, xd, ex = _oracle_tables(ctx, spec.e, d)
-    # Writable scratch, not a table, so not through ctx.cached, which freezes:
-    # three rows for one curve, three blocks of BLOCK_CELLS cells for arrays.
-    buffers = ctx._cache.get("oracle_buffers")
-    if buffers is None:
-        buffers = ctx._cache["oracle_buffers"] = (
-            np.empty((3, L), dtype=np.int64),
-            np.empty((3, max(1, BLOCK_CELLS // L), L), dtype=np.int64))
+    buffers = _oracle_buffers(ctx)
     if isinstance(b, np.ndarray):
         step = buffers[1].shape[1]
         offsets = (b,) if ctx.n == 1 else (ctx._spread_hi[b], ctx._spread_lo[b])
@@ -367,12 +394,6 @@ def _count_plan(spec: CurveSpec) -> tuple:
     return (coef, expo, np.array([c0, shift], dtype=np.int64), *(s[3] for s in series))
 
 
-def count_tables(ctx: FieldCtx, e: int, d: int) -> None:
-    """Build the plan (checking the congruence) and oracle tables of the (e, d) family."""
-    ctx.cached(("count_plan", e, d), _count_plan, CurveSpec(ctx, e, d, 1, 1))
-    _oracle_tables(ctx, e, d)
-
-
 def count_theorem(spec: CurveSpec) -> int | np.ndarray:
     """Closed-form count: the (field, e, d) plan read at dlog(a) and dlog(b).
 
@@ -391,14 +412,7 @@ def count_theorem(spec: CurveSpec) -> int | np.ndarray:
         s = (l_alpha + shift) % L
         for j, table in enumerate(tables):
             z[j] *= table[s]
-        # _round_guarded's guards, refusing the block if any row fails
-        z, imag_tol = z.sum(axis=0), min(ROUND_GUARD, ctx.tol * ctx.q * ctx.q)
-        r = np.round(z.real)
-        im, re = np.abs(z.imag), np.abs(z.real - r)
-        if not ((im < imag_tol) & (re < ROUND_GUARD)).all():
-            raise RoundingGuardError(f"worst residues: imaginary {im.max():.3e} (guard "
-                                     f"{imag_tol:.3e}), rounding {re.max():.3e}")
-        return r.astype(np.int64)
+        return _round_guarded(ctx, z.sum(axis=0))
     lb, la = int(ctx.dlog[spec.b]), int(ctx.dlog[spec.a])
     l_alpha = (c0 + (d - 1) * lb - d * la) % L
     s = (l_alpha + shift) % L

@@ -12,8 +12,8 @@ class VerifyReport:
     For identity grids, `disc` is the worst absolute discrepancy seen and
     `worst_case` the parameter tuple achieving it; `cases`/`skipped` count
     grid points checked respectively gated out by preconditions.  The library
-    leaves `ms` at 0.0; the CLI sets it to the wall time of the step that
-    produced the row, its one clock.
+    leaves `ms` at 0.0; the CLI sets the `ms` of the row it writes to the
+    wall time of the step that produced it, its one clock.
     """
 
     name: str

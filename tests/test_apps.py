@@ -1,7 +1,9 @@
 """Trace formulas, the Edwards correspondence, and 2F1 special values."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from charsum import apps, chars, curves
@@ -94,6 +96,60 @@ def test_edwards_bruteforce_extension():
                         if ctx.add(ax2, y2) == ctx.add(1, ctx.mul(bx2, y2)):
                             expect += 1
                 assert apps.edwards_count_bruteforce(ctx, alpha, beta) == expect
+
+
+def _all_pairs(ctx, off_diagonal=False):
+    pairs = [(a, b) for a, b in itertools.product(ctx.units(), repeat=2)
+             if not (off_diagonal and a == b)]
+    return pairs, *np.array(pairs, dtype=np.int64).T
+
+
+@pytest.mark.parametrize(
+    "fn,pn,off_diagonal",
+    [
+        (apps.lennon_trace, (13, 1), False),
+        (apps.lennon_trace, (37, 1), False),
+        (apps.lennon_trace, (7, 2), False),
+        (apps.e34_trace, (37, 1), False),
+        (apps.e34_trace, (73, 1), False),
+        (apps.edwards_count_formula, (13, 1), True),
+        (apps.edwards_count_formula, (5, 2), True),
+        (apps.edwards_count_formula, (7, 2), True),
+        # the oracle also on the diagonal, and at even q
+        (apps.edwards_count_bruteforce, (13, 1), False),
+        (apps.edwards_count_bruteforce, (7, 2), False),
+        (apps.edwards_count_bruteforce, (2, 3), False),
+    ],
+    ids=["lennon-13", "lennon-37", "lennon-49", "e34-37", "e34-73", "edwards-13", "edwards-25",
+         "edwards-49", "edwards-oracle-13", "edwards-oracle-49", "edwards-oracle-8"],
+)
+def test_array_routes_equal_scalar_routes(fn, pn, off_diagonal):
+    ctx = field(*pn)
+    pairs, a, b = _all_pairs(ctx, off_diagonal)
+    got = fn(ctx, a, b)
+    assert got.dtype == np.int64
+    assert got.tolist() == [fn(ctx, x, y) for x, y in pairs]
+    empty = np.empty(0, dtype=np.int64)
+    assert fn(ctx, empty, empty).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "fn", [apps.lennon_trace, apps.edwards_count_formula, apps.edwards_count_bruteforce])
+def test_array_routes_reject_bad_arrays(f13, fn):
+    ok = np.array([1, 2, 3])
+    for a, b in [(ok, np.array([1, 0, 3])), (ok, np.array([1, 13, 3])), (ok, ok[:2]),
+                 (ok, 5), (ok.astype(float), ok)]:
+        with pytest.raises(ValueError):
+            fn(f13, a, b)
+
+
+def test_array_trace_refused_whole(monkeypatch):
+    # with a guard no residue meets, every block is refused with its worst residues
+    monkeypatch.setattr(curves, "ROUND_GUARD", 1e-30)
+    ctx = field(37)
+    _, a, b = _all_pairs(ctx)
+    with pytest.raises(curves.RoundingGuardError, match="worst residues"):
+        apps.lennon_trace(ctx, a, b)
 
 
 def test_shifted_cubic_count_example(f13):

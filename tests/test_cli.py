@@ -8,10 +8,11 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import charsum
-from charsum import cli, curves
+from charsum import apps, cli, curves
 
 
 def run_cli(argv):
@@ -200,24 +201,48 @@ def test_exit_code_one_on_mismatch(monkeypatch):
     assert json.loads(out)["match"] is False
 
 
+def _spy_cache_keys(monkeypatch, module, name):
+    """Record (ctx, cache keys) at each call of module.name on a nonempty block."""
+    real = getattr(module, name)
+    seen = []
+
+    def spy(*args):
+        ctx, block = (args[0].ctx, args[0].b) if module is curves else (args[0], args[2])
+        if np.size(block):
+            seen.append((ctx, set(ctx._cache)))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
 def test_count_builds_gauss_table_before_first_row(monkeypatch):
     # the table builds belong to no row, so they must not land in block 1's ms
-    from charsum import curves as curves_mod
-
-    real = curves_mod.count_bruteforce
-    seen = []
-    built = ("gauss", ("count_plan", 3, 4), ("power_counts", 3), ("power_counts_tiled", 3),
-             ("spread_pow_by_exp", 4), "spread_exp2")
-
-    def spy(spec):
-        seen.append(all(key in spec.ctx._cache for key in built))
-        return real(spec)
-
-    monkeypatch.setattr(cli.curves, "count_bruteforce", spy)
+    seen = _spy_cache_keys(monkeypatch, curves, "count_bruteforce")
+    built = {"gauss", ("count_plan", 3, 4), ("power_counts", 3), ("power_counts_tiled", 3),
+             ("spread_pow_by_exp", 4), "spread_exp2", "oracle_buffers"}
     code, _ = run_cli(["count", "--q", "37", "--e", "3", "--d", "4", "--random", "3",
                        "--seed", "1", "--format", "json"])
     assert code == 0
-    assert seen and all(seen)
+    assert seen and all(built <= keys == set(ctx._cache) for ctx, keys in seen)
+
+
+@pytest.mark.parametrize(
+    "suite,q,module,name",
+    [
+        ("lennon", 181, curves, "count_bruteforce"),
+        ("e34", 181, curves, "count_bruteforce"),
+        ("edwards", 181, apps, "edwards_count_bruteforce"),
+    ],
+)
+def test_verify_builds_tables_before_first_block(monkeypatch, suite, q, module, name):
+    # every table the run reads exists when the first block's oracle starts
+    seen = _spy_cache_keys(monkeypatch, module, name)
+    code, _ = run_cli(["verify", "--suite", suite, "--q", str(q), "--count", "300",
+                       "--format", "json"])
+    assert code == 0
+    assert len(seen) == 2  # blocks of 182 and 118 rows
+    assert all(keys == set(ctx._cache) for ctx, keys in seen)
 
 
 def _scalar_rows(ctx, e, d, cases):
@@ -278,6 +303,94 @@ def test_count_guard_failures_stay_per_row(monkeypatch):
     failed = [row for row in want if '"formula_re": NaN' in row]
     assert 0 < len(failed) < len(want)
     assert all('"disc": Infinity' in row for row in failed)
+
+
+_SUITE_ROUTES = {
+    "lennon": (2, 3, lambda ctx, a, b: ctx.q - curves.count_bruteforce(
+        curves.CurveSpec(ctx, 2, 3, a, b)), apps.lennon_trace),
+    "e34": (3, 4, lambda ctx, a, b: ctx.q - curves.count_bruteforce(
+        curves.CurveSpec(ctx, 3, 4, a, b)), apps.e34_trace),
+    "edwards": (None, None, apps.edwards_count_bruteforce, apps.edwards_count_formula),
+}
+
+
+def _scalar_suite_rows(ctx, suite, count, seed):
+    """The rows of `verify --suite lennon|e34|edwards` from the scalar routes,
+    one pair per call, for the suite's seeded pairs (off-diagonal for edwards)."""
+    e, d, oracle_fn, formula_fn = _SUITE_ROUTES[suite]
+    rng = random.Random(seed)
+    rows = []
+    while len(rows) < count:
+        a, b = rng.randrange(1, ctx.q), rng.randrange(1, ctx.q)
+        if suite == "edwards" and a == b:
+            continue
+        oracle = oracle_fn(ctx, a, b)
+        try:
+            formula = formula_fn(ctx, a, b)
+            formula_re, disc = float(formula), float(abs(formula - oracle))
+        except curves.RoundingGuardError:
+            formula_re, disc = float("nan"), float("inf")
+        rows.append(json.dumps({"case": suite, "q": ctx.q, "e": e, "d": d, "a": a, "b": b,
+                                "formula_re": formula_re, "formula_im": 0.0, "oracle": oracle,
+                                "match": disc == 0.0, "disc": disc}))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "suite,p,n,count",
+    [
+        ("lennon", 37, 1, 1000),  # blocks of 910 rows
+        ("lennon", 7, 2, 700),  # 682
+        ("e34", 181, 1, 500),  # 182
+        ("edwards", 181, 1, 500),
+        ("edwards", 7, 2, 700),
+    ],
+    ids=["lennon-37", "lennon-49", "e34-181", "edwards-181", "edwards-49"],
+)
+def test_verify_block_rows_equal_scalar_rows(suite, p, n, count):
+    code, out = run_cli(["verify", "--suite", suite, "--p", str(p), "--n", str(n),
+                         "--count", str(count), "--seed", "6", "--format", "json"])
+    assert code == 0
+    assert _rows_without_ms(out) == _scalar_suite_rows(charsum.make_field(p, n), suite, count, 6)
+
+
+@pytest.mark.parametrize("suite", ["lennon", "e34", "edwards"])
+def test_verify_guard_failures_stay_per_row(monkeypatch, suite):
+    # a guard that about half the q = 37 rows miss: the refused block is redone
+    # one row at a time, failing rows read NaN and Infinity, and the exit code is 1
+    monkeypatch.setattr(curves, "ROUND_GUARD", 3e-15)
+    code, out = run_cli(["verify", "--suite", suite, "--q", "37", "--count", "200",
+                         "--seed", "2", "--format", "json"])
+    assert code == 1
+    want = _scalar_suite_rows(charsum.make_field(37), suite, 200, 2)
+    assert _rows_without_ms(out) == want
+    failed = [row for row in want if '"formula_re": NaN' in row]
+    assert 0 < len(failed) < len(want)
+    assert all('"disc": Infinity' in row and '"match": false' in row for row in failed)
+
+
+def test_json_writer_matches_json_dumps():
+    # one block, and a row of shared values only, against json.dumps per row
+    nan, inf = float("nan"), float("inf")
+    blocks = [
+        ({"q": 181, "e": None, "d": None, "a": [1, 2**70, 3, 4], "b": [5, 6, 7, -8],
+          "formula_re": [1.5, nan, inf, -inf], "formula_im": -inf, "oracle": [2**65, -3, 0, 1],
+          "match": [True, False, True, False], "disc": [0.0, inf, 1e-300, 2.5e20], "ms": 0.125},
+         'edwards "x" 100%'),
+        ({"q": 13, "e": 2, "d": 3, "a": None, "b": None, "formula_re": -0.0, "formula_im": nan,
+          "oracle": 12.5, "match": True, "disc": 3e-17, "ms": 1.0}, None),
+    ]
+    out = io.StringIO()
+    emitter = cli._Emitter("json", out)
+    want = []
+    for row, case in blocks:
+        emitter.emit(row, case=case)
+        for i in range(cli._row_count(row)):
+            ordered = {} if case is None else {"case": case}
+            ordered.update((k, v[i] if isinstance(v, list) else v) for k, v in row.items())
+            want.append(json.dumps(ordered) + "\n")
+    assert out.getvalue() == "".join(want)
+    assert emitter.all_match is False
 
 
 @pytest.mark.parametrize(

@@ -530,3 +530,9 @@ def test_round_guard_imaginary_bound(f13):
     assert curves._round_guarded(f16381, 5 + 1e-9j) == 5
     with pytest.raises(curves.RoundingGuardError):
         curves._round_guarded(f13, 5 + 1e-6j)  # tol * q^2 = 1.7e-7 at q = 13
+    # arrays: both guards element-wise, one failing entry refuses the call
+    got = curves._round_guarded(f16381, np.array([5 + 1e-9j, -7.004 - 1e-9j]))
+    assert got.dtype == np.int64 and got.tolist() == [5, -7]
+    for bad in (5 + 0.02j, 5.02 + 0j):
+        with pytest.raises(curves.RoundingGuardError, match="worst residues"):
+            curves._round_guarded(f16381, np.array([3 + 0j, bad, 4 + 0j]))
