@@ -9,10 +9,10 @@ classes, from the table curves.power_count_table(ctx, 2).
 
 lennon_trace, e34_trace and both Edwards counts also take equal-length int
 arrays for (a, b) or (alpha, beta) and return int64 arrays, for blocks of
-curves: the formulas work out dlog of each series argument and character
-argument from dlog a and dlog b and gather from unit_roots and the
-hf_table arrays, and the Edwards oracle works through the per-field oracle
-buffers.  Int arguments keep the scalar code, which is faster on one curve.
+curves.  Each formula has one body for ints and arrays: it works out dlog of
+each series argument and character argument from dlog a and dlog b and
+gathers from unit_roots and the hf_table arrays.  The Edwards oracle works
+through the per-field oracle buffers for arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import chars, hyperf, sums
-from .curves import _oracle_buffers, _round_guarded, _unit_extremes, power_count_table
+from .curves import _oracle_buffers, _round_guarded, _unit_dlogs, power_count_table
 from .field import FieldCtx
 from .report import VerifyReport
 
@@ -28,23 +28,6 @@ from .report import VerifyReport
 def _require(cond: bool, msg: str):
     if not cond:
         raise ValueError(msg)
-
-
-def _require_unit(ctx: FieldCtx, value: int, label: str):
-    _require(0 < value < ctx.q, f"{label} must be a nonzero element of F_{ctx.q}")
-
-
-def _require_units(ctx: FieldCtx, x, y, labels=("a", "b")) -> bool:
-    """Check that x and y are nonzero elements, or equal-length 1-D int arrays
-    of them; returns whether they are arrays."""
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        lo, hi = _unit_extremes(x, y)
-        _require(0 < lo and hi < ctx.q,
-                 f"{labels[0]}, {labels[1]} must be nonzero elements of F_{ctx.q}")
-        return True
-    _require_unit(ctx, x, labels[0])
-    _require_unit(ctx, y, labels[1])
-    return False
 
 
 def _dlogs(ctx: FieldCtx, *consts: int) -> list[int]:
@@ -61,71 +44,29 @@ def lennon_trace(ctx: FieldCtx, a, b):
     """
     L = ctx.q - 1
     _require(L % 12 == 0, f"q = {ctx.q} is not 1 mod 12")
-    if _require_units(ctx, a, b):
-        la, lb = ctx.dlog[a], ctx.dlog[b]
-        l_neg, l4, l27 = _dlogs(ctx, -1, 4, 27)
-        # the argument -27 b^2 / (4 a^3) and a^3 / 27
-        series = hyperf.hf_table(ctx, [L // 12, 5 * L // 12], [L // 2])[
-            (l_neg + l27 + 2 * lb - l4 - 3 * la) % L]
-        char = chars.unit_roots(ctx)[(L // 4 * (3 * la - l27)) % L]
-        return _round_guarded(ctx, -ctx.q * char * series)
-    a3_27 = ctx.div(ctx.pow(a, 3), ctx.embed(27))
-    arg = ctx.neg(ctx.div(ctx.mul(ctx.embed(27), ctx.pow(b, 2)),
-                          ctx.mul(ctx.embed(4), ctx.pow(a, 3))))
-    series = hyperf.hf_eval(ctx, [L // 12, 5 * L // 12], [L // 2], arg)
-    total = -ctx.q * chars.mul_char(ctx, L // 4, a3_27) * series
-    return _round_guarded(ctx, total)
+    la, lb = _unit_dlogs(ctx, a, b)
+    l_neg, l4, l27 = _dlogs(ctx, -1, 4, 27)
+    # the argument -27 b^2 / (4 a^3) and a^3 / 27
+    series = hyperf.hf_table(ctx, [L // 12, 5 * L // 12], [L // 2])[
+        (l_neg + l27 + 2 * lb - l4 - 3 * la) % L]
+    char = chars.unit_roots(ctx)[(L // 4 * (3 * la - l27)) % L]
+    return _round_guarded(ctx, -ctx.q * char * series)
 
 
 def e34_trace(ctx: FieldCtx, a, b):
     """Trace of Frobenius of y^3 = x^4 + a*x + b via two 4F3 series.
 
     Needs q = 1 mod 36 and a, b != 0.  Equal-length int arrays a, b give an
-    int64 array of traces; the binomial and Gauss constants are then scalars
-    computed once per call, and the characters and series are gathers.
+    int64 array of traces.  The binomial and Gauss constants are scalars
+    computed once per call; the characters and series are gathers.
     """
-    L = ctx.q - 1
-    _require(L % 36 == 0, f"q = {ctx.q} is not 1 mod 36")
-    if _require_units(ctx, a, b):
-        return _e34_trace_array(ctx, ctx.dlog[a], ctx.dlog[b])
-    three_over_b = ctx.div(ctx.embed(3), b)
-    # series argument is the even-d alpha = (4/a)(4b/(3a))^3 = 256 b^3 / (27 a^4)
-    arg = ctx.div(ctx.mul(ctx.embed(256), ctx.pow(b, 3)),
-                  ctx.mul(ctx.embed(27), ctx.pow(a, 4)))
-    upper = [L // 2, 0, L // 4, 3 * L // 4]
-    f1 = hyperf.hf_eval(ctx, upper, [5 * L // 9, 2 * L // 9, 8 * L // 9], arg)
-    f2 = hyperf.hf_eval(ctx, upper, [4 * L // 9, L // 9, 7 * L // 9], arg)
-    q3 = ctx.q**3
-    t1 = (
-        q3
-        * sums.greene_binom(ctx, 4 * L // 9, L // 3)
-        * sums.greene_binom(ctx, L // 36, 5 * L // 36)
-        * chars.mul_char(ctx, L // 3, three_over_b)
-        * f1
-    )
-    t2 = (
-        q3
-        * sums.greene_binom(ctx, 5 * L // 9, 2 * L // 3)
-        * sums.greene_binom(ctx, 5 * L // 36, L // 36)
-        * chars.mul_char(ctx, 2 * L // 9, ctx.minus_one())
-        * chars.mul_char(ctx, 2 * L // 3, three_over_b)
-        * f2
-    )
-    total = (
-        -chars.mul_char(ctx, -L // 3, b)
-        - chars.mul_char(ctx, -2 * L // 3, b)
-        - t1
-        - t2
-    )
-    return _round_guarded(ctx, total)
-
-
-def _e34_trace_array(ctx: FieldCtx, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    """e34_trace at a = g^la, b = g^lb, the terms multiplied in the scalar order."""
     L, q3 = ctx.q - 1, ctx.q**3
+    _require(L % 36 == 0, f"q = {ctx.q} is not 1 mod 36")
+    la, lb = _unit_dlogs(ctx, a, b)
     l_neg, l3, l27, l256 = _dlogs(ctx, -1, 3, 27, 256)
     roots = chars.unit_roots(ctx)
-    l_arg = (l256 + 3 * lb - l27 - 4 * la) % L  # 256 b^3 / (27 a^4)
+    # series argument is the even-d alpha = (4/a)(4b/(3a))^3 = 256 b^3 / (27 a^4)
+    l_arg = (l256 + 3 * lb - l27 - 4 * la) % L
     l_3b = l3 - lb  # 3/b
     upper = [L // 2, 0, L // 4, 3 * L // 4]
     f1 = hyperf.hf_table(ctx, upper, [5 * L // 9, 2 * L // 9, 8 * L // 9])[l_arg]
@@ -155,8 +96,7 @@ def edwards_count_bruteforce(ctx: FieldCtx, alpha, beta):
     counts (see _edwards_count_array).
     """
     if isinstance(alpha, np.ndarray) or isinstance(beta, np.ndarray):
-        _require_units(ctx, alpha, beta, ("alpha", "beta"))
-        return _edwards_count_array(ctx, alpha, beta)
+        return _edwards_count_array(ctx, beta, *_unit_dlogs(ctx, alpha, beta, "alpha, beta"))
     x2 = ctx.pow_vec(np.arange(ctx.q, dtype=np.int64), 2)
     u = ctx.add_vec(1, ctx.mul_vec(x2, ctx.neg(beta)))
     w = ctx.add_vec(1, ctx.mul_vec(x2, ctx.neg(alpha)))
@@ -176,8 +116,10 @@ def _edwards_classes(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     return np.tile(chi, 2), (2 * np.arange(L, dtype=np.int64)) % L
 
 
-def _edwards_count_array(ctx: FieldCtx, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """edwards_count_bruteforce over arrays of units, BLOCK_CELLS cells at a time.
+def _edwards_count_array(ctx: FieldCtx, beta: np.ndarray, la: np.ndarray,
+                         lb: np.ndarray) -> np.ndarray:
+    """edwards_count_bruteforce at arrays of units alpha = g^la and beta = g^lb,
+    BLOCK_CELLS cells at a time.
 
     Where u != 0, #{y : y^2 * u = w} = counts[w * u] = 1 + chi(u) chi(w).  At
     x = g^k, u = 1 + g^(s + 2k) with s = dlog(-beta), so chi(u) is entry
@@ -191,8 +133,8 @@ def _edwards_count_array(ctx: FieldCtx, alpha: np.ndarray, beta: np.ndarray) -> 
     chi, two_k = ctx.cached("edwards_classes", _edwards_classes, ctx)
     counts = power_count_table(ctx, 2)
     l_neg = ctx.dlog_of(ctx.minus_one())
-    s_alpha, s_beta = ((ctx.dlog[v] + l_neg) % L for v in (alpha, beta))
-    total = counts[1] + L + counts[beta] * (ctx.q * (alpha == beta) - 1)
+    s_alpha, s_beta = ((lv + l_neg) % L for lv in (la, lb))
+    total = counts[1] + L + counts[beta] * (ctx.q * (la == lb) - 1)
     block = _oracle_buffers(ctx)[1]
     step = block.shape[1]
     for i in range(0, total.size, step):
@@ -212,22 +154,12 @@ def edwards_count_formula(ctx: FieldCtx, alpha, beta):
     Equal-length int arrays alpha, beta give an int64 array of counts."""
     _require(ctx.q % 2 == 1, "odd q required")
     L = ctx.q - 1
-    if _require_units(ctx, alpha, beta, ("alpha", "beta")):
-        la, lb = ctx.dlog[alpha], ctx.dlog[beta]
-        series = hyperf.hf_table(ctx, [L // 2, L // 2], [0])[(lb - la) % L]
-        char = chars.unit_roots(ctx)[(L // 2 * (la + ctx.dlog_of(ctx.minus_one()))) % L]
-        # phi(x) = 1 - 2 * (dlog x mod 2)
-        total = ctx.q - 1 - (1 - 2 * (lb & 1)) - (1 - 2 * ((la + lb) & 1))
-        return _round_guarded(ctx, total + ctx.q * char * series)
-    series = hyperf.hf_eval(ctx, [L // 2, L // 2], [0], ctx.div(beta, alpha))
-    total = (
-        ctx.q
-        - 1
-        - chars.legendre(ctx, beta)
-        - chars.legendre(ctx, ctx.mul(alpha, beta))
-        + ctx.q * chars.mul_char(ctx, L // 2, ctx.neg(alpha)) * series
-    )
-    return _round_guarded(ctx, total)
+    la, lb = _unit_dlogs(ctx, alpha, beta, "alpha, beta")
+    series = hyperf.hf_table(ctx, [L // 2, L // 2], [0])[(lb - la) % L]
+    char = chars.unit_roots(ctx)[(L // 2 * (la + ctx.dlog_of(ctx.minus_one()))) % L]
+    # phi(x) = 1 - 2 * (dlog x mod 2)
+    total = ctx.q - 1 - (1 - 2 * (lb & 1)) - (1 - 2 * ((la + lb) & 1))
+    return _round_guarded(ctx, total + ctx.q * char * series)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +204,7 @@ def shifted_cubic_count(ctx: FieldCtx, a: int, b: int) -> int:
     """Affine count of y^2 = x^3 + a*x^2 + b*x via the depressed-cubic 2F1."""
     L = ctx.q - 1
     _require(L % 12 == 0, f"q = {ctx.q} is not 1 mod 12")
-    _require_unit(ctx, a, "a")
-    _require_unit(ctx, b, "b")
+    _unit_dlogs(ctx, a, b)
     return _round_guarded(ctx, ctx.q + _shifted_series_term(ctx, a, b))
 
 
@@ -287,8 +218,7 @@ def cubic_transform_check(ctx: FieldCtx, a: int, b: int, branch: int = 0) -> Ver
     """
     L = ctx.q - 1
     _require(L % 12 == 0, f"q = {ctx.q} is not 1 mod 12")
-    _require_unit(ctx, a, "a")
-    _require_unit(ctx, b, "b")
+    _unit_dlogs(ctx, a, b)
     _require(branch in (0, 1), "branch must be 0 or 1")
     _require(chars.legendre(ctx, b) == 1, "b must be a nonzero square")
     root = ctx.sqrt_canonical(b)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -27,17 +28,6 @@ import numpy as np
 
 from . import apps, chars, curves, hyperf, sums
 from .field import DEFAULT_SIZE_CAP, DEFAULT_TOL, FieldError, factor_prime_power, make_field
-
-VERIFY_SUITES = (
-    "lemmas",
-    "davenport-hasse",
-    "binom-props",
-    "special-values",
-    "cubic-transform",
-    "edwards",
-    "lennon",
-    "e34",
-)
 
 _COLUMNS = ["q", "e", "d", "a", "b", "formula_re", "formula_im", "oracle", "match", "disc", "ms"]
 
@@ -380,7 +370,7 @@ _SUITE_RUNNERS = {
 def cmd_verify(args, emitter: _Emitter) -> None:
     if args.suite not in _SUITE_RUNNERS:
         raise CliError(
-            f"unknown suite {args.suite!r}; known: {', '.join(VERIFY_SUITES)}"
+            f"unknown suite {args.suite!r}; known: {', '.join(_SUITE_RUNNERS)}"
         )
     ctx = _build_field(args)
     for (case, row), ms in _timed(_SUITE_RUNNERS[args.suite](ctx, args)):
@@ -463,7 +453,10 @@ def _add_field_args(parser):
     parser.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The charsum argument parser, built once per process and shared by every
+    main call; parse_args leaves it unchanged, and callers must too."""
     parser = argparse.ArgumentParser(
         prog="charsum",
         description="Finite-field character sums, hypergeometric series, and "
@@ -485,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run an identity/formula suite")
     _add_field_args(p_verify)
     p_verify.add_argument("--suite", required=True,
-                          help=f"one of: {', '.join(VERIFY_SUITES)}")
+                          help=f"one of: {', '.join(_SUITE_RUNNERS)}")
     p_verify.add_argument("--d", type=int, default=None,
                           help="section order for davenport-hasse")
     p_verify.add_argument("--count", type=_count_arg, default=100,

@@ -42,16 +42,28 @@ class RoundingGuardError(ArithmeticError):
 
 
 def _unit_extremes(a, b):
-    """(a, b) for ints; for arrays, the smallest and the largest entry of both,
+    """The smallest and the largest of a and b, or of the entries of both,
     which stand for them in a range check.  Raises ValueError unless a and b
     are both ints or equal-length 1-D signed-int arrays."""
     if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
-        return a, b
+        return (a, b) if a <= b else (b, a)
     a, b = np.asarray(a), np.asarray(b)
     if a.ndim != 1 or a.shape != b.shape or a.dtype.kind != "i" or b.dtype.kind != "i":
         raise ValueError("array a, b must be 1-D signed-int arrays of equal length")
     both = np.concatenate((a, b))
     return (both.min(), both.max()) if both.size else (1, 1)
+
+
+def _unit_dlogs(ctx: FieldCtx, a, b, names: str = "a, b"):
+    """(dlog a, dlog b) of nonzero elements a, b: Python ints for ints, int64
+    arrays for equal-length 1-D signed-int arrays.  Raises ValueError for
+    anything else and for a zero or out-of-range entry."""
+    lo, hi = _unit_extremes(a, b)
+    if not (0 < lo and hi < ctx.q):
+        raise ValueError(f"{names} must be nonzero elements of F_{ctx.q}")
+    if isinstance(a, np.ndarray):
+        return ctx.dlog[a], ctx.dlog[b]
+    return ctx.dlog.item(a), ctx.dlog.item(b)
 
 
 @dataclass(frozen=True)
@@ -69,9 +81,7 @@ class CurveSpec:
             raise ValueError("need e >= 1")
         if self.d < 2:
             raise ValueError("need d >= 2")
-        a, b = _unit_extremes(self.a, self.b)
-        if not (0 < a < self.ctx.q and 0 < b < self.ctx.q):
-            raise ValueError("coefficients a, b must be nonzero field elements")
+        _unit_dlogs(self.ctx, self.a, self.b)
 
     @property
     def modulus_required(self) -> int:

@@ -271,7 +271,7 @@ def _check_jacobi_gauss(ctx: FieldCtx, w: _Worst, seed=0, triples=24, **_):
                      skip=(a + b) % L == 0)
     rng = random.Random(seed)
     ks = []
-    while len(ks) < triples:
+    while L > 1 and len(ks) < triples:  # q = 2 has no nontrivial character
         k = [rng.randrange(1, L) for _ in range(3)]
         if sum(k) % L:
             ks.append(k)

@@ -98,6 +98,20 @@ def test_edwards_bruteforce_extension():
                 assert apps.edwards_count_bruteforce(ctx, alpha, beta) == expect
 
 
+def _trace_oracle(e, d):
+    def oracle(ctx, a, b):
+        return ctx.q - curves.count_bruteforce(curves.CurveSpec(ctx, e, d, a, b))
+    return oracle
+
+
+# the enumeration each closed form is checked against
+ORACLES = {
+    apps.lennon_trace: _trace_oracle(2, 3),
+    apps.e34_trace: _trace_oracle(3, 4),
+    apps.edwards_count_formula: apps.edwards_count_bruteforce,
+}
+
+
 def _all_pairs(ctx, off_diagonal=False):
     pairs = [(a, b) for a, b in itertools.product(ctx.units(), repeat=2)
              if not (off_diagonal and a == b)]
@@ -129,18 +143,36 @@ def test_array_routes_equal_scalar_routes(fn, pn, off_diagonal):
     got = fn(ctx, a, b)
     assert got.dtype == np.int64
     assert got.tolist() == [fn(ctx, x, y) for x, y in pairs]
+    if fn in ORACLES:
+        assert got.tolist() == ORACLES[fn](ctx, a, b).tolist()
     empty = np.empty(0, dtype=np.int64)
     assert fn(ctx, empty, empty).shape == (0,)
 
 
+# at q = 37 every formula's congruence holds, so only the argument check can raise
 @pytest.mark.parametrize(
-    "fn", [apps.lennon_trace, apps.edwards_count_formula, apps.edwards_count_bruteforce])
-def test_array_routes_reject_bad_arrays(f13, fn):
+    "fn", [apps.lennon_trace, apps.e34_trace, apps.edwards_count_formula,
+           apps.edwards_count_bruteforce])
+def test_array_routes_reject_bad_arrays(f37, fn):
     ok = np.array([1, 2, 3])
-    for a, b in [(ok, np.array([1, 0, 3])), (ok, np.array([1, 13, 3])), (ok, ok[:2]),
-                 (ok, 5), (ok.astype(float), ok)]:
+    for a, b in [(ok, np.array([1, 0, 3])), (ok, np.array([1, 37, 3])),
+                 (ok, np.array([1, -1, 3])), (ok, ok[:2]), (ok, 5), (ok.astype(float), ok)]:
         with pytest.raises(ValueError):
-            fn(f13, a, b)
+            fn(f37, a, b)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [apps.lennon_trace, apps.e34_trace, apps.edwards_count_formula, apps.shifted_cubic_count,
+     lambda ctx, a, b: curves.CurveSpec(ctx, 2, 3, a, b)],
+    ids=["lennon_trace", "e34_trace", "edwards_count_formula", "shifted_cubic_count",
+         "CurveSpec"],
+)
+def test_int_routes_reject_non_units(f37, fn):
+    for bad in (0, 37, -1):
+        for a, b in ((bad, 2), (2, bad)):
+            with pytest.raises(ValueError):
+                fn(f37, a, b)
 
 
 def test_array_trace_refused_whole(monkeypatch):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import charsum
-from charsum import apps, cli, curves
+from charsum import apps, cli, curves, sums
 
 
 def run_cli(argv):
@@ -104,6 +104,14 @@ def test_verify_lemmas_all_pass():
     assert "gauss-reflection" in cases and "theta-delta" in cases
 
 
+@pytest.mark.parametrize("q", ["2", "3"])
+def test_verify_lemmas_smallest_fields(q):
+    # q = 2 has no nontrivial character and q = 3 has exactly one
+    code, out = run_cli(["verify", "--suite", "lemmas", "--q", q, "--format", "json"])
+    assert code == 0
+    assert [json.loads(line)["case"] for line in out.splitlines()] == list(sums.IDENTITY_NAMES)
+
+
 def test_verify_unknown_suite_exits_2():
     code, _ = run_cli(["verify", "--suite", "unknown", "--q", "13"])
     assert code == 2
@@ -170,6 +178,24 @@ def test_determinism_same_seed_identical_output():
     _, out1 = run_cli(argv)
     _, out2 = run_cli(argv)
     assert _strip_ms(out1) == _strip_ms(out2)
+
+
+def test_parser_built_once_per_process():
+    # the third run leaves out options the first two set (--sweep, --seed), so
+    # state carried over by the shared parser would change its rows
+    runs = [["count", "--q", "13", "--e", "2", "--d", "3", "--sweep", "--format", "json"],
+            ["verify", "--suite", "lennon", "--q", "13", "--count", "25", "--seed", "11",
+             "--format", "json"],
+            ["count", "--q", "37", "--e", "3", "--d", "4", "--random", "5", "--format", "json"]]
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(argv))
+    cli.build_parser.cache_clear()
+    shared = [run_cli(argv) for argv in runs]
+    assert cli.build_parser.cache_info().misses == 1
+    assert [(code, _rows_without_ms(out)) for code, out in shared] == [
+        (code, _rows_without_ms(out)) for code, out in fresh]
 
 
 def test_size_cap_env_override():

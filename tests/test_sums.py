@@ -212,6 +212,12 @@ def test_identities_pass(name, q):
     assert report.cases > 0
 
 
+def test_jacobi_gauss_at_q2():
+    # F_2 has no nontrivial character, so the check draws no exponent triples
+    report = sums.verify_identity(field(2), "jacobi-gauss")
+    assert report.match
+
+
 def test_identity_unknown_name(f13):
     with pytest.raises(KeyError):
         sums.verify_identity(f13, "no-such-identity")
