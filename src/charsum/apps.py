@@ -10,9 +10,9 @@ classes, from the table curves.power_count_table(ctx, 2).
 lennon_trace, e34_trace and both Edwards counts also take equal-length int
 arrays for (a, b) or (alpha, beta) and return int64 arrays, for blocks of
 curves.  Each formula has one body for ints and arrays: it works out dlog of
-each series argument and character argument from dlog a and dlog b and
-gathers from unit_roots and the hf_table arrays.  The Edwards oracle works
-through the per-field oracle buffers for arrays.
+each series argument and character argument from dlog a and dlog b, gathers
+the characters from unit_roots and reads the series through hyperf.hf_eval.
+The Edwards oracle works through the per-field oracle buffers for arrays.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ def lennon_trace(ctx: FieldCtx, a, b):
     la, lb = _unit_dlogs(ctx, a, b)
     l_neg, l4, l27 = _dlogs(ctx, -1, 4, 27)
     # the argument -27 b^2 / (4 a^3) and a^3 / 27
-    series = hyperf.hf_table(ctx, [L // 12, 5 * L // 12], [L // 2])[
-        (l_neg + l27 + 2 * lb - l4 - 3 * la) % L]
+    arg = ctx.exp[(l_neg + l27 + 2 * lb - l4 - 3 * la) % L]
+    series = hyperf.hf_eval(ctx, [L // 12, 5 * L // 12], [L // 2], arg)
     char = chars.unit_roots(ctx)[(L // 4 * (3 * la - l27)) % L]
     return _round_guarded(ctx, -ctx.q * char * series)
 
@@ -66,11 +66,11 @@ def e34_trace(ctx: FieldCtx, a, b):
     l_neg, l3, l27, l256 = _dlogs(ctx, -1, 3, 27, 256)
     roots = chars.unit_roots(ctx)
     # series argument is the even-d alpha = (4/a)(4b/(3a))^3 = 256 b^3 / (27 a^4)
-    l_arg = (l256 + 3 * lb - l27 - 4 * la) % L
+    arg = ctx.exp[(l256 + 3 * lb - l27 - 4 * la) % L]
     l_3b = l3 - lb  # 3/b
     upper = [L // 2, 0, L // 4, 3 * L // 4]
-    f1 = hyperf.hf_table(ctx, upper, [5 * L // 9, 2 * L // 9, 8 * L // 9])[l_arg]
-    f2 = hyperf.hf_table(ctx, upper, [4 * L // 9, L // 9, 7 * L // 9])[l_arg]
+    f1 = hyperf.hf_eval(ctx, upper, [5 * L // 9, 2 * L // 9, 8 * L // 9], arg)
+    f2 = hyperf.hf_eval(ctx, upper, [4 * L // 9, L // 9, 7 * L // 9], arg)
     c1 = (q3 * sums.greene_binom(ctx, 4 * L // 9, L // 3)
           * sums.greene_binom(ctx, L // 36, 5 * L // 36))
     c2 = (q3 * sums.greene_binom(ctx, 5 * L // 9, 2 * L // 3)
@@ -155,7 +155,7 @@ def edwards_count_formula(ctx: FieldCtx, alpha, beta):
     _require(ctx.q % 2 == 1, "odd q required")
     L = ctx.q - 1
     la, lb = _unit_dlogs(ctx, alpha, beta, "alpha, beta")
-    series = hyperf.hf_table(ctx, [L // 2, L // 2], [0])[(lb - la) % L]
+    series = hyperf.hf_eval(ctx, [L // 2, L // 2], [0], ctx.exp[(lb - la) % L])
     char = chars.unit_roots(ctx)[(L // 2 * (la + ctx.dlog_of(ctx.minus_one()))) % L]
     # phi(x) = 1 - 2 * (dlog x mod 2)
     total = ctx.q - 1 - (1 - 2 * (lb & 1)) - (1 - 2 * ((la + lb) & 1))

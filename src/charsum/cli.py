@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import itertools
 import json
 import os
@@ -453,10 +452,7 @@ def _add_field_args(parser):
     parser.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The charsum argument parser, built once per process and shared by every
-    main call; parse_args leaves it unchanged, and callers must too."""
     parser = argparse.ArgumentParser(
         prog="charsum",
         description="Finite-field character sums, hypergeometric series, and "

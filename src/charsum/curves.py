@@ -41,29 +41,21 @@ class RoundingGuardError(ArithmeticError):
     """Assembled value is not close enough to an integer to round safely."""
 
 
-def _unit_extremes(a, b):
-    """The smallest and the largest of a and b, or of the entries of both,
-    which stand for them in a range check.  Raises ValueError unless a and b
-    are both ints or equal-length 1-D signed-int arrays."""
-    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
-        return (a, b) if a <= b else (b, a)
-    a, b = np.asarray(a), np.asarray(b)
-    if a.ndim != 1 or a.shape != b.shape or a.dtype.kind != "i" or b.dtype.kind != "i":
-        raise ValueError("array a, b must be 1-D signed-int arrays of equal length")
-    both = np.concatenate((a, b))
-    return (both.min(), both.max()) if both.size else (1, 1)
-
-
 def _unit_dlogs(ctx: FieldCtx, a, b, names: str = "a, b"):
     """(dlog a, dlog b) of nonzero elements a, b: Python ints for ints, int64
     arrays for equal-length 1-D signed-int arrays.  Raises ValueError for
     anything else and for a zero or out-of-range entry."""
-    lo, hi = _unit_extremes(a, b)
-    if not (0 < lo and hi < ctx.q):
-        raise ValueError(f"{names} must be nonzero elements of F_{ctx.q}")
-    if isinstance(a, np.ndarray):
-        return ctx.dlog[a], ctx.dlog[b]
-    return ctx.dlog.item(a), ctx.dlog.item(b)
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        if 0 < a < ctx.q and 0 < b < ctx.q:
+            return ctx.dlog.item(a), ctx.dlog.item(b)
+    else:
+        a, b = np.asarray(a), np.asarray(b)
+        if a.ndim != 1 or a.shape != b.shape or a.dtype.kind != "i" or b.dtype.kind != "i":
+            raise ValueError(f"array {names} must be 1-D signed-int arrays of equal length")
+        both = np.concatenate((a, b))
+        if not both.size or (0 < both.min() and both.max() < ctx.q):
+            return ctx.dlog[a], ctx.dlog[b]
+    raise ValueError(f"{names} must be nonzero elements of F_{ctx.q}")
 
 
 @dataclass(frozen=True)

@@ -83,13 +83,16 @@ def hf_eval(
 
     `upper` must have exactly one more entry than `lower`.  With x = 0 the
     value is 0, since chi(0) = 0 for every character.  The default reads
-    hf_table at dlog(x).  rows="direct" recomputes every binomial from the
+    hf_table at dlog(x), and also takes an int array of elements x, giving
+    a complex array.  rows="direct" recomputes every binomial from the
     defining Jacobi summation and sums the series term by term, with no
     cache and no FFT (slow; used for cross-route consistency checks).
     """
     if rows == "cached":
-        tab = hf_table(ctx, upper, lower)
-        return 0j if x == 0 else complex(tab[ctx.dlog[x]])
+        vals = hf_table(ctx, upper, lower)[ctx.dlog[x]]
+        if isinstance(x, np.ndarray):
+            return np.where(x == 0, 0j, vals)
+        return 0j if x == 0 else complex(vals)
     _check_params(upper, lower)
     if x == 0:
         return 0j

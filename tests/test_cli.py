@@ -180,24 +180,6 @@ def test_determinism_same_seed_identical_output():
     assert _strip_ms(out1) == _strip_ms(out2)
 
 
-def test_parser_built_once_per_process():
-    # the third run leaves out options the first two set (--sweep, --seed), so
-    # state carried over by the shared parser would change its rows
-    runs = [["count", "--q", "13", "--e", "2", "--d", "3", "--sweep", "--format", "json"],
-            ["verify", "--suite", "lennon", "--q", "13", "--count", "25", "--seed", "11",
-             "--format", "json"],
-            ["count", "--q", "37", "--e", "3", "--d", "4", "--random", "5", "--format", "json"]]
-    fresh = []
-    for argv in runs:
-        cli.build_parser.cache_clear()
-        fresh.append(run_cli(argv))
-    cli.build_parser.cache_clear()
-    shared = [run_cli(argv) for argv in runs]
-    assert cli.build_parser.cache_info().misses == 1
-    assert [(code, _rows_without_ms(out)) for code, out in shared] == [
-        (code, _rows_without_ms(out)) for code, out in fresh]
-
-
 def test_size_cap_env_override():
     src_dir = os.path.dirname(os.path.dirname(charsum.__file__))
     proc = subprocess.run(

@@ -36,6 +36,14 @@ def test_zero_argument_is_zero(f13):
     assert hyperf.hf_eval(f13, [1, 5], [6], 0) == 0
 
 
+def test_array_argument_equals_scalar_calls(f13):
+    # 0 included: its dlog is the -1 sentinel, which must not be read as g^(q-2)
+    xs = np.array([0, 1, 2, 12, 0, 7], dtype=np.int64)
+    got = hyperf.hf_eval(f13, [1, 5], [6], xs)
+    assert got.dtype == np.complex128 and got.shape == xs.shape
+    assert got.tolist() == [hyperf.hf_eval(f13, [1, 5], [6], int(x)) for x in xs]
+
+
 def test_mismatched_parameter_lists(f13):
     with pytest.raises(ValueError):
         hyperf.hf_eval(f13, [1, 5], [6, 2], 1)
