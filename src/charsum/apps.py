@@ -12,6 +12,10 @@ arrays for (a, b) or (alpha, beta) and return int64 arrays, for blocks of
 curves.  Each formula has one body for ints and arrays: it works out dlog of
 each series argument and character argument from dlog a and dlog b, gathers
 the characters from unit_roots and reads the series through hyperf.hf_eval.
+For the two traces, which are called once per curve, what depends only on
+the field (the dlogs of the constants in the arguments, e34_trace's binomial
+and Gauss products, the series parameters) is a plan built once per field
+through ctx.cached, as curves.count_theorem's is.
 The Edwards oracle works through the per-field oracle buffers for arrays.
 """
 
@@ -20,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import chars, hyperf, sums
-from .curves import _oracle_buffers, _round_guarded, _unit_dlogs, power_count_table
+from .curves import (_oracle_buffers, _round_guarded, _unit_dlogs, power_count_table,
+                     require_congruence)
 from .field import FieldCtx
 from .report import VerifyReport
 
@@ -35,50 +40,74 @@ def _dlogs(ctx: FieldCtx, *consts: int) -> list[int]:
     return [ctx.dlog_of(ctx.embed(c)) for c in consts]
 
 
+def _lennon_plan(ctx: FieldCtx) -> tuple:
+    """(c_arg, c_char, upper, lower): the constant parts dlog(-27/4) of the
+    series argument -27 b^2 / (4 a^3) and -dlog 27 of the character argument
+    a^3 / 27, and the series parameters."""
+    L = ctx.q - 1
+    l_neg, l4, l27 = _dlogs(ctx, -1, 4, 27)
+    return (l_neg + l27 - l4) % L, -l27 % L, (L // 12, 5 * L // 12), (L // 2,)
+
+
 def lennon_trace(ctx: FieldCtx, a, b):
     """Trace of Frobenius of y^2 = x^3 + a*x + b via the order-12 2F1 formula.
 
-    Needs q = 1 mod 12 and a, b != 0 (equivalently j not in {0, 1728}).
-    Equal-length int arrays a, b give an int64 array of traces, read from
-    the series table at dlog of the argument worked out from dlog a, dlog b.
+    Needs q = 1 mod 12 (else CongruenceError) and a, b != 0 (equivalently j
+    not in {0, 1728}).  Equal-length int arrays a, b give an int64 array of
+    traces, read from the series table at dlog of the argument worked out
+    from dlog a, dlog b.
     """
     L = ctx.q - 1
-    _require(L % 12 == 0, f"q = {ctx.q} is not 1 mod 12")
+    require_congruence(ctx, 12)
     la, lb = _unit_dlogs(ctx, a, b)
-    l_neg, l4, l27 = _dlogs(ctx, -1, 4, 27)
-    # the argument -27 b^2 / (4 a^3) and a^3 / 27
-    arg = ctx.exp[(l_neg + l27 + 2 * lb - l4 - 3 * la) % L]
-    series = hyperf.hf_eval(ctx, [L // 12, 5 * L // 12], [L // 2], arg)
-    char = chars.unit_roots(ctx)[(L // 4 * (3 * la - l27)) % L]
+    c_arg, c_char, upper, lower = ctx.cached("lennon_plan", _lennon_plan, ctx)
+    series = hyperf.hf_eval(ctx, upper, lower, ctx.exp[(c_arg + 2 * lb - 3 * la) % L])
+    char = chars.unit_roots(ctx)[(L // 4 * (3 * la + c_char)) % L]
     return _round_guarded(ctx, -ctx.q * char * series)
+
+
+def _e34_plan(ctx: FieldCtx) -> tuple:
+    """(c_arg, c1, c2, upper, lower1, lower2): dlog(256/27), the constant part
+    of the series argument 256 b^3 / (27 a^4); the coefficients of the two
+    4F3 series, q^3 times two Greene binomials, with the constant factors
+    T^(L/3)(3) and T^(2L/3)(3) * T^(2L/9)(-1) of their characters folded in;
+    and the series parameters."""
+    L, q3 = ctx.q - 1, ctx.q**3
+    l_neg, l3, l27, l256 = _dlogs(ctx, -1, 3, 27, 256)
+    roots = chars.unit_roots(ctx)
+
+    def t(m, l):  # T^m(g^l)
+        return complex(roots[(m * l) % L])
+
+    c1 = (q3 * sums.greene_binom(ctx, 4 * L // 9, L // 3)
+          * sums.greene_binom(ctx, L // 36, 5 * L // 36) * t(L // 3, l3))
+    c2 = (q3 * sums.greene_binom(ctx, 5 * L // 9, 2 * L // 3)
+          * sums.greene_binom(ctx, 5 * L // 36, L // 36)
+          * t(2 * L // 9, l_neg) * t(2 * L // 3, l3))
+    return ((l256 - l27) % L, c1, c2, (L // 2, 0, L // 4, 3 * L // 4),
+            (5 * L // 9, 2 * L // 9, 8 * L // 9), (4 * L // 9, L // 9, 7 * L // 9))
 
 
 def e34_trace(ctx: FieldCtx, a, b):
     """Trace of Frobenius of y^3 = x^4 + a*x + b via two 4F3 series.
 
-    Needs q = 1 mod 36 and a, b != 0.  Equal-length int arrays a, b give an
-    int64 array of traces.  The binomial and Gauss constants are scalars
-    computed once per call; the characters and series are gathers.
+    Needs q = 1 mod 36 (else CongruenceError) and a, b != 0.  Equal-length
+    int arrays a, b give an int64 array of traces.  The binomial and Gauss
+    constants are computed once per field, in the plan read through
+    ctx.cached; the characters and series are gathers.
     """
-    L, q3 = ctx.q - 1, ctx.q**3
-    _require(L % 36 == 0, f"q = {ctx.q} is not 1 mod 36")
+    L = ctx.q - 1
+    require_congruence(ctx, 36)
     la, lb = _unit_dlogs(ctx, a, b)
-    l_neg, l3, l27, l256 = _dlogs(ctx, -1, 3, 27, 256)
+    c_arg, c1, c2, upper, lower1, lower2 = ctx.cached("e34_plan", _e34_plan, ctx)
     roots = chars.unit_roots(ctx)
     # series argument is the even-d alpha = (4/a)(4b/(3a))^3 = 256 b^3 / (27 a^4)
-    arg = ctx.exp[(l256 + 3 * lb - l27 - 4 * la) % L]
-    l_3b = l3 - lb  # 3/b
-    upper = [L // 2, 0, L // 4, 3 * L // 4]
-    f1 = hyperf.hf_eval(ctx, upper, [5 * L // 9, 2 * L // 9, 8 * L // 9], arg)
-    f2 = hyperf.hf_eval(ctx, upper, [4 * L // 9, L // 9, 7 * L // 9], arg)
-    c1 = (q3 * sums.greene_binom(ctx, 4 * L // 9, L // 3)
-          * sums.greene_binom(ctx, L // 36, 5 * L // 36))
-    c2 = (q3 * sums.greene_binom(ctx, 5 * L // 9, 2 * L // 3)
-          * sums.greene_binom(ctx, 5 * L // 36, L // 36)
-          * complex(roots[(2 * L // 9 * l_neg) % L]))
-    t1 = c1 * roots[(L // 3 * l_3b) % L] * f1
-    t2 = c2 * roots[(2 * L // 3 * l_3b) % L] * f2
-    total = -roots[(-L // 3 * lb) % L] - roots[(-2 * L // 3 * lb) % L] - t1 - t2
+    arg = ctx.exp[(c_arg + 3 * lb - 4 * la) % L]
+    # T^(L/3) and T^(2L/3) at 1/b; the series terms' characters at 3/b are
+    # these times the factors at 3 that the plan folded into c1 and c2
+    r1, r2 = roots[(-L // 3 * lb) % L], roots[(-2 * L // 3 * lb) % L]
+    total = (-r1 * (1 + c1 * hyperf.hf_eval(ctx, upper, lower1, arg))
+             - r2 * (1 + c2 * hyperf.hf_eval(ctx, upper, lower2, arg)))
     return _round_guarded(ctx, total)
 
 
@@ -97,6 +126,8 @@ def edwards_count_bruteforce(ctx: FieldCtx, alpha, beta):
     """
     if isinstance(alpha, np.ndarray) or isinstance(beta, np.ndarray):
         return _edwards_count_array(ctx, beta, *_unit_dlogs(ctx, alpha, beta, "alpha, beta"))
+    _require(0 <= alpha < ctx.q and 0 <= beta < ctx.q,
+             f"alpha, beta must be elements of F_{ctx.q}")
     x2 = ctx.pow_vec(np.arange(ctx.q, dtype=np.int64), 2)
     u = ctx.add_vec(1, ctx.mul_vec(x2, ctx.neg(beta)))
     w = ctx.add_vec(1, ctx.mul_vec(x2, ctx.neg(alpha)))
@@ -202,8 +233,7 @@ def _shifted_series_term(ctx: FieldCtx, a: int, b: int) -> complex:
 
 def shifted_cubic_count(ctx: FieldCtx, a: int, b: int) -> int:
     """Affine count of y^2 = x^3 + a*x^2 + b*x via the depressed-cubic 2F1."""
-    L = ctx.q - 1
-    _require(L % 12 == 0, f"q = {ctx.q} is not 1 mod 12")
+    require_congruence(ctx, 12)
     _unit_dlogs(ctx, a, b)
     return _round_guarded(ctx, ctx.q + _shifted_series_term(ctx, a, b))
 
@@ -217,7 +247,7 @@ def cubic_transform_check(ctx: FieldCtx, a: int, b: int, branch: int = 0) -> Ver
     root, alpha = a + 2r, beta = a - 2r.
     """
     L = ctx.q - 1
-    _require(L % 12 == 0, f"q = {ctx.q} is not 1 mod 12")
+    require_congruence(ctx, 12)
     _unit_dlogs(ctx, a, b)
     _require(branch in (0, 1), "branch must be 0 or 1")
     _require(chars.legendre(ctx, b) == 1, "b must be a nonzero square")
@@ -271,13 +301,13 @@ def special_value_check(ctx: FieldCtx, which: str) -> VerifyReport:
     L = ctx.q - 1
     phi = L // 2 if ctx.q % 2 else None
     if which == "half":
-        _require(L % 4 == 0, f"q = {ctx.q} is not 1 mod 4")
+        require_congruence(ctx, 4)
         lhs = hyperf.hf_eval(ctx, [phi, phi], [0], ctx.inv(ctx.embed(2)))
         rhs = chars.mul_char(ctx, phi, ctx.neg(ctx.embed(2))) * (
             sums.greene_binom(ctx, L // 4, phi) + sums.greene_binom(ctx, 3 * L // 4, phi)
         )
     elif which == "frac-1323-1331":
-        _require(L % 12 == 0, f"q = {ctx.q} is not 1 mod 12")
+        require_congruence(ctx, 12)
         _require(ctx.embed(1331) != 0 and ctx.embed(3) != 0, "p must avoid 3 and 11")
         x = ctx.div(ctx.embed(1323), ctx.embed(1331))
         lhs = hyperf.hf_eval(ctx, [L // 12, 5 * L // 12], [phi], x)

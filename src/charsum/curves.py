@@ -80,12 +80,11 @@ class CurveSpec:
         return self.e * self.d * (self.d - 1)
 
 
-def require_congruence(spec: CurveSpec):
-    m = spec.modulus_required
-    if (spec.ctx.q - 1) % m:
-        raise CongruenceError(
-            f"q = {spec.ctx.q} is not 1 mod e*d*(d-1) = {m}"
-        )
+def require_congruence(ctx: FieldCtx, m: int):
+    """Raise CongruenceError unless q = 1 mod m.  Callers with a cached plan
+    check first, so that no plan is cached for a field that fails."""
+    if (ctx.q - 1) % m:
+        raise CongruenceError(f"q = {ctx.q} is not 1 mod {m}")
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -320,7 +319,7 @@ def _count_plan(spec: CurveSpec) -> tuple:
     d*(d-1) divides q-1.  Returns (coef, expo, [c0, shift], *tables); the
     tables are the hyperf.hf_table arrays themselves, not copies.
     """
-    require_congruence(spec)
+    require_congruence(spec.ctx, spec.modulus_required)
     ctx, e, d = spec.ctx, spec.e, spec.d
     q, L = ctx.q, ctx.q - 1
     m1, mpsi, meta, md = _steps(L, e, d)
@@ -454,7 +453,7 @@ class ThmCoeffs:
 def thm_coeffs(spec: CurveSpec) -> ThmCoeffs:
     """Compute every M_i / N_i by the Gauss-product form and by the reduced
     binomial/Jacobi form (closed forms when e = 2), for cross-checking."""
-    require_congruence(spec)
+    require_congruence(spec.ctx, spec.modulus_required)
     ctx = spec.ctx
     q, L = ctx.q, ctx.q - 1
     e, d = spec.e, spec.d

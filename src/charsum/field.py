@@ -234,12 +234,14 @@ class FieldCtx:
 
     def cached(self, key, build, *args):
         """The derived table under `key`, built as build(*args) on the first
-        call and made read-only (an ndarray, or each ndarray of a tuple)."""
+        call and made read-only (an ndarray, or each ndarray of a tuple; a
+        tuple may also hold scalars and tuples, which are immutable already)."""
         value = self._cache.get(key)
         if value is None:
             value = build(*args)
             for arr in value if isinstance(value, tuple) else (value,):
-                arr.setflags(write=False)
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
             self._cache[key] = value
         return value
 

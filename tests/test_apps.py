@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from charsum import apps, chars, curves
+from charsum import apps, chars, curves, hyperf, sums
+from charsum.field import make_field
 
 from conftest import field
 
@@ -56,6 +57,55 @@ def test_e34_preconditions(f13):
         apps.e34_trace(f13, 1, 1)  # 13 is not 1 mod 36
 
 
+@pytest.mark.parametrize("fn,key,pn", [(apps.lennon_trace, "lennon_plan", (17, 1)),
+                                       (apps.e34_trace, "e34_plan", (13, 1)),
+                                       (apps.e34_trace, "e34_plan", (5, 2))])
+def test_trace_congruence_error(fn, key, pn):
+    # the same exception as count_theorem, raised before a plan is cached
+    ctx = make_field(*pn)
+    one = np.array([1], dtype=np.int64)
+    for a, b in ((1, 1), (one, one)):
+        with pytest.raises(curves.CongruenceError, match=f"q = {ctx.q} is not 1 mod"):
+            fn(ctx, a, b)
+    assert key not in ctx._cache
+
+
+def test_other_congruence_errors(f17, f19):
+    # the module's other congruence checks raise the same exception
+    for fn, args in ((apps.shifted_cubic_count, (f17, 1, 1)),
+                     (apps.cubic_transform_check, (f17, 1, 1)),
+                     (apps.special_value_check, (f19, "half")),
+                     (apps.special_value_check, (f19, "frac-1323-1331"))):
+        with pytest.raises(curves.CongruenceError, match=f"q = {args[0].q} is not 1 mod"):
+            fn(*args)
+
+
+def test_warm_trace_calls_rebuild_nothing(monkeypatch):
+    # once a formula has run on a field, neither a Greene binomial nor a
+    # constant's dlog is computed again (the traces read theirs from their
+    # plans), while every call still reads its series through hf_eval
+    ctx = make_field(37)
+    a, b = np.array([2, 5, 7], dtype=np.int64), np.array([3, 11, 30], dtype=np.int64)
+    formulas = (apps.lennon_trace, apps.e34_trace, apps.edwards_count_formula)
+    cold = {fn: (fn(ctx, 2, 3), fn(ctx, a, b).tolist()) for fn in formulas}
+
+    def rebuilt(*args):
+        raise AssertionError("a field constant was rebuilt on a warm call")
+
+    monkeypatch.setattr(sums, "greene_binom", rebuilt)
+    monkeypatch.setattr(apps, "_dlogs", rebuilt)
+    reads = []
+    hf_eval = hyperf.hf_eval
+    monkeypatch.setattr(hyperf, "hf_eval", lambda *args: reads.append(args) or hf_eval(*args))
+    for fn, (one, block) in cold.items():
+        seen = len(reads)
+        assert fn(ctx, 2, 3) == one
+        assert len(reads) > seen
+        seen = len(reads)
+        assert fn(ctx, a, b).tolist() == block
+        assert len(reads) > seen
+
+
 def test_edwards_formula_vs_bruteforce(f13, f17):
     assert apps.edwards_count_formula(f13, 2, 3) == apps.edwards_count_bruteforce(f13, 2, 3)
     assert apps.edwards_count_formula(f17, 1, 4) == apps.edwards_count_bruteforce(f17, 1, 4)
@@ -98,6 +148,19 @@ def test_edwards_bruteforce_extension():
                 assert apps.edwards_count_bruteforce(ctx, alpha, beta) == expect
 
 
+def test_edwards_bruteforce_rejects_out_of_range(f13, f25):
+    # -1 and q + 1 once read the table entries of q - 1 and 1, and q raised IndexError
+    for ctx in (f13, f25):
+        for bad in (-1, ctx.q, ctx.q + 1):
+            for alpha, beta in ((bad, 2), (2, bad)):
+                with pytest.raises(ValueError, match="must be elements of"):
+                    apps.edwards_count_bruteforce(ctx, alpha, beta)
+    # zero stays an element the oracle takes: 2 * x^2 + y^2 = 1 over F_13
+    assert apps.edwards_count_bruteforce(f13, 2, 0) == sum(
+        f13.add(f13.mul(2, f13.pow(x, 2)), f13.pow(y, 2)) == 1
+        for x in f13.elements() for y in f13.elements())
+
+
 def _trace_oracle(e, d):
     def oracle(ctx, a, b):
         return ctx.q - curves.count_bruteforce(curves.CurveSpec(ctx, e, d, a, b))
@@ -126,6 +189,8 @@ def _all_pairs(ctx, off_diagonal=False):
         (apps.lennon_trace, (7, 2), False),
         (apps.e34_trace, (37, 1), False),
         (apps.e34_trace, (73, 1), False),
+        # F_{19^2}: the constants 3, 27 and 256 go through embed
+        (apps.e34_trace, (19, 2), False),
         (apps.edwards_count_formula, (13, 1), True),
         (apps.edwards_count_formula, (5, 2), True),
         (apps.edwards_count_formula, (7, 2), True),
@@ -134,8 +199,9 @@ def _all_pairs(ctx, off_diagonal=False):
         (apps.edwards_count_bruteforce, (7, 2), False),
         (apps.edwards_count_bruteforce, (2, 3), False),
     ],
-    ids=["lennon-13", "lennon-37", "lennon-49", "e34-37", "e34-73", "edwards-13", "edwards-25",
-         "edwards-49", "edwards-oracle-13", "edwards-oracle-49", "edwards-oracle-8"],
+    ids=["lennon-13", "lennon-37", "lennon-49", "e34-37", "e34-73", "e34-361", "edwards-13",
+         "edwards-25", "edwards-49", "edwards-oracle-13", "edwards-oracle-49",
+         "edwards-oracle-8"],
 )
 def test_array_routes_equal_scalar_routes(fn, pn, off_diagonal):
     ctx = field(*pn)
