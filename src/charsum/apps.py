@@ -7,11 +7,12 @@ Edwards curves, and the resulting 2F1 evaluations at 1/2 and 1323/1331.
 The Edwards and shifted-cubic oracles count points in O(q) by square
 classes, from the table curves.power_count_table(ctx, 2).
 
-lennon_trace, e34_trace and both Edwards counts also take equal-length int
-arrays for (a, b) or (alpha, beta) and return int64 arrays, for blocks of
-curves.  Each formula has one body for ints and arrays: it works out dlog of
-each series argument and character argument from dlog a and dlog b, gathers
-the characters from unit_roots and reads the series through hyperf.hf_eval.
+Every public function but special_value_check also takes equal-length int
+arrays for (a, b) or (alpha, beta) (and the branch), for blocks of curves.
+Each has one body for ints and arrays: it works out dlog of each series
+argument and character argument from dlog a and dlog b (sums such as
+a' = b - a^2/3 through a Zech table of dlog(1 + g^t)), gathers the
+characters from unit_roots and reads the series through hyperf.hf_eval.
 For the two traces, which are called once per curve, what depends only on
 the field (the dlogs of the constants in the arguments, e34_trace's binomial
 and Gauss products, the series parameters) is a plan built once per field
@@ -24,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import chars, hyperf, sums
-from .curves import (_oracle_buffers, _round_guarded, _unit_dlogs, power_count_table,
-                     require_congruence)
+from .curves import (BLOCK_CELLS, _oracle_buffers, _round_guarded, _unit_dlogs,
+                     power_count_table, require_congruence)
 from .field import FieldCtx
 from .report import VerifyReport
 
@@ -197,99 +198,111 @@ def edwards_count_formula(ctx: FieldCtx, alpha, beta):
 # Shifted cubic y^2 = x^3 + a*x^2 + b*x
 # ---------------------------------------------------------------------------
 
-def _shifted_coeffs(ctx: FieldCtx, a: int, b: int) -> tuple[int, int, int]:
-    """k with 3k + a = 0 and the depressed-cubic coefficients (a', b')."""
-    k = ctx.neg(ctx.div(a, ctx.embed(3)))
-    k2 = ctx.pow(k, 2)
-    a_p = ctx.add(ctx.add(ctx.mul(ctx.embed(3), k2), ctx.mul(ctx.embed(2), ctx.mul(a, k))), b)
-    b_p = ctx.mul(k, ctx.add(ctx.add(k2, ctx.mul(a, k)), b))
-    return k, a_p, b_p
+def _zech(ctx: FieldCtx) -> np.ndarray:
+    """zech[t] = dlog(1 + g^t), -1 where 1 + g^t = 0."""
+    return ctx.dlog[ctx.add_vec(1, ctx.exp)]
 
 
-def cubic_count_bruteforce(ctx: FieldCtx, a: int, b: int) -> int:
-    """Affine count of y^2 = x^3 + a*x^2 + b*x by power-class tabulation."""
-    xs = np.arange(ctx.q, dtype=np.int64)
-    vals = ctx.add_vec(
-        ctx.add_vec(ctx.pow_vec(xs, 3), ctx.mul_vec(ctx.pow_vec(xs, 2), a)),
-        ctx.mul_vec(xs, b),
-    )
-    return int(np.sum(power_count_table(ctx, 2)[vals]))
-
-
-def _shifted_series_term(ctx: FieldCtx, a: int, b: int) -> complex:
-    """q * T^(3(q-1)/4)(a'/3) * 2F1(T^(L/12), T^(5L/12); phi | -27 b'^2/(4 a'^3))."""
+def _shifted_coeffs(ctx: FieldCtx, la, lb):
+    """(dlog a', dlog b', nonzero) at dlog a, dlog b: x -> x - a/3 makes
+    x^3 + a*x^2 + b*x into x^3 + a'*x + b' with a' = b * (1 - a^2/(3b)) and
+    b' = -(ab/3) * (1 - 2a^2/(9b)); nonzero marks a', b' != 0 (elsewhere the
+    dlogs are junk)."""
     L = ctx.q - 1
-    k, a_p, b_p = _shifted_coeffs(ctx, a, b)
-    _require(a_p != 0 and b_p != 0, "shifted curve is degenerate (a' or b' is zero)")
-    arg = ctx.neg(
-        ctx.div(
-            ctx.mul(ctx.embed(27), ctx.pow(b_p, 2)),
-            ctx.mul(ctx.embed(4), ctx.pow(a_p, 3)),
-        )
-    )
+    zech = ctx.cached("zech", _zech, ctx)
+    l_neg, l2, l3 = _dlogs(ctx, -1, 2, 3)
+    z_a = zech[(l_neg + 2 * la - lb - l3) % L]
+    z_b = zech[(l_neg + l2 + 2 * la - lb - 2 * l3) % L]
+    return (lb + z_a) % L, (l_neg + la + lb - l3 + z_b) % L, (z_a >= 0) & (z_b >= 0)
+
+
+def cubic_count_bruteforce(ctx: FieldCtx, a, b):
+    """Affine count of y^2 = x^3 + a*x^2 + b*x from the square class of the
+    right side at every x, evaluated as written.  Equal-length int arrays a, b
+    give an int64 array, BLOCK_CELLS cells at a time."""
+    a2, b2 = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
+    _require(a2.shape == b2.shape and ((a2 >= 0) & (a2 < ctx.q) & (b2 >= 0) & (b2 < ctx.q)).all(),
+             f"a, b must be elements of F_{ctx.q} or equal-length arrays of them")
+    xs = np.arange(ctx.q, dtype=np.int64)
+    x2, x3, counts = ctx.pow_vec(xs, 2), ctx.pow_vec(xs, 3), power_count_table(ctx, 2)
+    step, total = max(1, BLOCK_CELLS // ctx.q), np.zeros(len(a2), dtype=np.int64)
+    for i in range(0, len(a2), step):
+        vals = ctx.add_vec(ctx.add_vec(x3, ctx.mul_arr(a2[i:i + step], x2)),
+                           ctx.mul_arr(b2[i:i + step], xs))
+        total[i:i + step] = counts[vals].sum(axis=1)
+    return total if isinstance(a, np.ndarray) else int(total[0])
+
+
+def _shifted_series_term(ctx: FieldCtx, la, lb):
+    """q * T^(3L/4)(a'/3) * 2F1(T^(L/12), T^(5L/12); phi | -27 b'^2/(4 a'^3)),
+    L = q-1; ValueError unless every a', b' is nonzero."""
+    L = ctx.q - 1
+    l_ap, l_bp, nonzero = _shifted_coeffs(ctx, la, lb)
+    _require(np.all(nonzero), "shifted curve is degenerate (a' or b' is zero)")
+    l_neg, l2, l3 = _dlogs(ctx, -1, 2, 3)
+    arg = ctx.exp[(l_neg + 3 * l3 - 2 * l2 + 2 * l_bp - 3 * l_ap) % L]
     series = hyperf.hf_eval(ctx, [L // 12, 5 * L // 12], [L // 2], arg)
-    return ctx.q * chars.mul_char(ctx, 3 * L // 4, ctx.div(a_p, ctx.embed(3))) * series
+    return ctx.q * chars.unit_roots(ctx)[(3 * L // 4 * (l_ap - l3)) % L] * series
 
 
-def shifted_cubic_count(ctx: FieldCtx, a: int, b: int) -> int:
-    """Affine count of y^2 = x^3 + a*x^2 + b*x via the depressed-cubic 2F1."""
+def shifted_cubic_count(ctx: FieldCtx, a, b):
+    """Affine count of y^2 = x^3 + a*x^2 + b*x via the depressed-cubic 2F1;
+    needs q = 1 mod 12 and a, b, a', b' != 0.  Arrays a, b give an array."""
     require_congruence(ctx, 12)
-    _unit_dlogs(ctx, a, b)
-    return _round_guarded(ctx, ctx.q + _shifted_series_term(ctx, a, b))
+    return _round_guarded(ctx, ctx.q + _shifted_series_term(ctx, *_unit_dlogs(ctx, a, b)))
 
 
-def cubic_transform_check(ctx: FieldCtx, a: int, b: int, branch: int = 0) -> VerifyReport:
+def _edwards_params(ctx: FieldCtx, la, lb, branch):
+    """(dlog alpha, dlog beta, nonzero) for alpha, beta = a * (1 +- 2r/a), r the
+    root g^(dlog b / 2) of b on branch 0 and -r on branch 1."""
+    L = ctx.q - 1
+    l_neg, l2 = _dlogs(ctx, -1, 2)
+    l_2r_a = l2 + lb // 2 + branch * (L // 2) - la
+    zech = ctx.cached("zech", _zech, ctx)
+    z_alpha, z_beta = zech[l_2r_a % L], zech[(l_neg + l_2r_a) % L]
+    return (la + z_alpha) % L, (la + z_beta) % L, (z_alpha >= 0) & (z_beta >= 0)
+
+
+def cubic_transform_admissible(ctx: FieldCtx, a, b, branch=0):
+    """Whether cubic_transform_check takes (a, b, branch): b a nonzero square,
+    branch 0 or 1, and alpha, beta, a', b' nonzero (a = 0 makes b' zero).
+    A bool array for equal-length int arrays.  Needs q = 1 mod 12."""
+    require_congruence(ctx, 12)
+    la, lb = ctx.dlog[a], ctx.dlog[b]
+    ok = (a != 0) & (b != 0) & (lb % 2 == 0) & ((branch == 0) | (branch == 1))
+    return ok & _shifted_coeffs(ctx, la, lb)[2] & _edwards_params(ctx, la, lb, branch)[2]
+
+
+def cubic_transform_check(ctx: FieldCtx, a, b, branch=0):
     """Quadratic-twist transformation between the shifted-cubic series and the
-    Edwards-side 2F1, for one square-root branch of b.
+    Edwards-side 2F1, for one square-root branch r of b.
 
-    Checks the series identity within tolerance and the integer bridge
-    #E + 2 = #C + 3 + phi(a^2 - 4b) + phi(a*b - 2*b*r), with r the chosen
-    root, alpha = a + 2r, beta = a - 2r.
+    Returns (formula, oracle, disc, match): the shifted-cubic series term;
+    the real part of -phi(beta) + phi(a*b - 2*b*r) + q*phi(-alpha) *
+    2F1(phi, phi; eps | beta/alpha), alpha = a + 2r, beta = a - 2r; their
+    distance; and whether it is within tolerance and the enumeration counts
+    meet the bridge #C + 2 = #E + 3 + phi(a^2 - 4b) + phi(a*b - 2*b*r).
+    Equal-length int arrays give arrays.  ValueError unless every entry is
+    admissible (see cubic_transform_admissible).
     """
     L = ctx.q - 1
-    require_congruence(ctx, 12)
-    _unit_dlogs(ctx, a, b)
-    _require(branch in (0, 1), "branch must be 0 or 1")
-    _require(chars.legendre(ctx, b) == 1, "b must be a nonzero square")
-    root = ctx.sqrt_canonical(b)
-    if branch == 1:
-        root = ctx.neg(root)
-    two_r = ctx.mul(ctx.embed(2), root)
-    alpha = ctx.add(a, two_r)
-    beta = ctx.sub(a, two_r)
-    _require(alpha != 0 and beta != 0, "a = +-2*sqrt(b) is excluded")
-
-    lhs = _shifted_series_term(ctx, a, b)
-    series = hyperf.hf_eval(ctx, [L // 2, L // 2], [0], ctx.div(beta, alpha))
-    ab2br = ctx.sub(ctx.mul(a, b), ctx.mul(two_r, b))
-    rhs = (
-        -chars.mul_char(ctx, L // 2, beta)
-        + chars.mul_char(ctx, L // 2, ab2br)
-        + ctx.q * chars.mul_char(ctx, L // 2, ctx.neg(alpha)) * series
-    )
-    disc = abs(lhs - rhs)
-
-    n_cubic = cubic_count_bruteforce(ctx, a, b)
-    n_edwards = edwards_count_bruteforce(ctx, alpha, beta)
-    disc_sq = ctx.sub(ctx.pow(a, 2), ctx.mul(ctx.embed(4), b))
-    bridge_lhs = n_cubic + 2
-    bridge_rhs = (
-        n_edwards + 3 + chars.legendre(ctx, disc_sq) + chars.legendre(ctx, ab2br)
-    )
-    tol = ctx.tol * ctx.q * ctx.q
-    return VerifyReport(
-        name="cubic-transform",
-        q=ctx.q,
-        a=a,
-        b=b,
-        formula=complex(lhs),
-        oracle=rhs.real,
-        match=disc < tol and bridge_lhs == bridge_rhs,
-        disc=disc,
-        tol=tol,
-        cases=1,
-        worst_case=(branch, bridge_lhs, bridge_rhs),
-    )
+    la, lb = _unit_dlogs(ctx, a, b)
+    _require(np.all(cubic_transform_admissible(ctx, a, b, branch)),
+             "(a, b, branch) is not admissible: need b a nonzero square, branch 0 or 1, "
+             "a != +-2*sqrt(b) and a', b' != 0")
+    lhs = _shifted_series_term(ctx, la, lb)
+    l_alpha, l_beta, _ = _edwards_params(ctx, la, lb, branch)
+    roots = chars.unit_roots(ctx)
+    l_neg = ctx.dlog_of(ctx.minus_one())
+    # phi(x) = T^(L/2)(x); a*b - 2*b*r = b*beta and a^2 - 4b = alpha*beta
+    series = hyperf.hf_eval(ctx, [L // 2, L // 2], [0], ctx.exp[(l_beta - l_alpha) % L])
+    rhs = (-roots[(L // 2 * l_beta) % L] + roots[(L // 2 * (lb + l_beta)) % L]
+           + ctx.q * roots[(L // 2 * (l_neg + l_alpha)) % L] * series)
+    disc = np.abs(lhs - rhs)
+    n_edwards = edwards_count_bruteforce(ctx, ctx.exp[l_alpha], ctx.exp[l_beta])
+    bridge = n_edwards + 3 + (1 - 2 * ((l_alpha + l_beta) & 1)) + (1 - 2 * ((lb + l_beta) & 1))
+    match = (disc < ctx.tol * ctx.q * ctx.q) & (cubic_count_bruteforce(ctx, a, b) + 2 == bridge)
+    return lhs, rhs.real, disc, match
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ JSON output is line-delimited with the fixed key set
 {q, e, d, a, b, formula_re, formula_im, oracle, match, disc, ms};
 verify streams add a leading "case" key naming the checked identity/config.
 CSV uses the same columns in the same order.  The "table" format is for
-humans and not schema-stable.  `count` and the lennon, e34 and edwards
-suites evaluate their (a, b) pairs in blocks, one array call of the oracle
-and of the closed form per block, and write a block's rows at once; such a
-row's ms is its block's wall time divided by the block's rows.  Every other
-row's ms is the wall time of the step that produced it.
+humans and not schema-stable.  `count` and the lennon, e34, edwards and
+cubic-transform suites evaluate their cases in blocks, one array call of the
+oracle and of the closed form per block, and write a block's rows at once;
+such a row's ms is its block's wall time divided by the block's rows.  Every
+other row's ms is the wall time of the step that produced it.  Invalid input
+raises CliError or a ValueError (a field's unmet congruence included), both
+exit 2.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import time
 
 import numpy as np
 
-from . import apps, chars, curves, hyperf, sums
-from .field import DEFAULT_SIZE_CAP, DEFAULT_TOL, FieldError, factor_prime_power, make_field
+from . import apps, curves, hyperf, sums
+from .field import DEFAULT_SIZE_CAP, DEFAULT_TOL, factor_prime_power, make_field
 
 _COLUMNS = ["q", "e", "d", "a", "b", "formula_re", "formula_im", "oracle", "match", "disc", "ms"]
 
@@ -39,16 +41,13 @@ def _build_field(args):
     size_cap = args.size_cap
     if size_cap is None:
         size_cap = int(os.environ.get("CHARSUM_SIZE_CAP", DEFAULT_SIZE_CAP))
-    try:
-        if args.q is not None:
-            p, n = factor_prime_power(args.q)
-        else:
-            if args.p is None:
-                raise CliError("need --q or --p (with optional --n)")
-            p, n = args.p, args.n
-        return make_field(p, n, size_cap=size_cap, tol=args.tol)
-    except FieldError as exc:
-        raise CliError(str(exc)) from exc
+    if args.q is not None:
+        p, n = factor_prime_power(args.q)
+    elif args.p is None:
+        raise CliError("need --q or --p (with optional --n)")
+    else:
+        p, n = args.p, args.n
+    return make_field(p, n, size_cap=size_cap, tol=args.tol)
 
 
 def _parse_element(ctx, text: str, label: str) -> int:
@@ -238,10 +237,7 @@ def cmd_count(args, emitter: _Emitter) -> None:
     def formula(a, b):
         return curves.count_theorem(curves.CurveSpec(ctx, e, d, a, b))
 
-    try:
-        _build_tables(oracle, formula)
-    except curves.CongruenceError as exc:
-        raise CliError(str(exc)) from exc
+    _build_tables(oracle, formula)
     rows = _block_rows(ctx, _count_cases(ctx, args), oracle, formula, e, d)
     for row, ms in _timed(rows):
         row["ms"] = ms / len(row["a"])
@@ -262,11 +258,7 @@ def _suite_davenport_hasse(ctx, args):
     if args.d is None:
         raise CliError("davenport-hasse needs --d")
     for t in (1, -1):
-        try:
-            report = sums.davenport_hasse(ctx, args.d, t=t)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        yield f"davenport-hasse(t={t})", report.to_row()
+        yield f"davenport-hasse(t={t})", sums.davenport_hasse(ctx, args.d, t=t).to_row()
 
 
 def _suite_binom_props(ctx, args):
@@ -288,22 +280,31 @@ def _suite_special_values(ctx, args):
 
 
 def _suite_cubic_transform(ctx, args):
-    if (ctx.q - 1) % 12:
-        raise CliError(f"q = {ctx.q} is not 1 mod 12")
-    ran = 0
-    for b in ctx.units():
-        if chars.legendre(ctx, b) != 1:
-            continue
-        for a in ctx.units():
-            for branch in (0, 1):
-                try:
-                    report = apps.cubic_transform_check(ctx, a, b, branch=branch)
-                except ValueError:
-                    continue
-                ran += 1
-                yield f"cubic-transform(branch={branch})", report.to_row()
-    if not ran:
-        raise CliError("no admissible (a, b) pairs")
+    """(case list, row) per block, as _cubic_transform_blocks gives them.  Not
+    a generator, so the field's checks and tables come before the first block
+    is timed."""
+    empty = np.empty(0, dtype=np.int64)
+    apps.cubic_transform_check(ctx, empty, empty)
+    return _cubic_transform_blocks(ctx)
+
+
+def _cubic_transform_blocks(ctx):
+    """One (case list, row) per block of admissible (a, b, branch), found
+    among max(1, BLOCK_CELLS // (q-1)) candidates at a time in (b, a, branch)
+    order; one array call of apps.cubic_transform_check per block."""
+    L = ctx.q - 1
+    step = max(1, curves.BLOCK_CELLS // L)
+    for i in range(0, 2 * L * L, step):
+        k = np.arange(i, min(i + step, 2 * L * L), dtype=np.int64)
+        b, a, branch = 1 + k // (2 * L), 1 + k // 2 % L, k % 2
+        keep = apps.cubic_transform_admissible(ctx, a, b, branch)
+        if keep.any():
+            a, b, branch = a[keep], b[keep], branch[keep]
+            formula, oracle, disc, match = apps.cubic_transform_check(ctx, a, b, branch)
+            yield ([f"cubic-transform(branch={t})" for t in branch.tolist()],
+                   {"q": ctx.q, "a": a.tolist(), "b": b.tolist(),
+                    "formula_re": formula.real.tolist(), "formula_im": formula.imag.tolist(),
+                    "oracle": oracle.tolist(), "match": match.tolist(), "disc": disc.tolist()})
 
 
 def _random_unit_pairs(ctx, rng, count, distinct=False):
@@ -336,10 +337,7 @@ def _suite_edwards(ctx, args):
                         lambda a, b: apps.edwards_count_formula(ctx, a, b), distinct=True)
 
 
-def _trace_suite(ctx, args, label, congruence, trace_fn, e, d):
-    if (ctx.q - 1) % congruence:
-        raise CliError(f"q = {ctx.q} is not 1 mod {congruence}")
-
+def _trace_suite(ctx, args, label, trace_fn, e, d):
     def oracle(a, b):
         return ctx.q - curves.count_bruteforce(curves.CurveSpec(ctx, e, d, a, b))
 
@@ -347,11 +345,11 @@ def _trace_suite(ctx, args, label, congruence, trace_fn, e, d):
 
 
 def _suite_lennon(ctx, args):
-    return _trace_suite(ctx, args, "lennon", 12, apps.lennon_trace, 2, 3)
+    return _trace_suite(ctx, args, "lennon", apps.lennon_trace, 2, 3)
 
 
 def _suite_e34(ctx, args):
-    return _trace_suite(ctx, args, "e34", 36, apps.e34_trace, 3, 4)
+    return _trace_suite(ctx, args, "e34", apps.e34_trace, 3, 4)
 
 
 _SUITE_RUNNERS = {
@@ -407,11 +405,7 @@ def cmd_eval(args, emitter: _Emitter) -> None:
             raise CliError("eval hf needs --upper, --lower and --x")
         upper = _parse_exponents(args.upper, "--upper")
         lower = _parse_exponents(args.lower, "--lower")
-        x = _parse_element(ctx, args.x, "--x")
-        try:
-            value = hyperf.hf_eval(ctx, upper, lower, x)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        value = hyperf.hf_eval(ctx, upper, lower, _parse_element(ctx, args.x, "--x"))
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown eval target {args.what!r}")
     if args.format == "json":
@@ -504,10 +498,7 @@ def main(argv=None) -> int:
     emitter = _Emitter(args.format, sys.stdout)
     try:
         args.func(args, emitter)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FieldError, ValueError) as exc:
+    except (CliError, ValueError) as exc:  # FieldError and CongruenceError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if emitter.all_match else 1

@@ -1,4 +1,4 @@
-"""Verification report records shared by the identity suites and the CLI."""
+"""Verification report records of the identity grids and the 2F1 special values."""
 
 from __future__ import annotations
 
@@ -7,13 +7,14 @@ from dataclasses import dataclass, field
 
 @dataclass
 class VerifyReport:
-    """Outcome of checking one formula (or one identity grid) against an oracle.
+    """Outcome of checking one identity grid (or one special value) against
+    an oracle.
 
-    For identity grids, `disc` is the worst absolute discrepancy seen and
-    `worst_case` the parameter tuple achieving it; `cases`/`skipped` count
-    grid points checked respectively gated out by preconditions.  The library
-    leaves `ms` at 0.0; the CLI sets the `ms` of the row it writes to the
-    wall time of the step that produced it, its one clock.
+    `disc` is the worst absolute discrepancy seen and `worst_case` the
+    parameter tuple achieving it; `cases`/`skipped` count grid points checked
+    respectively gated out by preconditions.  `d` is the section order of a
+    Davenport-Hasse report.  The row has no ms: the CLI adds the wall time
+    of the step that produced it.
     """
 
     name: str
@@ -26,24 +27,16 @@ class VerifyReport:
     cases: int = 0
     skipped: int = 0
     worst_case: tuple = field(default_factory=tuple)
-    e: int | None = None
     d: int | None = None
-    a: int | None = None
-    b: int | None = None
-    ms: float = 0.0
 
     def to_row(self) -> dict:
-        """Stable report row: fixed key set and order used for JSON/CSV output."""
+        """The report's row columns; the CLI writes the missing ones as null."""
         return {
             "q": self.q,
-            "e": self.e,
             "d": self.d,
-            "a": self.a,
-            "b": self.b,
             "formula_re": float(self.formula.real),
             "formula_im": float(self.formula.imag),
             "oracle": self.oracle,
             "match": bool(self.match),
             "disc": float(self.disc),
-            "ms": self.ms,
         }

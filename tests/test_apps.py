@@ -74,6 +74,7 @@ def test_other_congruence_errors(f17, f19):
     # the module's other congruence checks raise the same exception
     for fn, args in ((apps.shifted_cubic_count, (f17, 1, 1)),
                      (apps.cubic_transform_check, (f17, 1, 1)),
+                     (apps.cubic_transform_admissible, (f17, 1, 1)),
                      (apps.special_value_check, (f19, "half")),
                      (apps.special_value_check, (f19, "frac-1323-1331"))):
         with pytest.raises(curves.CongruenceError, match=f"q = {args[0].q} is not 1 mod"):
@@ -167,45 +168,74 @@ def _trace_oracle(e, d):
     return oracle
 
 
-# the enumeration each closed form is checked against
+def _cubic_enumeration(ctx, a, b):
+    # every (x, y) with y^2 = x^3 + a*x^2 + b*x, in scalar field arithmetic
+    squares = [ctx.pow(y, 2) for y in ctx.elements()]
+    return np.array([sum(squares.count(ctx.add(ctx.add(ctx.pow(x, 3), ctx.mul(s, ctx.pow(x, 2))),
+                                               ctx.mul(t, x))) for x in ctx.elements())
+                     for s, t in zip(a.tolist(), b.tolist())])
+
+
+# the enumeration each closed form (and the cubic oracle) is checked against
 ORACLES = {
     apps.lennon_trace: _trace_oracle(2, 3),
     apps.e34_trace: _trace_oracle(3, 4),
     apps.edwards_count_formula: apps.edwards_count_bruteforce,
+    apps.shifted_cubic_count: apps.cubic_count_bruteforce,
+    apps.cubic_count_bruteforce: _cubic_enumeration,
 }
 
 
-def _all_pairs(ctx, off_diagonal=False):
-    pairs = [(a, b) for a, b in itertools.product(ctx.units(), repeat=2)
-             if not (off_diagonal and a == b)]
-    return pairs, *np.array(pairs, dtype=np.int64).T
+def _off_diagonal(ctx, a, b):
+    return a != b
+
+
+def _nondegenerate_shift(ctx, a, b):
+    # the pairs whose depressed cubic has a', b' != 0
+    return apps._shifted_coeffs(ctx, ctx.dlog[a], ctx.dlog[b])[2]
+
+
+def _all_pairs(ctx, keep=None):
+    """The unit pairs (a, b) where keep(ctx, a, b) holds, as a list and as arrays."""
+    a, b = np.array(list(itertools.product(ctx.units(), repeat=2)), dtype=np.int64).T
+    if keep is not None:
+        mask = keep(ctx, a, b)
+        a, b = a[mask], b[mask]
+    return list(zip(a.tolist(), b.tolist())), a, b
 
 
 @pytest.mark.parametrize(
-    "fn,pn,off_diagonal",
+    "fn,pn,keep",
     [
-        (apps.lennon_trace, (13, 1), False),
-        (apps.lennon_trace, (37, 1), False),
-        (apps.lennon_trace, (7, 2), False),
-        (apps.e34_trace, (37, 1), False),
-        (apps.e34_trace, (73, 1), False),
+        (apps.lennon_trace, (13, 1), None),
+        (apps.lennon_trace, (37, 1), None),
+        (apps.lennon_trace, (7, 2), None),
+        (apps.e34_trace, (37, 1), None),
+        (apps.e34_trace, (73, 1), None),
         # F_{19^2}: the constants 3, 27 and 256 go through embed
-        (apps.e34_trace, (19, 2), False),
-        (apps.edwards_count_formula, (13, 1), True),
-        (apps.edwards_count_formula, (5, 2), True),
-        (apps.edwards_count_formula, (7, 2), True),
+        (apps.e34_trace, (19, 2), None),
+        (apps.edwards_count_formula, (13, 1), _off_diagonal),
+        (apps.edwards_count_formula, (5, 2), _off_diagonal),
+        (apps.edwards_count_formula, (7, 2), _off_diagonal),
         # the oracle also on the diagonal, and at even q
-        (apps.edwards_count_bruteforce, (13, 1), False),
-        (apps.edwards_count_bruteforce, (7, 2), False),
-        (apps.edwards_count_bruteforce, (2, 3), False),
+        (apps.edwards_count_bruteforce, (13, 1), None),
+        (apps.edwards_count_bruteforce, (7, 2), None),
+        (apps.edwards_count_bruteforce, (2, 3), None),
+        (apps.shifted_cubic_count, (13, 1), _nondegenerate_shift),
+        (apps.shifted_cubic_count, (7, 2), _nondegenerate_shift),
+        # the cubic oracle on every pair, and at even q
+        (apps.cubic_count_bruteforce, (13, 1), None),
+        (apps.cubic_count_bruteforce, (5, 2), None),
+        (apps.cubic_count_bruteforce, (2, 3), None),
     ],
     ids=["lennon-13", "lennon-37", "lennon-49", "e34-37", "e34-73", "e34-361", "edwards-13",
          "edwards-25", "edwards-49", "edwards-oracle-13", "edwards-oracle-49",
-         "edwards-oracle-8"],
+         "edwards-oracle-8", "shifted-cubic-13", "shifted-cubic-49", "cubic-oracle-13",
+         "cubic-oracle-25", "cubic-oracle-8"],
 )
-def test_array_routes_equal_scalar_routes(fn, pn, off_diagonal):
+def test_array_routes_equal_scalar_routes(fn, pn, keep):
     ctx = field(*pn)
-    pairs, a, b = _all_pairs(ctx, off_diagonal)
+    pairs, a, b = _all_pairs(ctx, keep)
     got = fn(ctx, a, b)
     assert got.dtype == np.int64
     assert got.tolist() == [fn(ctx, x, y) for x, y in pairs]
@@ -218,7 +248,7 @@ def test_array_routes_equal_scalar_routes(fn, pn, off_diagonal):
 # at q = 37 every formula's congruence holds, so only the argument check can raise
 @pytest.mark.parametrize(
     "fn", [apps.lennon_trace, apps.e34_trace, apps.edwards_count_formula,
-           apps.edwards_count_bruteforce])
+           apps.edwards_count_bruteforce, apps.shifted_cubic_count, apps.cubic_transform_check])
 def test_array_routes_reject_bad_arrays(f37, fn):
     ok = np.array([1, 2, 3])
     for a, b in [(ok, np.array([1, 0, 3])), (ok, np.array([1, 37, 3])),
@@ -250,11 +280,22 @@ def test_array_trace_refused_whole(monkeypatch):
         apps.lennon_trace(ctx, a, b)
 
 
-def test_shifted_cubic_count_example(f13):
-    # a = 12, b = 4 gives k = -4 = 9
-    k, a_p, b_p = apps._shifted_coeffs(f13, 12, 4)
-    assert k == 9
+def test_shifted_cubic_count_example(f13, f25):
+    # a = 12, b = 4 gives k = -4 = 9, a' = 3k^2 + 2ak + b = 8, b' = k(k^2 + ak + b) = 8
+    l_ap, l_bp, nonzero = apps._shifted_coeffs(f13, f13.dlog_of(12), f13.dlog_of(4))
+    assert (f13.exp[l_ap], f13.exp[l_bp], nonzero) == (8, 8, True)
     assert apps.shifted_cubic_count(f13, 12, 4) == apps.cubic_count_bruteforce(f13, 12, 4)
+    # the Zech-table coefficients against the shift x -> x + k, k = -a/3, in field arithmetic
+    for ctx in (f13, f25):
+        pairs, a, b = _all_pairs(ctx)
+        l_ap, l_bp, nonzero = apps._shifted_coeffs(ctx, ctx.dlog[a], ctx.dlog[b])
+        for (x, y), la_p, lb_p, ok in zip(pairs, l_ap.tolist(), l_bp.tolist(), nonzero.tolist()):
+            k = ctx.neg(ctx.div(x, ctx.embed(3)))
+            a_p = ctx.add(ctx.add(ctx.mul(3, ctx.pow(k, 2)), ctx.mul(2, ctx.mul(x, k))), y)
+            b_p = ctx.mul(k, ctx.add(ctx.add(ctx.pow(k, 2), ctx.mul(x, k)), y))
+            assert ok == (a_p != 0 and b_p != 0)
+            if ok:
+                assert (ctx.exp[la_p], ctx.exp[lb_p]) == (a_p, b_p)
 
 
 def test_shifted_cubic_random(f13):
@@ -277,16 +318,23 @@ def test_shifted_cubic_degenerate_rejected(f13):
     b = f13.div(f13.pow(a, 2), 3)
     with pytest.raises(ValueError):
         apps.shifted_cubic_count(f13, a, b)
+    # one such entry refuses a whole array call, and so does the transform check's
+    with pytest.raises(ValueError, match="degenerate"):
+        apps.shifted_cubic_count(f13, np.array([1, a, 2]), np.array([1, b, 1]))
+    assert chars.legendre(f13, b) == 1  # so only a' = 0 makes it inadmissible
+    with pytest.raises(ValueError, match="not admissible"):
+        apps.cubic_transform_check(f13, np.array([12, a]), np.array([4, b]))
 
 
 def test_cubic_transform_both_branches(f13):
-    r0 = apps.cubic_transform_check(f13, 12, 4, branch=0)
-    r1 = apps.cubic_transform_check(f13, 12, 4, branch=1)
-    assert r0.match and r1.match
-    assert r0.disc < 1e-9 and r1.disc < 1e-9
-    # integer bridge identity is exact
-    assert r0.worst_case[1] == r0.worst_case[2]
-    assert r1.worst_case[1] == r1.worst_case[2]
+    for branch in (0, 1):
+        _, _, disc, match = apps.cubic_transform_check(f13, 12, 4, branch=branch)
+        # match takes the series identity within tolerance and the exact integer bridge
+        assert match and disc < 1e-9
+    # the array route gives the same, entry by entry
+    got = apps.cubic_transform_check(f13, np.array([12, 12]), np.array([4, 4]), np.array([0, 1]))
+    for i, branch in enumerate((0, 1)):
+        assert [v[i] for v in got] == list(apps.cubic_transform_check(f13, 12, 4, branch))
 
 
 def test_cubic_transform_rejects_root_of_b(f13):
@@ -295,6 +343,12 @@ def test_cubic_transform_rejects_root_of_b(f13):
     a = f13.mul(2, f13.sqrt_canonical(b))
     with pytest.raises(ValueError):
         apps.cubic_transform_check(f13, a, b, branch=0)
+    assert not apps.cubic_transform_admissible(f13, a, b, 0)
+    assert not apps.cubic_transform_admissible(f13, f13.neg(a), b, 1)
+    # one such entry, either sign, refuses a whole array call
+    for x in (a, f13.neg(a)):
+        with pytest.raises(ValueError, match="not admissible"):
+            apps.cubic_transform_check(f13, np.array([12, x]), np.array([4, b]), np.array([0, 0]))
 
 
 def test_cubic_transform_requires_square_b(f13):

@@ -77,6 +77,45 @@ def test_count_rows_match_golden():
         assert rows == want, argv
 
 
+_CUBIC_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cubic_transform_golden.json")
+
+
+def test_cubic_transform_rows_match_golden():
+    # the series side is floating point: exact columns repeat, float columns to 1e-12
+    with open(_CUBIC_GOLDEN) as fh:
+        golden = json.load(fh)
+    assert [len(rows) for rows in golden.values()] == [96, 432]
+    for argv, want in golden.items():
+        code, out = run_cli(argv.split() + ["--format", "json"])
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == len(want), argv
+        for row, ref in zip(rows, want):
+            del row["ms"]
+            assert row.keys() == ref.keys()
+            for key in ("case", "q", "e", "d", "a", "b", "match"):
+                assert row[key] == ref[key], (argv, ref)
+            for key in ("formula_re", "formula_im", "oracle", "disc"):
+                assert abs(row[key] - ref[key]) <= 1e-12, (argv, ref, key)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--q", "13", "--e", "3", "--d", "4", "--a", "1", "--b", "1"],
+        ["verify", "--suite", "lennon", "--q", "17"],
+        ["verify", "--suite", "e34", "--q", "13"],
+        ["verify", "--suite", "cubic-transform", "--q", "17"],
+    ],
+    ids=["count", "lennon", "e34", "cubic-transform"],
+)
+def test_congruence_errors_exit_2(argv, capsys):
+    # the library's CongruenceError, a ValueError, reaches main's exit-2 handler
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert "is not 1 mod" in capsys.readouterr().err
+
+
 def test_count_invalid_q_exits_2():
     code, _ = run_cli(["count", "--q", "14", "--e", "2", "--d", "3",
                        "--a", "1", "--b", "1"])
