@@ -16,7 +16,9 @@ characters from unit_roots and reads the series through hyperf.hf_eval.
 For the two traces, which are called once per curve, what depends only on
 the field (the dlogs of the constants in the arguments, e34_trace's binomial
 and Gauss products, the series parameters) is a plan built once per field
-through ctx.cached, as curves.count_theorem's is.
+through ctx.cached, as curves.count_theorem's is.  Lennon's formula and
+the Edwards count each have an unrounded core at (dlog a, dlog b), which the
+shifted-cubic functions read at the shifted or Edwards parameters.
 The Edwards oracle works through the per-field oracle buffers for arrays.
 """
 
@@ -58,13 +60,19 @@ def lennon_trace(ctx: FieldCtx, a, b):
     traces, read from the series table at dlog of the argument worked out
     from dlog a, dlog b.
     """
-    L = ctx.q - 1
     require_congruence(ctx, 12)
-    la, lb = _unit_dlogs(ctx, a, b)
+    return _round_guarded(ctx, _lennon_core(ctx, *_unit_dlogs(ctx, a, b)))
+
+
+def _lennon_core(ctx: FieldCtx, la, lb):
+    """-q * T^(L/4)(a^3/27) * 2F1(T^(L/12), T^(5L/12); phi | -27 b^2/(4 a^3)),
+    L = q-1, at a = g^la and b = g^lb, unrounded; q = 1 mod 12 is the
+    caller's to check."""
+    L = ctx.q - 1
     c_arg, c_char, upper, lower = ctx.cached("lennon_plan", _lennon_plan, ctx)
     series = hyperf.hf_eval(ctx, upper, lower, ctx.exp[(c_arg + 2 * lb - 3 * la) % L])
     char = chars.unit_roots(ctx)[(L // 4 * (3 * la + c_char)) % L]
-    return _round_guarded(ctx, -ctx.q * char * series)
+    return -ctx.q * char * series
 
 
 def _e34_plan(ctx: FieldCtx) -> tuple:
@@ -129,12 +137,11 @@ def edwards_count_bruteforce(ctx: FieldCtx, alpha, beta):
         return _edwards_count_array(ctx, beta, *_unit_dlogs(ctx, alpha, beta, "alpha, beta"))
     _require(0 <= alpha < ctx.q and 0 <= beta < ctx.q,
              f"alpha, beta must be elements of F_{ctx.q}")
-    x2 = ctx.pow_vec(np.arange(ctx.q, dtype=np.int64), 2)
-    u = ctx.add_vec(1, ctx.mul_vec(x2, ctx.neg(beta)))
-    w = ctx.add_vec(1, ctx.mul_vec(x2, ctx.neg(alpha)))
+    x2 = ctx.pow(np.arange(ctx.q, dtype=np.int64), 2)
+    u = ctx.add_vec(1, ctx.mul(x2, ctx.neg(beta)))
+    w = ctx.add_vec(1, ctx.mul(x2, ctx.neg(alpha)))
     unit = u != 0
-    u_inv = ctx.exp[(-ctx.dlog[u[unit]]) % (ctx.q - 1)]
-    squares = power_count_table(ctx, 2)[ctx.mul_arr(w[unit], u_inv)]
+    squares = power_count_table(ctx, 2)[ctx.div(w[unit], u[unit])]
     return int(squares.sum()) + ctx.q * int(np.count_nonzero(w[~unit] == 0))
 
 
@@ -185,13 +192,19 @@ def edwards_count_formula(ctx: FieldCtx, alpha, beta):
 
     Equal-length int arrays alpha, beta give an int64 array of counts."""
     _require(ctx.q % 2 == 1, "odd q required")
-    L = ctx.q - 1
     la, lb = _unit_dlogs(ctx, alpha, beta, "alpha, beta")
-    series = hyperf.hf_eval(ctx, [L // 2, L // 2], [0], ctx.exp[(lb - la) % L])
-    char = chars.unit_roots(ctx)[(L // 2 * (la + ctx.dlog_of(ctx.minus_one()))) % L]
     # phi(x) = 1 - 2 * (dlog x mod 2)
     total = ctx.q - 1 - (1 - 2 * (lb & 1)) - (1 - 2 * ((la + lb) & 1))
-    return _round_guarded(ctx, total + ctx.q * char * series)
+    return _round_guarded(ctx, total + _edwards_core(ctx, la, lb))
+
+
+def _edwards_core(ctx: FieldCtx, la, lb):
+    """q * phi(-alpha) * 2F1(phi, phi; eps | beta/alpha) at alpha = g^la and
+    beta = g^lb, unrounded."""
+    L = ctx.q - 1
+    series = hyperf.hf_eval(ctx, [L // 2, L // 2], [0], ctx.exp[(lb - la) % L])
+    char = chars.unit_roots(ctx)[(L // 2 * (la + ctx.dlog_of(ctx.minus_one()))) % L]
+    return ctx.q * char * series
 
 
 # ---------------------------------------------------------------------------
@@ -224,25 +237,22 @@ def cubic_count_bruteforce(ctx: FieldCtx, a, b):
     _require(a2.shape == b2.shape and ((a2 >= 0) & (a2 < ctx.q) & (b2 >= 0) & (b2 < ctx.q)).all(),
              f"a, b must be elements of F_{ctx.q} or equal-length arrays of them")
     xs = np.arange(ctx.q, dtype=np.int64)
-    x2, x3, counts = ctx.pow_vec(xs, 2), ctx.pow_vec(xs, 3), power_count_table(ctx, 2)
+    x2, x3, counts = ctx.pow(xs, 2), ctx.pow(xs, 3), power_count_table(ctx, 2)
     step, total = max(1, BLOCK_CELLS // ctx.q), np.zeros(len(a2), dtype=np.int64)
     for i in range(0, len(a2), step):
-        vals = ctx.add_vec(ctx.add_vec(x3, ctx.mul_arr(a2[i:i + step], x2)),
-                           ctx.mul_arr(b2[i:i + step], xs))
+        vals = ctx.add_vec(ctx.add_vec(x3, ctx.mul(a2[i:i + step], x2)),
+                           ctx.mul(b2[i:i + step], xs))
         total[i:i + step] = counts[vals].sum(axis=1)
     return total if isinstance(a, np.ndarray) else int(total[0])
 
 
 def _shifted_series_term(ctx: FieldCtx, la, lb):
     """q * T^(3L/4)(a'/3) * 2F1(T^(L/12), T^(5L/12); phi | -27 b'^2/(4 a'^3)),
-    L = q-1; ValueError unless every a', b' is nonzero."""
-    L = ctx.q - 1
+    L = q-1: minus Lennon's trace of y^2 = x^3 + a'*x + b', unrounded.
+    ValueError unless every a', b' is nonzero."""
     l_ap, l_bp, nonzero = _shifted_coeffs(ctx, la, lb)
     _require(np.all(nonzero), "shifted curve is degenerate (a' or b' is zero)")
-    l_neg, l2, l3 = _dlogs(ctx, -1, 2, 3)
-    arg = ctx.exp[(l_neg + 3 * l3 - 2 * l2 + 2 * l_bp - 3 * l_ap) % L]
-    series = hyperf.hf_eval(ctx, [L // 12, 5 * L // 12], [L // 2], arg)
-    return ctx.q * chars.unit_roots(ctx)[(3 * L // 4 * (l_ap - l3)) % L] * series
+    return -_lennon_core(ctx, l_ap, l_bp)
 
 
 def shifted_cubic_count(ctx: FieldCtx, a, b):
@@ -293,11 +303,9 @@ def cubic_transform_check(ctx: FieldCtx, a, b, branch=0):
     lhs = _shifted_series_term(ctx, la, lb)
     l_alpha, l_beta, _ = _edwards_params(ctx, la, lb, branch)
     roots = chars.unit_roots(ctx)
-    l_neg = ctx.dlog_of(ctx.minus_one())
     # phi(x) = T^(L/2)(x); a*b - 2*b*r = b*beta and a^2 - 4b = alpha*beta
-    series = hyperf.hf_eval(ctx, [L // 2, L // 2], [0], ctx.exp[(l_beta - l_alpha) % L])
     rhs = (-roots[(L // 2 * l_beta) % L] + roots[(L // 2 * (lb + l_beta)) % L]
-           + ctx.q * roots[(L // 2 * (l_neg + l_alpha)) % L] * series)
+           + _edwards_core(ctx, l_alpha, l_beta))
     disc = np.abs(lhs - rhs)
     n_edwards = edwards_count_bruteforce(ctx, ctx.exp[l_alpha], ctx.exp[l_beta])
     bridge = n_edwards + 3 + (1 - 2 * ((l_alpha + l_beta) & 1)) + (1 - 2 * ((lb + l_beta) & 1))

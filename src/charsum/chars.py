@@ -43,22 +43,13 @@ def theta_by_exp(ctx: FieldCtx) -> np.ndarray:
     return theta_table(ctx)[ctx.exp]
 
 
-def mul_char(ctx: FieldCtx, m: int, x: int) -> complex:
-    """T^m(x); zero at x = 0 for every m."""
-    if x == 0:
-        return 0j
-    L = ctx.q - 1
-    return complex(unit_roots(ctx)[(m * int(ctx.dlog[x])) % L])
-
-
-def mul_char_vec(ctx: FieldCtx, m: int, xs: np.ndarray) -> np.ndarray:
-    """Vectorized T^m over an array of element indices."""
-    xs = np.asarray(xs, dtype=np.int64)
-    L = ctx.q - 1
-    out = np.zeros(xs.shape, dtype=np.complex128)
-    nz = xs != 0
-    out[nz] = unit_roots(ctx)[(m * ctx.dlog[xs[nz]]) % L]
-    return out
+def mul_char(ctx: FieldCtx, m: int, x):
+    """T^m(x), zero at x = 0 for every m: a complex for an element, a
+    complex128 array for an int index array."""
+    vals = unit_roots(ctx)[(m * ctx.dlog[x]) % (ctx.q - 1)]
+    if isinstance(x, np.ndarray):
+        return np.where(x == 0, 0j, vals)
+    return 0j if x == 0 else complex(vals)
 
 
 def add_char(ctx: FieldCtx, x: int) -> complex:

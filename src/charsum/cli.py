@@ -65,8 +65,9 @@ def _parse_element(ctx, text: str, label: str) -> int:
 
 
 def _parse_exponents(text: str, label: str) -> list[int]:
+    """Comma-separated integers; "" is the empty list (the lower list of 1F0)."""
     try:
-        return [int(part) for part in text.split(",")]
+        return [int(part) for part in text.split(",")] if text else []
     except ValueError as exc:
         raise CliError(f"bad exponent list for {label}: {text!r}") from exc
 
@@ -149,22 +150,36 @@ class _Emitter:
             self.stream.write("".join(text))
 
 
-def _timed(rows):
-    """(row, ms) for each item of the generator `rows`, ms being the wall time
-    of the step that produced it; what the caller does with a row is outside."""
+def _emit_timed(emitter: _Emitter, rows) -> None:
+    """Emit each (case, row) of the iterable `rows`, the row's ms being the
+    wall time of the step that produced it over the rows it stands for; the
+    emitting is outside the timed step."""
     rows = iter(rows)
     while True:
         t0 = time.perf_counter()
         try:
-            row = next(rows)
+            case, row = next(rows)
         except StopIteration:
             return
-        yield row, (time.perf_counter() - t0) * 1e3
+        row["ms"] = (time.perf_counter() - t0) * 1e3 / _row_count(row)
+        emitter.emit(row, case=case)
 
 
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
+
+def _random_unit_pairs(ctx, rng, count, distinct=False):
+    """count seeded pairs of units, drawn as the blocks consume them."""
+    made = 0
+    while made < count:
+        a = rng.randrange(1, ctx.q)
+        b = rng.randrange(1, ctx.q)
+        if distinct and a == b:
+            continue
+        made += 1
+        yield a, b
+
 
 def _count_cases(ctx, args):
     chosen = [name for name, given in (
@@ -177,9 +192,7 @@ def _count_cases(ctx, args):
     if args.sweep:
         yield from itertools.product(ctx.units(), repeat=2)
     elif args.random is not None:
-        rng = random.Random(args.seed)
-        for _ in range(args.random):
-            yield rng.randrange(1, ctx.q), rng.randrange(1, ctx.q)
+        yield from _random_unit_pairs(ctx, random.Random(args.seed), args.random)
     else:
         if args.a is None or args.b is None:
             raise CliError("need --a and --b (or --sweep / --random N)")
@@ -239,9 +252,7 @@ def cmd_count(args, emitter: _Emitter) -> None:
 
     _build_tables(oracle, formula)
     rows = _block_rows(ctx, _count_cases(ctx, args), oracle, formula, e, d)
-    for row, ms in _timed(rows):
-        row["ms"] = ms / len(row["a"])
-        emitter.emit(row)
+    _emit_timed(emitter, ((None, row) for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +318,6 @@ def _cubic_transform_blocks(ctx):
                     "oracle": oracle.tolist(), "match": match.tolist(), "disc": disc.tolist()})
 
 
-def _random_unit_pairs(ctx, rng, count, distinct=False):
-    """count seeded pairs of units, drawn as the blocks consume them."""
-    made = 0
-    while made < count:
-        a = rng.randrange(1, ctx.q)
-        b = rng.randrange(1, ctx.q)
-        if distinct and a == b:
-            continue
-        made += 1
-        yield a, b
-
-
 def _block_suite(ctx, args, label, oracle, formula, e=None, d=None, distinct=False):
     """(label, row) for each block of args.count seeded random unit pairs.
     Not a generator, so the tables are built before the first block is timed."""
@@ -369,10 +368,7 @@ def cmd_verify(args, emitter: _Emitter) -> None:
         raise CliError(
             f"unknown suite {args.suite!r}; known: {', '.join(_SUITE_RUNNERS)}"
         )
-    ctx = _build_field(args)
-    for (case, row), ms in _timed(_SUITE_RUNNERS[args.suite](ctx, args)):
-        row["ms"] = ms / _row_count(row)
-        emitter.emit(row, case=case)
+    _emit_timed(emitter, _SUITE_RUNNERS[args.suite](_build_field(args), args))
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def power_count_table(ctx: FieldCtx, e: int) -> np.ndarray:
 
 
 def _power_counts(ctx: FieldCtx, e: int) -> np.ndarray:
-    return np.bincount(ctx.pow_vec(np.arange(ctx.q, dtype=np.int64), e), minlength=ctx.q)
+    return np.bincount(ctx.pow(np.arange(ctx.q, dtype=np.int64), e), minlength=ctx.q)
 
 
 def _spread_planes(ctx: FieldCtx, d: int | None) -> tuple[np.ndarray, ...]:
@@ -259,15 +259,6 @@ def count_naive(spec: CurveSpec) -> int:
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
-
-def _alpha(spec: CurveSpec) -> int:
-    """alpha = (d/a) * (b*d / (a*(d-1)))^(d-1) as a field element."""
-    ctx = spec.ctx
-    d_el = ctx.embed(spec.d)
-    dm1_el = ctx.embed(spec.d - 1)
-    base = ctx.div(ctx.mul(spec.b, d_el), ctx.mul(spec.a, dm1_el))
-    return ctx.mul(ctx.div(d_el, spec.a), ctx.pow(base, spec.d - 1))
-
 
 def _steps(L: int, e: int, d: int):
     return (
@@ -433,10 +424,6 @@ def count_theorem(spec: CurveSpec) -> int | np.ndarray:
 class ThmCoeffs:
     """Gauss-product coefficients M_i (and N_i for odd d) in both forms."""
 
-    alpha: int
-    psi_step: int
-    eta_step: int
-    chi_step: int
     m_product: list
     m_simplified: list
     n_product: list | None
@@ -457,7 +444,7 @@ def thm_coeffs(spec: CurveSpec) -> ThmCoeffs:
     ctx = spec.ctx
     q, L = ctx.q, ctx.q - 1
     e, d = spec.e, spec.d
-    m1, mpsi, meta, md = _steps(L, e, d)
+    m1, mpsi, meta, _ = _steps(L, e, d)
     G = sums.gauss_table(ctx)
     minus_one = ctx.minus_one()
     even = d % 2 == 0
@@ -514,33 +501,20 @@ def thm_coeffs(spec: CurveSpec) -> ThmCoeffs:
                     )
                 )
                 n_simp.append(complex(n_val))
-    return ThmCoeffs(
-        alpha=_alpha(spec),
-        psi_step=mpsi,
-        eta_step=meta,
-        chi_step=md,
-        m_product=m_prod,
-        m_simplified=m_simp,
-        n_product=n_prod,
-        n_simplified=n_simp,
-    )
+    return ThmCoeffs(m_prod, m_simp, n_prod, n_simp)
 
 
 # ---------------------------------------------------------------------------
 # Trace of Frobenius
 # ---------------------------------------------------------------------------
 
-def trace_frobenius(spec: CurveSpec, method: str = "auto") -> int:
-    """a_q = q - N (affine count), via closed form when the congruence holds."""
-    if method == "bruteforce":
-        n_points = count_bruteforce(spec)
-    elif method == "theorem":
+def trace_frobenius(spec: CurveSpec) -> int:
+    """a_q = q - N (affine count), via closed form when the congruence holds
+    and by enumeration otherwise."""
+    try:
         n_points = count_theorem(spec)
-    else:
-        try:
-            n_points = count_theorem(spec)
-        except CongruenceError:
-            n_points = count_bruteforce(spec)
+    except CongruenceError:
+        n_points = count_bruteforce(spec)
     a_q = spec.ctx.q - n_points
     if (spec.e, spec.d) == (2, 3) and abs(a_q) > 2 * math.sqrt(spec.ctx.q):
         raise RoundingGuardError(

@@ -177,6 +177,11 @@ def _reduction_table(p: int, B: int, m: int) -> np.ndarray:
     return red
 
 
+def _gather(table: np.ndarray, x):
+    """table[x]: a Python scalar for one index, an array for an index array."""
+    return table[x] if isinstance(x, np.ndarray) else table.item(x)
+
+
 class FieldCtx:
     """Immutable description of F_q with generator, dlog table, and trace.
 
@@ -343,6 +348,9 @@ class FieldCtx:
         return k % self.p
 
     # -- arithmetic -------------------------------------------------------------
+    # neg, mul, inv, div and pow take elements, giving a Python int, or int
+    # index arrays, giving an int64 array (mul and div broadcast).  Addition
+    # keeps two routes: add for elements, add_vec for arrays.
 
     def add(self, x: int, y: int) -> int:
         """x + y; for n > 1 through the spread-digit encoding."""
@@ -350,49 +358,6 @@ class FieldCtx:
             return (x + y) % self.p
         hi, lo = self._spread_hi, self._spread_lo
         return int(self._red_hi[hi[x] + hi[y]] + self._red_lo[lo[x] + lo[y]])
-
-    def neg(self, x: int) -> int:
-        if self.n == 1:
-            return (-x) % self.p
-        return int(self._neg_tab[x])
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
-    def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
-        L = self.q - 1
-        return int(self.exp[(self.dlog[x] + self.dlog[y]) % L])
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("inversion of zero")
-        L = self.q - 1
-        return int(self.exp[(-self.dlog[x]) % L])
-
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
-
-    def pow(self, x: int, e: int) -> int:
-        if x == 0:
-            if e < 0:
-                raise ZeroDivisionError("inversion of zero")
-            return 0 if e else 1
-        L = self.q - 1
-        return int(self.exp[(self.dlog[x] * e) % L])
-
-    def dlog_of(self, x: int) -> int:
-        """Discrete log base g; g^result = x. Raises on x = 0."""
-        if x == 0:
-            raise ZeroDivisionError("dlog of zero")
-        return int(self.dlog[x])
-
-    def trace(self, x: int) -> int:
-        """Absolute trace to F_p: x + x^p + ... + x^(p^(n-1))."""
-        return int(self.trace_tab[x])
-
-    # -- vectorized arithmetic over index arrays ----------------------------------
 
     def add_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Elementwise sum of reduced indices in [0, q); at least one an array.
@@ -413,45 +378,48 @@ class FieldCtx:
         out += self._red_lo.take(lo.take(xs) + lo.take(ys))
         return out
 
-    def neg_vec(self, xs: np.ndarray) -> np.ndarray:
-        """Elementwise negation of reduced indices in [0, q)."""
-        xs = np.asarray(xs, dtype=np.int64)
+    def neg(self, x):
         if self.n == 1:
-            return np.where(xs, self.p - xs, 0)
-        return self._neg_tab[xs]
+            return (-x) % self.p
+        return _gather(self._neg_tab, x)
 
-    def mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
-        """Elementwise product of an index array with a fixed element."""
-        xs = np.asarray(xs, dtype=np.int64)
-        out = np.zeros_like(xs)
-        if y == 0:
-            return out
-        L = self.q - 1
-        nz = xs != 0
-        out[nz] = self.exp[(self.dlog[xs[nz]] + self.dlog[y]) % L]
-        return out
+    def sub(self, x: int, y: int) -> int:
+        return self.add(x, self.neg(y))
 
-    def pow_vec(self, xs: np.ndarray, e: int) -> np.ndarray:
-        """Elementwise e-th power, e >= 1."""
-        if e < 1:
-            raise ValueError("pow_vec needs e >= 1")
-        xs = np.asarray(xs, dtype=np.int64)
-        out = np.zeros_like(xs)
-        L = self.q - 1
-        nz = xs != 0
-        out[nz] = self.exp[(self.dlog[xs[nz]] * e) % L]
-        return out
+    def _exp_unless(self, k, zero):
+        """g^k (k taken mod q-1), 0 where `zero` holds."""
+        k %= self.q - 1
+        if isinstance(k, np.ndarray):
+            return np.where(zero, 0, self.exp[k])
+        return 0 if zero else self.exp.item(k)
 
-    def mul_arr(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Elementwise product of two index arrays (broadcasting)."""
-        xs = np.asarray(xs, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
-        xs, ys = np.broadcast_arrays(xs, ys)
-        out = np.zeros(xs.shape, dtype=np.int64)
-        L = self.q - 1
-        nz = (xs != 0) & (ys != 0)
-        out[nz] = self.exp[(self.dlog[xs[nz]] + self.dlog[ys[nz]]) % L]
-        return out
+    def mul(self, x, y):
+        return self._exp_unless(_gather(self.dlog, x) + _gather(self.dlog, y),
+                                (x == 0) | (y == 0))
+
+    def inv(self, x):
+        return self.pow(x, -1)
+
+    def div(self, x, y):
+        return self.mul(x, self.inv(y))
+
+    def pow(self, x, e: int):
+        """x^e for an integer e: 0^0 = 1, and 0^e for e < 0 raises."""
+        zero = x == 0
+        # np.any would cost microseconds on a Python bool
+        if e < 0 and (zero.any() if isinstance(zero, np.ndarray) else zero):
+            raise ZeroDivisionError("inversion of zero")
+        return self._exp_unless(_gather(self.dlog, x) * (e % (self.q - 1)), zero & (e != 0))
+
+    def dlog_of(self, x: int) -> int:
+        """Discrete log base g; g^result = x. Raises on x = 0."""
+        if x == 0:
+            raise ZeroDivisionError("dlog of zero")
+        return int(self.dlog[x])
+
+    def trace(self, x: int) -> int:
+        """Absolute trace to F_p: x + x^p + ... + x^(p^(n-1))."""
+        return int(self.trace_tab[x])
 
     # -- iteration / misc --------------------------------------------------------
 

@@ -47,7 +47,7 @@ def _unit_pair_logs(ctx: FieldCtx):
 
 def _pair_logs(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     xs = np.arange(2, ctx.q, dtype=np.int64)
-    return ctx.dlog[xs], ctx.dlog[ctx.add_vec(1, ctx.neg_vec(xs))]
+    return ctx.dlog[xs], ctx.dlog[ctx.add_vec(1, ctx.neg(xs))]
 
 
 def jacobi_direct(ctx: FieldCtx, a: int, b: int) -> complex:
@@ -115,9 +115,9 @@ def jacobi_multi(ctx: FieldCtx, exps) -> complex:
         num = np.prod([G[e] for e in exps])
         return complex(num / G[sum(exps) % L])
     xs = np.arange(ctx.q)
-    acc = chars.mul_char_vec(ctx, exps[0], xs)
+    acc = chars.mul_char(ctx, exps[0], xs)
     for e in exps[1:]:
-        acc = _convolve_add(ctx, acc, chars.mul_char_vec(ctx, e, xs))
+        acc = _convolve_add(ctx, acc, chars.mul_char(ctx, e, xs))
     return complex(acc[1])
 
 
@@ -396,7 +396,7 @@ def _check_theta_delta(ctx: FieldCtx, w: _Worst, **_):
     zs = np.arange(ctx.q)
     for s in _blocks(ctx.q, ctx.q):
         wdiff = zs[s]
-        lhs = np.sum(theta[ctx.mul_arr(wdiff[:, None], zs)], axis=1)
+        lhs = np.sum(theta[ctx.mul(wdiff[:, None], zs)], axis=1)
         rhs = np.where(wdiff == 0, float(ctx.q), 0.0)
         w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(wdiff[i]),))
 

@@ -119,6 +119,31 @@ def test_char_order(f13):
     assert chars.char_order(f13, 1) == 12
 
 
+@pytest.mark.parametrize("pn", [(13, 1), (5, 2), (2, 4)], ids=["13", "25", "16"])
+def test_mul_char_against_generator_powers(pn):
+    # T^m(g^k) = exp(2 pi i m k / (q-1)), with k found by multiplying g up
+    # through the polynomial product rather than read from the dlog table;
+    # an element gives a complex, an index array a complex128 array of the
+    # same shape, and T^m(0) = 0 for every m, the trivial character included
+    ctx = field(*pn)
+    L = ctx.q - 1
+    k_of = {}
+    acc = 1
+    for k in range(L):
+        k_of[acc] = k
+        acc = ctx._raw_mul(acc, ctx.g)
+    xs = np.arange(ctx.q, dtype=np.int64).reshape(-1, 1)[::-1]
+    for m in (0, 1, L // 2, L - 1, -3, 2 * L + 5):
+        want = [0j] + [cmath.exp(2j * cmath.pi * m * k_of[x] / L) for x in range(1, ctx.q)]
+        scalar = [chars.mul_char(ctx, m, x) for x in range(ctx.q)]
+        assert all(type(v) is complex for v in scalar)
+        np.testing.assert_allclose(scalar, want, rtol=0, atol=1e-12)
+        got = chars.mul_char(ctx, m, xs)
+        assert got.shape == xs.shape and got.dtype == np.complex128
+        assert got[-1, 0] == 0
+        np.testing.assert_allclose(got.ravel()[::-1], want, rtol=0, atol=1e-12)
+
+
 def test_unit_root_values_single_trig_call(f13):
     roots = chars.unit_roots(f13)
     ks = np.arange(12)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import charsum
-from charsum import apps, cli, curves, sums
+from charsum import apps, cli, curves, hyperf, sums
 
 
 def run_cli(argv):
@@ -183,6 +183,20 @@ def test_eval_hf_zero_argument():
     code, out = run_cli(["eval", "hf", "--q", "13", "--upper", "1,5",
                          "--lower", "6", "--x", "0"])
     assert code == 0 and out.strip() == "0"
+
+
+def test_eval_hf_empty_lower_list_is_1f0(capsys):
+    # "" is the empty lower list of a 1F0 series; the CLI value is hf_eval's
+    ctx = cli.make_field(13)
+    want = hyperf.hf_eval(ctx, [3], [], 2)
+    code, out = run_cli(["eval", "hf", "--q", "13", "--upper", "3", "--lower", "",
+                         "--x", "2", "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {"value_re": want.real, "value_im": want.imag}
+    # an empty exponent list where a sum needs exponents still exits 2
+    code, out = run_cli(["eval", "jacobi", "--q", "13", "--exps", ""])
+    assert code == 2 and out == ""
+    assert "at least one character exponent" in capsys.readouterr().err
 
 
 def test_eval_jacobi_and_binom():

@@ -131,18 +131,57 @@ def test_generator_canonical_across_rebuilds():
     assert np.array_equal(x.exp, y.exp)
 
 
-def test_vector_ops_match_scalar(f27):
-    xs = np.arange(f27.q, dtype=np.int64)
-    ys = (xs * 7 + 3) % f27.q
-    added = f27.add_vec(xs, ys)
-    for x, y, s in zip(xs, ys, added):
-        assert int(s) == f27.add(int(x), int(y))
-    powed = f27.pow_vec(xs, 5)
-    for x, v in zip(xs, powed):
-        assert int(v) == f27.pow(int(x), 5)
-    muled = f27.mul_vec(xs, 11)
-    for x, v in zip(xs, muled):
-        assert int(v) == f27.mul(int(x), 11)
+def raw_inv(ctx, x):
+    return ctx._raw_pow(x, ctx.q - 2)
+
+
+def raw_pow(ctx, x, e):
+    """x^e by the polynomial product, negative e through x^(q-2)."""
+    return ctx._raw_pow(x if e >= 0 else raw_inv(ctx, x), abs(e))
+
+
+@pytest.mark.parametrize("p,n", [(13, 1), (2, 4), (5, 2), (3, 3)], ids=["13", "16", "25", "27"])
+def test_field_ops_match_raw_arithmetic(p, n):
+    # mul, pow, inv and div read the exp/dlog tables; the references multiply
+    # polynomials, so neither side is built from the other.  Every element,
+    # one at a time (Python ints) and as one array, zero included.
+    ctx = field(p, n)
+    q = ctx.q
+    xs = np.arange(q, dtype=np.int64)
+    units = xs[1:]
+    mul_table = [[ctx._raw_mul(x, y) for y in range(q)] for x in range(q)]
+    for x in range(q):
+        for y in range(q):
+            assert ctx.mul(x, y) == mul_table[x][y]
+    got = ctx.mul(xs[:, None], xs[None, :])
+    assert got.dtype == np.int64 and got.tolist() == mul_table
+    for e in (0, 1, 2, 5, q - 1, q + 3, -1, -5):
+        want = [1 if e == 0 else 0] + [raw_pow(ctx, x, e) for x in range(1, q)]
+        scalar = [ctx.pow(x, e) for x in range(1, q)]
+        assert scalar == want[1:] and all(type(v) is int for v in scalar)
+        assert ctx.pow(units, e).tolist() == want[1:]
+        if e >= 0:
+            assert ctx.pow(0, e) == want[0] and type(ctx.pow(0, e)) is int
+            assert ctx.pow(xs, e).tolist() == want
+        else:
+            with pytest.raises(ZeroDivisionError):
+                ctx.pow(0, e)
+            with pytest.raises(ZeroDivisionError):
+                ctx.pow(xs, e)
+    inverses = [raw_inv(ctx, x) for x in range(1, q)]
+    assert [ctx.inv(x) for x in range(1, q)] == inverses
+    assert ctx.inv(units).tolist() == inverses
+    for bad in (0, xs):
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(bad)
+        with pytest.raises(ZeroDivisionError):
+            ctx.div(units[:3], bad)
+    quotients = [[mul_table[x][y] for y in inverses] for x in range(q)]
+    assert [[ctx.div(x, y) for y in range(1, q)] for x in range(q)] == quotients
+    assert ctx.div(xs[:, None], units).tolist() == quotients
+    negs = [coeffwise_neg(ctx, x) for x in range(q)]
+    assert [ctx.neg(x) for x in range(q)] == negs
+    assert ctx.neg(xs).dtype == np.int64 and ctx.neg(xs).tolist() == negs
 
 
 def test_factor_prime_power():
@@ -214,7 +253,10 @@ _VEC_FIELDS = [(13, 1), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)]
     st.integers(1, 6),
     st.integers(0, 2**32 - 1),
 )
-def test_vec_ops_match_scalar_ops(pn, shape, rows, cols, seed):
+def test_field_ops_broadcast(pn, shape, rows, cols, seed):
+    # add_vec against add, mul against the polynomial product and neg against
+    # coefficient-wise negation, on broadcast shapes; a Python int operand
+    # ("scalar") broadcasts too.
     ctx = field(*pn)
     rng = np.random.default_rng(seed)
     xs_shape, ys_shape = {
@@ -225,15 +267,21 @@ def test_vec_ops_match_scalar_ops(pn, shape, rows, cols, seed):
     }[shape]
     xs = rng.integers(0, ctx.q, size=xs_shape)
     ys = rng.integers(0, ctx.q, size=ys_shape)
-    added = ctx.add_vec(xs, ys)
+    if shape == "scalar":
+        xs = int(xs)
     bx, by = np.broadcast_arrays(xs, ys)
-    assert added.shape == bx.shape and added.dtype == np.int64
-    for x, y, s in zip(bx.ravel(), by.ravel(), np.ravel(added)):
-        assert int(s) == ctx.add(int(x), int(y))
-    negated = ctx.neg_vec(ys)
+    pairs = [(int(x), int(y)) for x, y in zip(bx.ravel(), by.ravel())]
+    for op, want in ((ctx.add_vec, ctx.add), (ctx.mul, ctx._raw_mul)):
+        got = op(xs, ys)
+        assert got.shape == bx.shape and got.dtype == np.int64
+        assert np.ravel(got).tolist() == [want(x, y) for x, y in pairs]
+    e = rows * cols  # 1..36, past q - 1 on the smaller fields
+    powed = ctx.pow(ys, e)
+    assert powed.shape == ys.shape and powed.dtype == np.int64
+    assert powed.ravel().tolist() == [ctx._raw_pow(int(y), e) for y in ys.ravel()]
+    negated = ctx.neg(ys)
     assert negated.shape == ys.shape and negated.dtype == np.int64
-    for y, v in zip(ys.ravel(), negated.ravel()):
-        assert int(v) == ctx.neg(int(y))
+    assert negated.ravel().tolist() == [coeffwise_neg(ctx, int(y)) for y in ys.ravel()]
 
 
 def coeffwise_add(ctx, x, y):
@@ -342,9 +390,9 @@ def test_fields_at_size_cap(p, n):
     xs = np.array([rng.randrange(q) for _ in range(500)], dtype=np.int64)
     ys = np.array([rng.randrange(q) for _ in range(500)], dtype=np.int64)
     tr = ctx.trace_tab
-    assert np.array_equal(tr[ctx.pow_vec(xs, p)], tr[xs])
+    assert np.array_equal(tr[ctx.pow(xs, p)], tr[xs])
     assert np.array_equal(tr[ctx.add_vec(xs, ys)], (tr[xs] + tr[ys]) % p)
-    assert np.array_equal(ctx.add_vec(xs, ctx.neg_vec(xs)), np.zeros_like(xs))
+    assert np.array_equal(ctx.add_vec(xs, ctx.neg(xs)), np.zeros_like(xs))
 
 
 # -- derived tables: built once through FieldCtx.cached and read-only ----------

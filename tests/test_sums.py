@@ -99,7 +99,7 @@ def test_gauss_table_matches_defining_sum(pn):
     theta = chars.theta_table(ctx)[xs]
     rng = np.random.default_rng(11)
     for m in rng.choice(ctx.q - 1, size=16, replace=False):
-        direct = np.sum(chars.mul_char_vec(ctx, int(m), xs) * theta)
+        direct = np.sum(chars.mul_char(ctx, int(m), xs) * theta)
         assert abs(G[m] - direct) < 1e-9 * ctx.q
 
 
@@ -321,7 +321,7 @@ def ref_jacobi_gauss(ctx, w, seed=0, triples=24):
         if sum(ks) % L == 0:
             continue
         lhs = sums.jacobi_multi(ctx, ks)
-        f1, f2, f3 = (chars.mul_char_vec(ctx, e, np.arange(ctx.q)) for e in ks)
+        f1, f2, f3 = (chars.mul_char(ctx, e, np.arange(ctx.q)) for e in ks)
         rhs = complex(sums._convolve_add(ctx, sums._convolve_add(ctx, f1, f2), f3)[1])
         w.update(abs(lhs - rhs), tuple(ks), lhs, rhs)
         seen += 1
@@ -391,7 +391,7 @@ def ref_theta_delta(ctx, w):
     theta = chars.theta_table(ctx)
     zs = np.arange(ctx.q, dtype=np.int64)
     for wdiff in ctx.elements():
-        lhs = np.sum(theta[ctx.mul_vec(zs, wdiff)])
+        lhs = np.sum(theta[ctx.mul(zs, wdiff)])
         rhs = ctx.q if wdiff == 0 else 0.0
         w.update(abs(lhs - rhs), (wdiff,), lhs, rhs)
 
