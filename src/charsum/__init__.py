@@ -1,7 +1,7 @@
 """Finite-field character sums, Gaussian hypergeometric series over F_q,
 and exact point-count verification for curves y^e = x^d + a*x + b."""
 
-from .field import DEFAULT_SIZE_CAP, DEFAULT_TOL, FieldCtx, FieldError, make_field
+from .field import DEFAULT_SIZE_CAP, DEFAULT_TOL, CongruenceError, FieldCtx, FieldError, make_field
 from .chars import (
     add_char,
     char_order,
@@ -13,6 +13,7 @@ from .chars import (
 )
 from .sums import (
     IDENTITY_NAMES,
+    VerifyReport,
     davenport_hasse,
     gauss_sum,
     gauss_table,
@@ -23,7 +24,6 @@ from .sums import (
 )
 from .hyperf import hf_eval
 from .curves import (
-    CongruenceError,
     CurveSpec,
     RoundingGuardError,
     count_bruteforce,
@@ -39,7 +39,6 @@ from .apps import (
     shifted_cubic_count,
     special_value_check,
 )
-from .report import VerifyReport
 
 __version__ = "0.1.0"
 

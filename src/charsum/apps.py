@@ -27,10 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import chars, hyperf, sums
-from .curves import (BLOCK_CELLS, _oracle_buffers, _round_guarded, _unit_dlogs,
-                     power_count_table, require_congruence)
-from .field import FieldCtx
-from .report import VerifyReport
+from .curves import BLOCK_CELLS, _oracle_buffers, _round_guarded, _unit_dlogs, power_count_table
+from .field import FieldCtx, require_congruence
 
 
 def _require(cond: bool, msg: str):
@@ -317,7 +315,7 @@ def cubic_transform_check(ctx: FieldCtx, a, b, branch=0):
 # 2F1 special values
 # ---------------------------------------------------------------------------
 
-def special_value_check(ctx: FieldCtx, which: str) -> VerifyReport:
+def special_value_check(ctx: FieldCtx, which: str) -> sums.VerifyReport:
     """Closed-form 2F1 evaluations at 1/2 and at 1323/1331."""
     L = ctx.q - 1
     phi = L // 2 if ctx.q % 2 else None
@@ -343,15 +341,5 @@ def special_value_check(ctx: FieldCtx, which: str) -> VerifyReport:
         )
     else:
         raise ValueError(f"unknown special value {which!r}")
-    disc = abs(lhs - rhs)
-    tol = ctx.tol * ctx.q
-    return VerifyReport(
-        name=f"special-{which}",
-        q=ctx.q,
-        formula=complex(lhs),
-        oracle=rhs.real,
-        match=disc < tol,
-        disc=disc,
-        tol=tol,
-        cases=1,
-    )
+    return sums.VerifyReport(f"special-{which}", ctx.q, ctx.tol * ctx.q, formula=complex(lhs),
+                             oracle=rhs.real, disc=abs(lhs - rhs), cases=1)

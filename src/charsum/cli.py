@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from . import apps, curves, hyperf, sums
-from .field import DEFAULT_SIZE_CAP, DEFAULT_TOL, factor_prime_power, make_field
+from .field import DEFAULT_SIZE_CAP, DEFAULT_TOL, FieldError, factor_prime_power, make_field
 
 _COLUMNS = ["q", "e", "d", "a", "b", "formula_re", "formula_im", "oracle", "match", "disc", "ms"]
 
@@ -42,6 +42,8 @@ def _build_field(args):
     if size_cap is None:
         size_cap = int(os.environ.get("CHARSUM_SIZE_CAP", DEFAULT_SIZE_CAP))
     if args.q is not None:
+        if args.q > size_cap:  # before factoring, which trial-divides up to sqrt(q)
+            raise FieldError(f"q = {args.q} exceeds size cap {size_cap}")
         p, n = factor_prime_power(args.q)
     elif args.p is None:
         raise CliError("need --q or --p (with optional --n)")

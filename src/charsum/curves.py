@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chars, hyperf, sums
-from .field import FieldCtx
+from .field import CongruenceError, FieldCtx, require_congruence
 
 ROUND_GUARD = 0.01
 # Oracle cells (curves times q-1) that count_bruteforce holds at once for
@@ -31,10 +31,6 @@ ROUND_GUARD = 0.01
 BLOCK_CELLS = 1 << 15
 # Cells of the (x, y) comparison matrix that count_naive holds at once.
 _NAIVE_BLOCK_CELLS = 1 << 20
-
-
-class CongruenceError(ValueError):
-    """q does not satisfy the congruence a closed form requires."""
 
 
 class RoundingGuardError(ArithmeticError):
@@ -78,13 +74,6 @@ class CurveSpec:
     @property
     def modulus_required(self) -> int:
         return self.e * self.d * (self.d - 1)
-
-
-def require_congruence(ctx: FieldCtx, m: int):
-    """Raise CongruenceError unless q = 1 mod m.  Callers with a cached plan
-    check first, so that no plan is cached for a field that fails."""
-    if (ctx.q - 1) % m:
-        raise CongruenceError(f"q = {ctx.q} is not 1 mod {m}")
 
 
 def _exact_div(num: int, den: int) -> int:

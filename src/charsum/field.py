@@ -38,6 +38,17 @@ class FieldError(ValueError):
     """Invalid field construction parameters."""
 
 
+class CongruenceError(ValueError):
+    """q does not satisfy the congruence a closed form requires."""
+
+
+def require_congruence(ctx: FieldCtx, m: int):
+    """Raise CongruenceError unless q = 1 mod m.  Callers with a cached plan
+    check first, so that no plan is cached for a field that fails."""
+    if (ctx.q - 1) % m:
+        raise CongruenceError(f"q = {ctx.q} is not 1 mod {m}")
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -202,13 +213,17 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, n: int, size_cap: int, tol: float):
-        if not is_prime(p):
-            raise FieldError(f"p = {p} is not prime")
         if n < 1:
             raise FieldError(f"extension degree must be >= 1, got {n}")
-        q = p**n
-        if q > size_cap:
+        # The cap comes before the primality test, and p**n is formed only
+        # when it is small: p >= 2, so n > size_cap.bit_length() alone
+        # exceeds the cap.
+        if p >= 2 and (p > size_cap or n > size_cap.bit_length() or p**n > size_cap):
+            q = p if n == 1 else f"{p}^{n}"
             raise FieldError(f"q = {q} exceeds size cap {size_cap}")
+        if not is_prime(p):
+            raise FieldError(f"p = {p} is not prime")
+        q = p**n
         self.p = p
         self.n = n
         self.q = q
@@ -452,15 +467,6 @@ class FieldCtx:
         if self.n == 1:
             return f"FieldCtx(q={self.q})"
         return f"FieldCtx(q={self.p}^{self.n}, modulus={self.modulus})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldCtx)
-            and (self.p, self.n, self.size_cap) == (other.p, other.n, other.size_cap)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.n))
 
 
 def make_field(

@@ -74,27 +74,24 @@ def hf_table(ctx: FieldCtx, upper, lower) -> np.ndarray:
     return ctx.cached(("hf", upper, lower), _series_table, ctx, upper, lower)
 
 
-def hf_eval(
-    ctx: FieldCtx,
-    upper,
-    lower,
-    x: int,
-    rows: str = "cached",
-) -> complex:
+def hf_eval(ctx: FieldCtx, upper, lower, x: int) -> complex:
     """Evaluate the series with parameter exponent lists `upper` and `lower`.
 
     `upper` must have exactly one more entry than `lower`.  With x = 0 the
-    value is 0, since chi(0) = 0 for every character.  The default reads
-    hf_table at dlog(x), and also takes an int array of elements x, giving
-    a complex array.  rows="direct" recomputes every binomial from the
-    defining Jacobi summation and sums the series term by term, with no
-    cache and no FFT (slow; used for cross-route consistency checks).
+    value is 0, since chi(0) = 0 for every character.  Reads hf_table at
+    dlog(x), and also takes an int array of elements x, giving a complex
+    array.
     """
-    if rows == "cached":
-        vals = hf_table(ctx, upper, lower)[ctx.dlog[x]]
-        if isinstance(x, np.ndarray):
-            return np.where(x == 0, 0j, vals)
-        return 0j if x == 0 else complex(vals)
+    vals = hf_table(ctx, upper, lower)[ctx.dlog[x]]
+    if isinstance(x, np.ndarray):
+        return np.where(x == 0, 0j, vals)
+    return 0j if x == 0 else complex(vals)
+
+
+def hf_direct(ctx: FieldCtx, upper, lower, x: int) -> complex:
+    """The series at one element x, with every binomial from the defining
+    Jacobi summation and the terms summed one by one: no cache and no FFT
+    (slow; the reference route of hf_eval's tests)."""
     _check_params(upper, lower)
     if x == 0:
         return 0j

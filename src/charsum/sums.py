@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import chars
-from .field import FieldCtx
-from .report import VerifyReport
+from .field import FieldCtx, require_congruence
 
 
 def gauss_table(ctx: FieldCtx) -> np.ndarray:
@@ -179,16 +179,33 @@ def _params(L: int, pinned, start: int = 0) -> np.ndarray:
     return np.arange(start, L) if pinned is None else np.array([pinned % L])
 
 
-class _Worst:
-    """Running worst-case discrepancy tracker."""
+@dataclass
+class VerifyReport:
+    """Outcome of checking one identity grid (or one special value) against
+    an oracle, filled in by the check as it runs.
 
-    def __init__(self):
-        self.disc = 0.0
-        self.case = ()
-        self.lhs = 0j
-        self.rhs = 0j
-        self.cases = 0
-        self.skipped = 0
+    `disc` is the worst absolute discrepancy seen, `worst_case` the parameter
+    tuple achieving it, and `formula` and `oracle` the two sides there (the
+    oracle's real part); the check matches when disc < tol.  `cases` and
+    `skipped` count grid points checked and gated out by preconditions.  `d`
+    is the section order of a Davenport-Hasse report.  The row has no ms: the
+    CLI adds the wall time of the step that produced it.
+    """
+
+    name: str
+    q: int
+    tol: float
+    d: int | None = None
+    formula: complex = 0j
+    oracle: float = 0.0
+    disc: float = 0.0
+    cases: int = 0
+    skipped: int = 0
+    worst_case: tuple = ()
+
+    @property
+    def match(self) -> bool:
+        return self.disc < self.tol
 
     def update_all(self, discs, lhs, rhs, case_of, skip=None):
         """Count the cases of a grid chunk (or of one case, as scalars) and
@@ -206,28 +223,24 @@ class _Worst:
         i = np.unravel_index(int(np.argmax(discs)), discs.shape)
         if discs[i] > self.disc:
             self.disc = float(discs[i])
-            self.case = case_of(*(int(k) for k in i))
-            self.lhs = complex(np.broadcast_to(lhs, discs.shape)[i])
-            self.rhs = complex(np.broadcast_to(rhs, discs.shape)[i])
+            self.worst_case = case_of(*(int(k) for k in i))
+            self.formula = complex(np.broadcast_to(lhs, discs.shape)[i])
+            self.oracle = complex(np.broadcast_to(rhs, discs.shape)[i]).real
 
-    def report(self, name: str, ctx: FieldCtx, tol: float, **extra):
-        """The VerifyReport of every case seen."""
-        return VerifyReport(
-            name=name,
-            q=ctx.q,
-            formula=self.lhs,
-            oracle=self.rhs.real,
-            match=self.disc < tol,
-            disc=self.disc,
-            tol=tol,
-            cases=self.cases,
-            skipped=self.skipped,
-            worst_case=self.case,
-            **extra,
-        )
+    def to_row(self) -> dict:
+        """The report's row columns; the CLI writes the missing ones as null."""
+        return {
+            "q": self.q,
+            "d": self.d,
+            "formula_re": float(self.formula.real),
+            "formula_im": float(self.formula.imag),
+            "oracle": self.oracle,
+            "match": bool(self.match),
+            "disc": float(self.disc),
+        }
 
 
-def _check_gauss_reflection(ctx: FieldCtx, w: _Worst, m=None, **_):
+def _check_gauss_reflection(ctx: FieldCtx, report: VerifyReport, m=None, **_):
     L = ctx.q - 1
     G = gauss_table(ctx)
     ms = _params(L, m, start=1)
@@ -235,10 +248,10 @@ def _check_gauss_reflection(ctx: FieldCtx, w: _Worst, m=None, **_):
         mm = ms[s]
         lhs = G[mm] * np.take(G, -mm, mode="wrap")
         rhs = ctx.q * chars.char_at_minus_one(ctx, mm)
-        w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(mm[i]),), skip=mm == 0)
+        report.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(mm[i]),), skip=mm == 0)
 
 
-def _check_gauss_shift(ctx: FieldCtx, w: _Worst, m=None, n=None, **_):
+def _check_gauss_shift(ctx: FieldCtx, report: VerifyReport, m=None, n=None, **_):
     """G_m G_-n = J(T^m, T^-n) G_(m-n) wherever T^(m-n) is nontrivial, with J
     from the defining sums, so that an error in G shows on every entry."""
     L = ctx.q - 1
@@ -255,11 +268,11 @@ def _check_gauss_shift(ctx: FieldCtx, w: _Worst, m=None, n=None, **_):
         else:
             rhs = pinned_row[mm]
         rhs *= np.take(G, mm - nn, mode="wrap")
-        w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i, j: (int(mm[i, 0]), int(nn[j])),
-                     skip=mm == nn)
+        report.update_all(np.abs(lhs - rhs), lhs, rhs,
+                          lambda i, j: (int(mm[i, 0]), int(nn[j])), skip=mm == nn)
 
 
-def _check_jacobi_gauss(ctx: FieldCtx, w: _Worst, seed=0, triples=24, **_):
+def _check_jacobi_gauss(ctx: FieldCtx, report: VerifyReport, seed=0, triples=24, **_):
     L = ctx.q - 1
     G = gauss_table(ctx)
     b = np.arange(1, L)
@@ -267,8 +280,8 @@ def _check_jacobi_gauss(ctx: FieldCtx, w: _Worst, seed=0, triples=24, **_):
         a = b[s, None]
         lhs = jacobi_direct_rows(ctx, b[s])[:, 1:]  # defining sums, not G
         rhs = G[a] * G[b] / G[(a + b) % L]
-        w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i, j: (int(a[i, 0]), j + 1),
-                     skip=(a + b) % L == 0)
+        report.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i, j: (int(a[i, 0]), j + 1),
+                          skip=(a + b) % L == 0)
     rng = random.Random(seed)
     ks = []
     while L > 1 and len(ks) < triples:  # q = 2 has no nontrivial character
@@ -282,10 +295,10 @@ def _check_jacobi_gauss(ctx: FieldCtx, w: _Worst, seed=0, triples=24, **_):
     f = np.zeros((len(ks), 3, ctx.q), dtype=np.complex128)
     f[..., 1:] = chars.unit_roots(ctx)[(np.array(ks)[..., None] * ctx.dlog[1:]) % L]
     rhs = _convolve_add(ctx, _convolve_add(ctx, f[:, 0], f[:, 1]), f[:, 2])[:, 1]
-    w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: tuple(ks[i]))
+    report.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: tuple(ks[i]))
 
 
-def _check_theta_expansion(ctx: FieldCtx, w: _Worst, **_):
+def _check_theta_expansion(ctx: FieldCtx, report: VerifyReport, **_):
     L = ctx.q - 1
     unit = chars.unit_roots(ctx)
     m = np.arange(L)
@@ -294,10 +307,10 @@ def _check_theta_expansion(ctx: FieldCtx, w: _Worst, **_):
         alpha = np.arange(1, ctx.q)[s]
         rhs = np.sum(g_neg * unit[(ctx.dlog[alpha, None] * m) % L], axis=1) / L
         lhs = chars.theta_table(ctx)[alpha]
-        w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(alpha[i]),))
+        report.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(alpha[i]),))
 
 
-def _check_orthogonality(ctx: FieldCtx, w: _Worst, **_):
+def _check_orthogonality(ctx: FieldCtx, report: VerifyReport, **_):
     L = ctx.q - 1
     unit = chars.unit_roots(ctx)
     ks = np.arange(L)
@@ -307,8 +320,8 @@ def _check_orthogonality(ctx: FieldCtx, w: _Worst, **_):
         for s in _blocks(L, L):
             lhs = np.sum(unit[(exps[s, None] * ks) % L], axis=1)
             rhs = np.where(exps[s] == 0, float(L), 0.0)
-            w.update_all(np.abs(lhs - rhs), lhs, rhs,
-                         lambda i: (label, int(params[s][i])))
+            report.update_all(np.abs(lhs - rhs), lhs, rhs,
+                              lambda i: (label, int(params[s][i])))
 
 
 def binom_translate_rhs(ctx: FieldCtx, a) -> np.ndarray:
@@ -329,7 +342,7 @@ def _dlog_one_plus(ctx: FieldCtx) -> np.ndarray:
     return ctx.dlog[ctx.add_vec(np.arange(ctx.q), 1)]
 
 
-def _check_binom_translate(ctx: FieldCtx, w: _Worst, a=None, **_):
+def _check_binom_translate(ctx: FieldCtx, report: VerifyReport, a=None, **_):
     L = ctx.q - 1
     # dlog(1 + x) for every x, cached; -1 at x = -1, where T^a(1 + x) = 0
     k1 = ctx.cached("dlog_one_plus", _dlog_one_plus, ctx)
@@ -339,19 +352,19 @@ def _check_binom_translate(ctx: FieldCtx, w: _Worst, a=None, **_):
         lhs = chars.unit_roots(ctx)[(aa[:, None] * k1) % L]
         lhs[:, ctx.minus_one()] = 0
         rhs = binom_translate_rhs(ctx, aa)
-        w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i, x: (int(aa[i]), x))
+        report.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i, x: (int(aa[i]), x))
 
 
 def _binom_check(rhs_of):
     """Checker of binom(T^a, T^b) = rhs_of(ctx, a, b) over the whole (a, b) grid."""
 
-    def check(ctx: FieldCtx, w: _Worst, **_):
+    def check(ctx: FieldCtx, report: VerifyReport, **_):
         L = ctx.q - 1
         b = np.arange(L)
         for s in _blocks(L, L):
             a = b[s, None]
             lhs, rhs = binom_grid(ctx, a, b), rhs_of(ctx, a, b)
-            w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i, j: (int(a[i, 0]), j))
+            report.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i, j: (int(a[i, 0]), j))
 
     return check
 
@@ -382,23 +395,23 @@ def quadratic_gauss_value(ctx: FieldCtx) -> complex:
     return -((-gp) ** ctx.n)
 
 
-def _check_gauss_special(ctx: FieldCtx, w: _Worst, **_):
+def _check_gauss_special(ctx: FieldCtx, report: VerifyReport, **_):
     G = gauss_table(ctx)
-    w.update_all(abs(G[0] - (-1)), G[0], -1 + 0j, lambda: ("trivial",))
+    report.update_all(abs(G[0] - (-1)), G[0], -1 + 0j, lambda: ("trivial",))
     if ctx.q % 2:
         expect = quadratic_gauss_value(ctx)
         got = G[(ctx.q - 1) // 2]
-        w.update_all(abs(got - expect), got, expect, lambda: ("quadratic",))
+        report.update_all(abs(got - expect), got, expect, lambda: ("quadratic",))
 
 
-def _check_theta_delta(ctx: FieldCtx, w: _Worst, **_):
+def _check_theta_delta(ctx: FieldCtx, report: VerifyReport, **_):
     theta = chars.theta_table(ctx)
     zs = np.arange(ctx.q)
     for s in _blocks(ctx.q, ctx.q):
         wdiff = zs[s]
         lhs = np.sum(theta[ctx.mul(wdiff[:, None], zs)], axis=1)
         rhs = np.where(wdiff == 0, float(ctx.q), 0.0)
-        w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(wdiff[i]),))
+        report.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(wdiff[i]),))
 
 
 _IDENTITIES = {
@@ -427,9 +440,9 @@ def verify_identity(ctx: FieldCtx, name: str, **params) -> VerifyReport:
     """
     if name not in _IDENTITIES:
         raise KeyError(f"unknown identity {name!r}; known: {', '.join(_IDENTITIES)}")
-    w = _Worst()
-    _IDENTITIES[name](ctx, w, **params)
-    return w.report(name, ctx, ctx.tol * ctx.q)
+    report = VerifyReport(name, ctx.q, ctx.tol * ctx.q)
+    _IDENTITIES[name](ctx, report, **params)
+    return report
 
 
 def davenport_hasse(ctx: FieldCtx, d: int, l: int | None = None, t: int = 1) -> VerifyReport:
@@ -443,8 +456,7 @@ def davenport_hasse(ctx: FieldCtx, d: int, l: int | None = None, t: int = 1) -> 
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    if (ctx.q - 1) % d:
-        raise ValueError(f"q = {ctx.q} is not 1 mod d = {d}")
+    require_congruence(ctx, d)
     if t not in (1, -1):
         raise ValueError("t must be 1 or -1")
     L = ctx.q - 1
@@ -456,7 +468,8 @@ def davenport_hasse(ctx: FieldCtx, d: int, l: int | None = None, t: int = 1) -> 
     else:
         sign = chars.char_at_minus_one(ctx, (d - 2) * L // 8)
         scale = ctx.q ** ((d - 2) // 2) * G[L // 2] * sign
-    w = _Worst()
+    # the product's magnitude grows like q^(d/2)
+    report = VerifyReport("davenport-hasse", ctx.q, ctx.tol * ctx.q ** (d / 2), d=d)
     ls = _params(L, l)
     for s in _blocks(len(ls), 1):
         ll = ls[s]  # consecutive values of l
@@ -471,6 +484,5 @@ def davenport_hasse(ctx: FieldCtx, d: int, l: int | None = None, t: int = 1) -> 
         rhs = chars.unit_roots(ctx)[ll * (-kd % L) % L]
         rhs *= scale
         rhs *= np.take(G, ll * d, mode="wrap")
-        w.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(ll[i]), t))
-    # the product's magnitude grows like q^(d/2)
-    return w.report("davenport-hasse", ctx, ctx.tol * ctx.q ** (d / 2), d=d)
+        report.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(ll[i]), t))
+    return report

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -106,8 +107,9 @@ def test_cubic_transform_rows_match_golden():
         ["verify", "--suite", "lennon", "--q", "17"],
         ["verify", "--suite", "e34", "--q", "13"],
         ["verify", "--suite", "cubic-transform", "--q", "17"],
+        ["verify", "--suite", "davenport-hasse", "--q", "13", "--d", "5"],
     ],
-    ids=["count", "lennon", "e34", "cubic-transform"],
+    ids=["count", "lennon", "e34", "cubic-transform", "davenport-hasse"],
 )
 def test_congruence_errors_exit_2(argv, capsys):
     # the library's CongruenceError, a ValueError, reaches main's exit-2 handler
@@ -148,7 +150,15 @@ def test_verify_lemmas_smallest_fields(q):
     # q = 2 has no nontrivial character and q = 3 has exactly one
     code, out = run_cli(["verify", "--suite", "lemmas", "--q", q, "--format", "json"])
     assert code == 0
-    assert [json.loads(line)["case"] for line in out.splitlines()] == list(sums.IDENTITY_NAMES)
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [row["case"] for row in rows] == list(sums.IDENTITY_NAMES)
+    # oracle is written as a float also where no case has a nonzero
+    # discrepancy, as in every grid at q = 2 but the last two
+    assert all(type(row["oracle"]) is float for row in rows), rows
+    if q == "2":
+        assert [row["oracle"] for row in rows] == [0.0] * 9 + [-1.0, 0.0]
+        zero = {"formula_re": 0.0, "formula_im": 0.0, "match": True, "disc": 0.0}
+        assert all(row.items() >= zero.items() for row in rows[:9]), rows
 
 
 def test_verify_unknown_suite_exits_2():
@@ -244,6 +254,22 @@ def test_size_cap_env_override():
     )
     assert proc.returncode == 2
     assert "size cap" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "field",
+    [["--q", "2305843009213693951"], ["--p", "2", "--n", "3000000"]],
+    ids=["q-2^61-1", "p-2-n-3000000"],
+)
+def test_oversized_field_exits_2_at_once(field, capsys):
+    # the cap is checked before --q is factored or p^n is formed: trial
+    # division up to sqrt(2^61 - 1) would take minutes, and 2^3000000 has
+    # too many digits to print
+    start = time.perf_counter()
+    code, out = run_cli(["eval", "gauss", *field, "--m", "1"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert "exceeds size cap" in capsys.readouterr().err
 
 
 def test_exit_code_one_on_mismatch(monkeypatch):

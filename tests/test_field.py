@@ -50,9 +50,12 @@ def test_nonprime_p_rejected():
 
 
 def test_size_cap_enforced():
-    with pytest.raises(FieldError):
+    with pytest.raises(FieldError, match="q = 13 exceeds size cap 12"):
         make_field(13, size_cap=12)
     assert make_field(13, size_cap=13).q == 13
+    # checked before p^n is formed: 2^3000000 has too many digits to print
+    with pytest.raises(FieldError, match="q = 2\\^3000000 exceeds size cap 65536"):
+        make_field(2, 3_000_000)
 
 
 def test_known_extension_moduli(f25, f27):

@@ -72,7 +72,7 @@ def test_extension_field_series(f25):
 def test_direct_rows_agree_with_cached(f13):
     for x in f13.units():
         fast = hyperf.hf_eval(f13, [1, 5], [6], x)
-        slow = hyperf.hf_eval(f13, [1, 5], [6], x, rows="direct")
+        slow = hyperf.hf_direct(f13, [1, 5], [6], x)
         assert abs(fast - slow) < 1e-9 * f13.q
 
 

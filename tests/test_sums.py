@@ -249,7 +249,7 @@ def test_davenport_hasse_single_l(f13):
 
 
 def test_davenport_hasse_congruence_error(f13):
-    with pytest.raises(ValueError):
+    with pytest.raises(charsum.CongruenceError, match="q = 13 is not 1 mod 5"):
         sums.davenport_hasse(f13, 5)
 
 
