@@ -9,7 +9,6 @@ from .chars import (
     delta_elem,
     legendre,
     mul_char,
-    phi_exp,
 )
 from .sums import (
     IDENTITY_NAMES,
@@ -72,7 +71,6 @@ __all__ = [
     "lennon_trace",
     "make_field",
     "mul_char",
-    "phi_exp",
     "shifted_cubic_count",
     "special_value_check",
     "thm_coeffs",

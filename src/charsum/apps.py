@@ -11,7 +11,7 @@ Every public function but special_value_check also takes equal-length int
 arrays for (a, b) or (alpha, beta) (and the branch), for blocks of curves.
 Each has one body for ints and arrays: it works out dlog of each series
 argument and character argument from dlog a and dlog b (sums such as
-a' = b - a^2/3 through a Zech table of dlog(1 + g^t)), gathers the
+a' = b - a^2/3 through the field's Zech table, field.zech_table), gathers the
 characters from unit_roots and reads the series through hyperf.hf_eval.
 For the two traces, which are called once per curve, what depends only on
 the field (the dlogs of the constants in the arguments, e34_trace's binomial
@@ -19,7 +19,7 @@ and Gauss products, the series parameters) is a plan built once per field
 through ctx.cached, as curves.count_theorem's is.  Lennon's formula and
 the Edwards count each have an unrounded core at (dlog a, dlog b), which the
 shifted-cubic functions read at the shifted or Edwards parameters.
-The Edwards oracle works through the per-field oracle buffers for arrays.
+The Edwards oracle works through the per-field oracle buffer for arrays.
 """
 
 from __future__ import annotations
@@ -28,12 +28,17 @@ import numpy as np
 
 from . import chars, hyperf, sums
 from .curves import BLOCK_CELLS, _oracle_buffers, _round_guarded, _unit_dlogs, power_count_table
-from .field import FieldCtx, require_congruence
+from .field import FieldCtx, require_congruence, zech_table
 
 
 def _require(cond: bool, msg: str):
     if not cond:
         raise ValueError(msg)
+
+
+def _in_field(ctx: FieldCtx, *xs) -> bool:
+    """Whether every entry of every x lies in [0, q)."""
+    return all(((x >= 0) & (x < ctx.q)).all() for x in map(np.asarray, xs))
 
 
 def _dlogs(ctx: FieldCtx, *consts: int) -> list[int]:
@@ -133,8 +138,7 @@ def edwards_count_bruteforce(ctx: FieldCtx, alpha, beta):
     """
     if isinstance(alpha, np.ndarray) or isinstance(beta, np.ndarray):
         return _edwards_count_array(ctx, beta, *_unit_dlogs(ctx, alpha, beta, "alpha, beta"))
-    _require(0 <= alpha < ctx.q and 0 <= beta < ctx.q,
-             f"alpha, beta must be elements of F_{ctx.q}")
+    _require(_in_field(ctx, alpha, beta), f"alpha, beta must be elements of F_{ctx.q}")
     x2 = ctx.pow(np.arange(ctx.q, dtype=np.int64), 2)
     u = ctx.add_vec(1, ctx.mul(x2, ctx.neg(beta)))
     w = ctx.add_vec(1, ctx.mul(x2, ctx.neg(alpha)))
@@ -163,7 +167,7 @@ def _edwards_count_array(ctx: FieldCtx, beta: np.ndarray, la: np.ndarray,
     s + 2k of the chi table, and likewise chi(w).  x = 0 adds counts[1]; u = 0
     at the counts[beta] units x with beta*x^2 = 1, whose true count is q if
     w = 1 - alpha/beta = 0 and 0 otherwise, against the 1 the sum gives.
-    The products go through the per-field oracle buffers, so no step
+    The products go through the per-field oracle buffer, so no step
     allocates a (rows, q-1) temporary.
     """
     L = ctx.q - 1
@@ -172,7 +176,7 @@ def _edwards_count_array(ctx: FieldCtx, beta: np.ndarray, la: np.ndarray,
     l_neg = ctx.dlog_of(ctx.minus_one())
     s_alpha, s_beta = ((lv + l_neg) % L for lv in (la, lb))
     total = counts[1] + L + counts[beta] * (ctx.q * (la == lb) - 1)
-    block = _oracle_buffers(ctx)[1]
+    block = _oracle_buffers(ctx)
     step = block.shape[1]
     for i in range(0, total.size, step):
         idx, u, w = block[:, :min(step, total.size - i)]
@@ -189,7 +193,7 @@ def edwards_count_formula(ctx: FieldCtx, alpha, beta):
     """Point count via q - 1 - phi(beta) - phi(alpha*beta) + q*phi(-alpha)*2F1.
 
     Equal-length int arrays alpha, beta give an int64 array of counts."""
-    _require(ctx.q % 2 == 1, "odd q required")
+    _require(ctx.q % 2 == 1, f"the Edwards count formula needs odd q, got q = {ctx.q}")
     la, lb = _unit_dlogs(ctx, alpha, beta, "alpha, beta")
     # phi(x) = 1 - 2 * (dlog x mod 2)
     total = ctx.q - 1 - (1 - 2 * (lb & 1)) - (1 - 2 * ((la + lb) & 1))
@@ -209,18 +213,13 @@ def _edwards_core(ctx: FieldCtx, la, lb):
 # Shifted cubic y^2 = x^3 + a*x^2 + b*x
 # ---------------------------------------------------------------------------
 
-def _zech(ctx: FieldCtx) -> np.ndarray:
-    """zech[t] = dlog(1 + g^t), -1 where 1 + g^t = 0."""
-    return ctx.dlog[ctx.add_vec(1, ctx.exp)]
-
-
 def _shifted_coeffs(ctx: FieldCtx, la, lb):
     """(dlog a', dlog b', nonzero) at dlog a, dlog b: x -> x - a/3 makes
     x^3 + a*x^2 + b*x into x^3 + a'*x + b' with a' = b * (1 - a^2/(3b)) and
     b' = -(ab/3) * (1 - 2a^2/(9b)); nonzero marks a', b' != 0 (elsewhere the
     dlogs are junk)."""
     L = ctx.q - 1
-    zech = ctx.cached("zech", _zech, ctx)
+    zech = zech_table(ctx)
     l_neg, l2, l3 = _dlogs(ctx, -1, 2, 3)
     z_a = zech[(l_neg + 2 * la - lb - l3) % L]
     z_b = zech[(l_neg + l2 + 2 * la - lb - 2 * l3) % L]
@@ -232,7 +231,7 @@ def cubic_count_bruteforce(ctx: FieldCtx, a, b):
     right side at every x, evaluated as written.  Equal-length int arrays a, b
     give an int64 array, BLOCK_CELLS cells at a time."""
     a2, b2 = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
-    _require(a2.shape == b2.shape and ((a2 >= 0) & (a2 < ctx.q) & (b2 >= 0) & (b2 < ctx.q)).all(),
+    _require(a2.shape == b2.shape and _in_field(ctx, a2, b2),
              f"a, b must be elements of F_{ctx.q} or equal-length arrays of them")
     xs = np.arange(ctx.q, dtype=np.int64)
     x2, x3, counts = ctx.pow(xs, 2), ctx.pow(xs, 3), power_count_table(ctx, 2)
@@ -244,62 +243,66 @@ def cubic_count_bruteforce(ctx: FieldCtx, a, b):
     return total if isinstance(a, np.ndarray) else int(total[0])
 
 
-def _shifted_series_term(ctx: FieldCtx, la, lb):
-    """q * T^(3L/4)(a'/3) * 2F1(T^(L/12), T^(5L/12); phi | -27 b'^2/(4 a'^3)),
-    L = q-1: minus Lennon's trace of y^2 = x^3 + a'*x + b', unrounded.
-    ValueError unless every a', b' is nonzero."""
-    l_ap, l_bp, nonzero = _shifted_coeffs(ctx, la, lb)
-    _require(np.all(nonzero), "shifted curve is degenerate (a' or b' is zero)")
-    return -_lennon_core(ctx, l_ap, l_bp)
-
-
 def shifted_cubic_count(ctx: FieldCtx, a, b):
-    """Affine count of y^2 = x^3 + a*x^2 + b*x via the depressed-cubic 2F1;
-    needs q = 1 mod 12 and a, b, a', b' != 0.  Arrays a, b give an array."""
+    """Affine count of y^2 = x^3 + a*x^2 + b*x via the depressed-cubic 2F1:
+    q minus Lennon's trace of y^2 = x^3 + a'*x + b', unrounded.  Needs
+    q = 1 mod 12 and a, b, a', b' != 0.  Arrays a, b give an array."""
     require_congruence(ctx, 12)
-    return _round_guarded(ctx, ctx.q + _shifted_series_term(ctx, *_unit_dlogs(ctx, a, b)))
+    l_ap, l_bp, nonzero = _shifted_coeffs(ctx, *_unit_dlogs(ctx, a, b))
+    _require(np.all(nonzero), "shifted curve is degenerate (a' or b' is zero)")
+    return _round_guarded(ctx, ctx.q - _lennon_core(ctx, l_ap, l_bp))
 
 
-def _edwards_params(ctx: FieldCtx, la, lb, branch):
-    """(dlog alpha, dlog beta, nonzero) for alpha, beta = a * (1 +- 2r/a), r the
-    root g^(dlog b / 2) of b on branch 0 and -r on branch 1."""
+def _transform_params(ctx: FieldCtx, la, lb, branch):
+    """(dlog a', dlog b', dlog alpha, dlog beta, admissible) at dlog a, dlog b
+    (-1 for a zero element) and the branch, in one pass.  alpha, beta =
+    a * (1 +- 2r/a), r the root g^(dlog b / 2) of b on branch 0 and -r on
+    branch 1.  admissible marks a != 0, b a nonzero square, branch 0 or 1, and
+    a', b', alpha, beta != 0; elsewhere the dlogs are junk.  Needs
+    q = 1 mod 12."""
+    require_congruence(ctx, 12)
     L = ctx.q - 1
+    l_ap, l_bp, nonzero = _shifted_coeffs(ctx, la, lb)
     l_neg, l2 = _dlogs(ctx, -1, 2)
     l_2r_a = l2 + lb // 2 + branch * (L // 2) - la
-    zech = ctx.cached("zech", _zech, ctx)
+    zech = zech_table(ctx)
     z_alpha, z_beta = zech[l_2r_a % L], zech[(l_neg + l_2r_a) % L]
-    return (la + z_alpha) % L, (la + z_beta) % L, (z_alpha >= 0) & (z_beta >= 0)
+    # dlog 0 = -1 is odd, so lb % 2 == 0 also excludes b = 0
+    ok = ((la >= 0) & (lb % 2 == 0) & ((branch == 0) | (branch == 1)) & nonzero
+          & (z_alpha >= 0) & (z_beta >= 0))
+    return l_ap, l_bp, (la + z_alpha) % L, (la + z_beta) % L, ok
 
 
 def cubic_transform_admissible(ctx: FieldCtx, a, b, branch=0):
     """Whether cubic_transform_check takes (a, b, branch): b a nonzero square,
     branch 0 or 1, and alpha, beta, a', b' nonzero (a = 0 makes b' zero).
-    A bool array for equal-length int arrays.  Needs q = 1 mod 12."""
-    require_congruence(ctx, 12)
-    la, lb = ctx.dlog[a], ctx.dlog[b]
-    ok = (a != 0) & (b != 0) & (lb % 2 == 0) & ((branch == 0) | (branch == 1))
-    return ok & _shifted_coeffs(ctx, la, lb)[2] & _edwards_params(ctx, la, lb, branch)[2]
+    A bool array for equal-length int arrays.  ValueError unless every a, b
+    is an element of F_q (0 included); needs q = 1 mod 12."""
+    _require(_in_field(ctx, a, b), f"a, b must be elements of F_{ctx.q}")
+    return _transform_params(ctx, ctx.dlog[a], ctx.dlog[b], branch)[4]
 
 
 def cubic_transform_check(ctx: FieldCtx, a, b, branch=0):
     """Quadratic-twist transformation between the shifted-cubic series and the
     Edwards-side 2F1, for one square-root branch r of b.
 
-    Returns (formula, oracle, disc, match): the shifted-cubic series term;
-    the real part of -phi(beta) + phi(a*b - 2*b*r) + q*phi(-alpha) *
-    2F1(phi, phi; eps | beta/alpha), alpha = a + 2r, beta = a - 2r; their
-    distance; and whether it is within tolerance and the enumeration counts
-    meet the bridge #C + 2 = #E + 3 + phi(a^2 - 4b) + phi(a*b - 2*b*r).
+    Returns (formula, oracle, disc, match): the shifted-cubic series term
+    q * T^(3L/4)(a'/3) * 2F1(T^(L/12), T^(5L/12); phi | -27 b'^2/(4 a'^3)),
+    L = q-1, which is minus Lennon's trace at (a', b'); the real part of
+    -phi(beta) + phi(a*b - 2*b*r) + q*phi(-alpha) * 2F1(phi, phi; eps | beta/alpha),
+    alpha = a + 2r, beta = a - 2r; their distance; and whether it is within
+    tolerance and the enumeration counts meet the bridge
+    #C + 2 = #E + 3 + phi(a^2 - 4b) + phi(a*b - 2*b*r).
     Equal-length int arrays give arrays.  ValueError unless every entry is
     admissible (see cubic_transform_admissible).
     """
     L = ctx.q - 1
     la, lb = _unit_dlogs(ctx, a, b)
-    _require(np.all(cubic_transform_admissible(ctx, a, b, branch)),
+    l_ap, l_bp, l_alpha, l_beta, ok = _transform_params(ctx, la, lb, branch)
+    _require(np.all(ok),
              "(a, b, branch) is not admissible: need b a nonzero square, branch 0 or 1, "
              "a != +-2*sqrt(b) and a', b' != 0")
-    lhs = _shifted_series_term(ctx, la, lb)
-    l_alpha, l_beta, _ = _edwards_params(ctx, la, lb, branch)
+    lhs = -_lennon_core(ctx, l_ap, l_bp)
     roots = chars.unit_roots(ctx)
     # phi(x) = T^(L/2)(x); a*b - 2*b*r = b*beta and a^2 - 4b = alpha*beta
     rhs = (-roots[(L // 2 * l_beta) % L] + roots[(L // 2 * (lb + l_beta)) % L]

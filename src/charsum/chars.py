@@ -76,13 +76,6 @@ def delta_char(ctx: FieldCtx, m: int) -> int:
     return 1 if m % (ctx.q - 1) == 0 else 0
 
 
-def phi_exp(ctx: FieldCtx) -> int:
-    """Index of the quadratic character (q odd)."""
-    if ctx.q % 2 == 0:
-        raise ValueError("quadratic character needs odd q")
-    return (ctx.q - 1) // 2
-
-
 def char_order(ctx: FieldCtx, m: int) -> int:
     L = ctx.q - 1
     return L // math.gcd(L, m % L) if m % L else 1

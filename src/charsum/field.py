@@ -49,6 +49,17 @@ def require_congruence(ctx: FieldCtx, m: int):
         raise CongruenceError(f"q = {ctx.q} is not 1 mod {m}")
 
 
+def zech_table(ctx: FieldCtx) -> np.ndarray:
+    """The Zech logarithms zech[t] = dlog(1 + g^t) for t in [0, q-2], -1 at
+    the one t where 1 + g^t = 0; cached on ctx, built by one add_vec on the
+    first call.  dlog(1 - g^m) is zech[m + dlog(-1)], index mod q-1."""
+    return ctx.cached("zech", _zech, ctx)
+
+
+def _zech(ctx: FieldCtx) -> np.ndarray:
+    return ctx.dlog[ctx.add_vec(1, ctx.exp)]
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -227,7 +238,6 @@ class FieldCtx:
         self.p = p
         self.n = n
         self.q = q
-        self.size_cap = size_cap
         self.tol = tol
         self.modulus = None if n == 1 else _smallest_irreducible(p, n)
         self._pow_basis = [p**i for i in range(n)]

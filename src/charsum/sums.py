@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chars
-from .field import FieldCtx, require_congruence
+from .field import FieldCtx, require_congruence, zech_table
 
 
 def gauss_table(ctx: FieldCtx) -> np.ndarray:
@@ -40,33 +40,31 @@ def gauss_sum(ctx: FieldCtx, m: int) -> complex:
     return complex(gauss_table(ctx)[m % (ctx.q - 1)])
 
 
-def _unit_pair_logs(ctx: FieldCtx):
-    """dlogs of (x, 1-x) for x not in {0, 1}, cached; drives direct Jacobi sums."""
-    return ctx.cached("jacobi_logs", _pair_logs, ctx)
-
-
-def _pair_logs(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.arange(2, ctx.q, dtype=np.int64)
-    return ctx.dlog[xs], ctx.dlog[ctx.add_vec(1, ctx.neg(xs))]
+def _one_minus_logs(ctx: FieldCtx) -> np.ndarray:
+    """dlog x at x = 1 - g^m for m in [1, q-2], the x not in {0, 1}: entry
+    m + s of the Zech table, index mod q-1, with s = dlog(-1) (0 for even q)."""
+    zech, s = zech_table(ctx), ctx.dlog_of(ctx.minus_one())
+    return np.concatenate((zech[s + 1:], zech[:s]))
 
 
 def jacobi_direct(ctx: FieldCtx, a: int, b: int) -> complex:
-    """Defining sum J(T^a, T^b) = sum_x T^a(x) T^b(1-x), zero terms dropped."""
+    """Defining sum J(T^a, T^b) = sum_x T^a(x) T^b(1-x), zero terms dropped,
+    summed over m = dlog(1-x)."""
     L = ctx.q - 1
-    ka, kb = _unit_pair_logs(ctx)
-    return complex(np.sum(chars.unit_roots(ctx)[(a * ka + b * kb) % L]))
+    ka = _one_minus_logs(ctx)
+    return complex(np.sum(chars.unit_roots(ctx)[(a * ka + b * np.arange(1, L)) % L]))
 
 
 def jacobi_direct_rows(ctx: FieldCtx, tops) -> np.ndarray:
     """Defining sums J(T^a, T^b) for a in `tops` (rows) and b in [0, q-2].
 
-    With V[a, dlog(1-x)] = T^a(x) over x not in {0, 1}, row a is
-    sum_k V[a, k] w^(b*k) = L * ifft(V[a])[b]; no Gauss sum is read.
+    With V[a, m] = T^a(x) at x = 1 - g^m for m in [1, q-2] (V[a, 0] = 0, for
+    x = 0), row a is sum_m V[a, m] w^(b*m) = L * ifft(V[a])[b]; no Gauss sum
+    is read.
     """
     L = ctx.q - 1
-    ka, kb = _unit_pair_logs(ctx)
     V = np.zeros((len(tops), L), dtype=np.complex128)
-    V[:, kb] = chars.unit_roots(ctx)[(np.asarray(tops)[:, None] * ka) % L]
+    V[:, 1:] = chars.unit_roots(ctx)[(np.asarray(tops)[:, None] * _one_minus_logs(ctx)) % L]
     return L * np.fft.ifft(V, axis=1)
 
 
@@ -207,12 +205,12 @@ class VerifyReport:
     def match(self) -> bool:
         return self.disc < self.tol
 
-    def update_all(self, discs, lhs, rhs, case_of, skip=None):
+    def update_all(self, lhs, rhs, case_of, skip=None):
         """Count the cases of a grid chunk (or of one case, as scalars) and
-        keep the first largest discrepancy, in row-major order, where the mask
-        `skip` is unset; lhs and rhs broadcast to the shape of discs, and
-        case_of(*index) names the case at an array index."""
-        discs = np.asarray(discs)
+        keep the first largest discrepancy |lhs - rhs|, in row-major order,
+        where the mask `skip` is unset; case_of(*index) names the case at an
+        array index."""
+        discs = np.asarray(abs(lhs - rhs))
         if skip is not None:
             skip = np.broadcast_to(skip, discs.shape)
             n_skip = int(np.count_nonzero(skip))
@@ -248,7 +246,7 @@ def _check_gauss_reflection(ctx: FieldCtx, report: VerifyReport, m=None, **_):
         mm = ms[s]
         lhs = G[mm] * np.take(G, -mm, mode="wrap")
         rhs = ctx.q * chars.char_at_minus_one(ctx, mm)
-        report.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(mm[i]),), skip=mm == 0)
+        report.update_all(lhs, rhs, lambda i: (int(mm[i]),), skip=mm == 0)
 
 
 def _check_gauss_shift(ctx: FieldCtx, report: VerifyReport, m=None, n=None, **_):
@@ -268,8 +266,7 @@ def _check_gauss_shift(ctx: FieldCtx, report: VerifyReport, m=None, n=None, **_)
         else:
             rhs = pinned_row[mm]
         rhs *= np.take(G, mm - nn, mode="wrap")
-        report.update_all(np.abs(lhs - rhs), lhs, rhs,
-                          lambda i, j: (int(mm[i, 0]), int(nn[j])), skip=mm == nn)
+        report.update_all(lhs, rhs, lambda i, j: (int(mm[i, 0]), int(nn[j])), skip=mm == nn)
 
 
 def _check_jacobi_gauss(ctx: FieldCtx, report: VerifyReport, seed=0, triples=24, **_):
@@ -280,8 +277,7 @@ def _check_jacobi_gauss(ctx: FieldCtx, report: VerifyReport, seed=0, triples=24,
         a = b[s, None]
         lhs = jacobi_direct_rows(ctx, b[s])[:, 1:]  # defining sums, not G
         rhs = G[a] * G[b] / G[(a + b) % L]
-        report.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i, j: (int(a[i, 0]), j + 1),
-                          skip=(a + b) % L == 0)
+        report.update_all(lhs, rhs, lambda i, j: (int(a[i, 0]), j + 1), skip=(a + b) % L == 0)
     rng = random.Random(seed)
     ks = []
     while L > 1 and len(ks) < triples:  # q = 2 has no nontrivial character
@@ -295,7 +291,7 @@ def _check_jacobi_gauss(ctx: FieldCtx, report: VerifyReport, seed=0, triples=24,
     f = np.zeros((len(ks), 3, ctx.q), dtype=np.complex128)
     f[..., 1:] = chars.unit_roots(ctx)[(np.array(ks)[..., None] * ctx.dlog[1:]) % L]
     rhs = _convolve_add(ctx, _convolve_add(ctx, f[:, 0], f[:, 1]), f[:, 2])[:, 1]
-    report.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: tuple(ks[i]))
+    report.update_all(lhs, rhs, lambda i: tuple(ks[i]))
 
 
 def _check_theta_expansion(ctx: FieldCtx, report: VerifyReport, **_):
@@ -307,7 +303,7 @@ def _check_theta_expansion(ctx: FieldCtx, report: VerifyReport, **_):
         alpha = np.arange(1, ctx.q)[s]
         rhs = np.sum(g_neg * unit[(ctx.dlog[alpha, None] * m) % L], axis=1) / L
         lhs = chars.theta_table(ctx)[alpha]
-        report.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(alpha[i]),))
+        report.update_all(lhs, rhs, lambda i: (int(alpha[i]),))
 
 
 def _check_orthogonality(ctx: FieldCtx, report: VerifyReport, **_):
@@ -320,8 +316,7 @@ def _check_orthogonality(ctx: FieldCtx, report: VerifyReport, **_):
         for s in _blocks(L, L):
             lhs = np.sum(unit[(exps[s, None] * ks) % L], axis=1)
             rhs = np.where(exps[s] == 0, float(L), 0.0)
-            report.update_all(np.abs(lhs - rhs), lhs, rhs,
-                              lambda i: (label, int(params[s][i])))
+            report.update_all(lhs, rhs, lambda i: (label, int(params[s][i])))
 
 
 def binom_translate_rhs(ctx: FieldCtx, a) -> np.ndarray:
@@ -338,21 +333,18 @@ def binom_translate_rhs(ctx: FieldCtx, a) -> np.ndarray:
     return out
 
 
-def _dlog_one_plus(ctx: FieldCtx) -> np.ndarray:
-    return ctx.dlog[ctx.add_vec(np.arange(ctx.q), 1)]
-
-
 def _check_binom_translate(ctx: FieldCtx, report: VerifyReport, a=None, **_):
     L = ctx.q - 1
-    # dlog(1 + x) for every x, cached; -1 at x = -1, where T^a(1 + x) = 0
-    k1 = ctx.cached("dlog_one_plus", _dlog_one_plus, ctx)
+    # dlog(1 + x) for every x: 0 at x = 0, and -1 at x = -1, where T^a(1 + x) = 0
+    k1 = zech_table(ctx)[ctx.dlog]
+    k1[0] = 0
     tops = _params(L, a)
     for s in _blocks(len(tops), ctx.q):
         aa = tops[s]
         lhs = chars.unit_roots(ctx)[(aa[:, None] * k1) % L]
         lhs[:, ctx.minus_one()] = 0
         rhs = binom_translate_rhs(ctx, aa)
-        report.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i, x: (int(aa[i]), x))
+        report.update_all(lhs, rhs, lambda i, x: (int(aa[i]), x))
 
 
 def _binom_check(rhs_of):
@@ -364,7 +356,7 @@ def _binom_check(rhs_of):
         for s in _blocks(L, L):
             a = b[s, None]
             lhs, rhs = binom_grid(ctx, a, b), rhs_of(ctx, a, b)
-            report.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i, j: (int(a[i, 0]), j))
+            report.update_all(lhs, rhs, lambda i, j: (int(a[i, 0]), j))
 
     return check
 
@@ -397,11 +389,11 @@ def quadratic_gauss_value(ctx: FieldCtx) -> complex:
 
 def _check_gauss_special(ctx: FieldCtx, report: VerifyReport, **_):
     G = gauss_table(ctx)
-    report.update_all(abs(G[0] - (-1)), G[0], -1 + 0j, lambda: ("trivial",))
+    report.update_all(G[0], -1 + 0j, lambda: ("trivial",))
     if ctx.q % 2:
         expect = quadratic_gauss_value(ctx)
         got = G[(ctx.q - 1) // 2]
-        report.update_all(abs(got - expect), got, expect, lambda: ("quadratic",))
+        report.update_all(got, expect, lambda: ("quadratic",))
 
 
 def _check_theta_delta(ctx: FieldCtx, report: VerifyReport, **_):
@@ -411,7 +403,7 @@ def _check_theta_delta(ctx: FieldCtx, report: VerifyReport, **_):
         wdiff = zs[s]
         lhs = np.sum(theta[ctx.mul(wdiff[:, None], zs)], axis=1)
         rhs = np.where(wdiff == 0, float(ctx.q), 0.0)
-        report.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(wdiff[i]),))
+        report.update_all(lhs, rhs, lambda i: (int(wdiff[i]),))
 
 
 _IDENTITIES = {
@@ -484,5 +476,5 @@ def davenport_hasse(ctx: FieldCtx, d: int, l: int | None = None, t: int = 1) -> 
         rhs = chars.unit_roots(ctx)[ll * (-kd % L) % L]
         rhs *= scale
         rhs *= np.take(G, ll * d, mode="wrap")
-        report.update_all(np.abs(lhs - rhs), lhs, rhs, lambda i: (int(ll[i]), t))
+        report.update_all(lhs, rhs, lambda i: (int(ll[i]), t))
     return report

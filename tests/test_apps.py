@@ -356,6 +356,20 @@ def test_cubic_transform_requires_square_b(f13):
         apps.cubic_transform_check(f13, 1, 2, branch=0)  # 2 is not a square
 
 
+def test_cubic_transform_admissible_checks_range(f13):
+    # an index outside [0, q) raises, for ints and arrays; 0 is an element,
+    # just not admissible
+    for a, b in ((-1, 4), (1, -9), (13, 4), (1, 13)):
+        with pytest.raises(ValueError, match="elements of F_13"):
+            apps.cubic_transform_admissible(f13, a, b)
+        with pytest.raises(ValueError, match="elements of F_13"):
+            apps.cubic_transform_admissible(f13, np.array([12, a]), np.array([4, b]))
+    assert not apps.cubic_transform_admissible(f13, 0, 4)
+    assert not apps.cubic_transform_admissible(f13, 12, 0)
+    assert apps.cubic_transform_admissible(f13, np.array([0, 12, 12]),
+                                           np.array([4, 0, 4])).tolist() == [False, False, True]
+
+
 def test_special_value_half():
     for q in (13, 17, 29, 37):
         report = apps.special_value_check(field(q), "half")

@@ -130,6 +130,15 @@ def test_count_congruence_violation_exits_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("e,d,msg", [("0", "3", "need e >= 1"), ("2", "1", "need d >= 2")],
+                         ids=["e0", "d1"])
+def test_count_bad_family_exits_2(e, d, msg, capsys):
+    # CurveSpec refuses the family while the tables are built, before any row
+    code, out = run_cli(["count", "--q", "13", "--e", e, "--d", d, "--a", "1", "--b", "1"])
+    assert code == 2 and out == ""
+    assert msg in capsys.readouterr().err
+
+
 def test_count_missing_ab_exits_2():
     code, _ = run_cli(["count", "--q", "13", "--e", "2", "--d", "3"])
     assert code == 2

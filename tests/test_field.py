@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from charsum.field import FieldError, factor_prime_power, make_field
+from charsum.field import FieldError, factor_prime_power, make_field, zech_table
 
 from conftest import field
 
@@ -132,6 +132,15 @@ def test_generator_canonical_across_rebuilds():
     y = make_field(3, 3)
     assert x.g == y.g and x.modulus == y.modulus
     assert np.array_equal(x.exp, y.exp)
+
+
+def brute_dlog(ctx, x):
+    """The k in [0, q-2] with g^k = x, by walking the powers of g."""
+    k, acc = 0, 1
+    while acc != x:
+        acc = ctx._raw_mul(acc, ctx.g)
+        k += 1
+    return k
 
 
 def raw_inv(ctx, x):
@@ -400,6 +409,23 @@ def test_fields_at_size_cap(p, n):
 
 # -- derived tables: built once through FieldCtx.cached and read-only ----------
 
+@pytest.mark.parametrize("p,n", [(2, 1), (13, 1), (2, 4), (5, 2), (3, 3)],
+                         ids=["2", "13", "16", "25", "27"])
+def test_zech_table_matches_field_addition(p, n):
+    ctx = make_field(p, n)
+    assert "zech" not in ctx._cache  # built on first use, not with the field
+    zech = zech_table(ctx)
+    assert zech_table(ctx) is zech and not zech.flags.writeable
+    want = []
+    for t in range(ctx.q - 1):
+        s = ctx.add(1, raw_pow(ctx, ctx.g, t))
+        assert s == coeffwise_add(ctx, 1, raw_pow(ctx, ctx.g, t))
+        want.append(-1 if s == 0 else brute_dlog(ctx, s))
+    assert zech.dtype == np.int64 and zech.tolist() == want
+    assert want.count(-1) == 1  # 1 + g^t = 0 only at g^t = -1
+
+
+
 def test_cached_builds_once_and_freezes():
     ctx = make_field(13)
     calls = []
@@ -429,7 +455,7 @@ def test_every_cached_table_is_read_only(pn):
     assert sums.verify_identity(ctx, "binom-translate", a=2).match
     # the oracle's buffers are writable scratch, not a table
     keys = set(ctx._cache) - {"oracle_buffers"}
-    assert {"gauss", "theta", "unit_roots", "jacobi_logs", "dlog_one_plus"} <= keys
+    assert {"gauss", "theta", "unit_roots", "zech"} <= keys
     for key in keys:
         value = ctx._cache[key]
         for arr in value if isinstance(value, tuple) else (value,):

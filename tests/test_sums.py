@@ -589,7 +589,7 @@ def test_binom_grid_matches_greene_binom(pn):
             assert one.shape == () and abs(one - ref[a, b]) < 1e-14
 
 
-@pytest.mark.parametrize("pn", [(13, 1), (3, 2)], ids=["13", "9"])
+@pytest.mark.parametrize("pn", [(13, 1), (3, 2), (2, 4)], ids=["13", "9", "16"])
 def test_jacobi_direct_rows_match_scalar(pn):
     ctx = field(*pn)
     L = ctx.q - 1
