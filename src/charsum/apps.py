@@ -258,8 +258,11 @@ def _transform_params(ctx: FieldCtx, la, lb, branch):
     (-1 for a zero element) and the branch, in one pass.  alpha, beta =
     a * (1 +- 2r/a), r the root g^(dlog b / 2) of b on branch 0 and -r on
     branch 1.  admissible marks a != 0, b a nonzero square, branch 0 or 1, and
-    a', b', alpha, beta != 0; elsewhere the dlogs are junk.  Needs
-    q = 1 mod 12."""
+    a', b', alpha, beta != 0; elsewhere the dlogs are junk.  ValueError for
+    a branch that is not an int or a signed-int array; needs q = 1 mod 12."""
+    _require(isinstance(branch, (int, np.signedinteger))
+             or (isinstance(branch, np.ndarray) and branch.dtype.kind == "i"),
+             f"branch must be an int or a signed-int array, got {branch!r}")
     require_congruence(ctx, 12)
     L = ctx.q - 1
     l_ap, l_bp, nonzero = _shifted_coeffs(ctx, la, lb)
@@ -277,7 +280,8 @@ def cubic_transform_admissible(ctx: FieldCtx, a, b, branch=0):
     """Whether cubic_transform_check takes (a, b, branch): b a nonzero square,
     branch 0 or 1, and alpha, beta, a', b' nonzero (a = 0 makes b' zero).
     A bool array for equal-length int arrays.  ValueError unless every a, b
-    is an element of F_q (0 included); needs q = 1 mod 12."""
+    is an element of F_q (0 included) and the branch is an int or a
+    signed-int array; needs q = 1 mod 12."""
     _require(_in_field(ctx, a, b), f"a, b must be elements of F_{ctx.q}")
     return _transform_params(ctx, ctx.dlog[a], ctx.dlog[b], branch)[4]
 

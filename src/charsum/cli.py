@@ -6,12 +6,12 @@ JSON output is line-delimited with the fixed key set
 verify streams add a leading "case" key naming the checked identity/config.
 CSV uses the same columns in the same order.  The "table" format is for
 humans and not schema-stable.  `count` and the lennon, e34, edwards and
-cubic-transform suites evaluate their cases in blocks, one array call of the
-oracle and of the closed form per block, and write a block's rows at once;
-such a row's ms is its block's wall time divided by the block's rows.  Every
-other row's ms is the wall time of the step that produced it.  Invalid input
-raises CliError or a ValueError (a field's unmet congruence included), both
-exit 2.
+cubic-transform suites evaluate their cases in blocks of _BLOCK_ROWS pairs or
+candidates, whatever q is, one array call of the oracle and of the closed
+form per block, and write a block's rows at once; such a row's ms is its
+block's wall time divided by the block's rows.  Every other row's ms is the
+wall time of the step that produced it.  Invalid input raises CliError or a
+ValueError (a field's unmet congruence included), both exit 2.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ from . import apps, curves, hyperf, sums
 from .field import DEFAULT_SIZE_CAP, DEFAULT_TOL, FieldError, factor_prime_power, make_field
 
 _COLUMNS = ["q", "e", "d", "a", "b", "formula_re", "formula_im", "oracle", "match", "disc", "ms"]
+# (a, b) pairs or cubic-transform candidates per block.  Each block pays one
+# closed-form call, one guard and one row write; the oracles cut a block into
+# chunks of curves.BLOCK_CELLS cells themselves.
+_BLOCK_ROWS = 1024
 
 
 class CliError(Exception):
@@ -213,12 +217,12 @@ def _refused_as_nan(formula, a: int, b: int) -> float:
 
 
 def _block_rows(ctx, pairs, oracle, formula, e=None, d=None):
-    """The row dict of each block of max(1, curves.BLOCK_CELLS // (q-1))
-    (a, b) pairs, with list values: one oracle(a, b) and one formula(a, b)
+    """The row dict of each block of _BLOCK_ROWS (a, b) pairs (the last may
+    be shorter), with list values: one oracle(a, b) and one formula(a, b)
     call over int64 arrays per block.  A block the rounding guard refuses is
     evaluated again one pair at a time, so only failing rows read NaN."""
     pairs = iter(pairs)
-    while block := list(itertools.islice(pairs, max(1, curves.BLOCK_CELLS // (ctx.q - 1)))):
+    while block := list(itertools.islice(pairs, _BLOCK_ROWS)):
         a, b = np.array(block, dtype=np.int64).T
         counts = oracle(a, b)
         try:
@@ -301,12 +305,11 @@ def _suite_cubic_transform(ctx, args):
 
 def _cubic_transform_blocks(ctx):
     """One (case list, row) per block of admissible (a, b, branch), found
-    among max(1, BLOCK_CELLS // (q-1)) candidates at a time in (b, a, branch)
-    order; one array call of apps.cubic_transform_check per block."""
+    among _BLOCK_ROWS candidates at a time in (b, a, branch) order; one array
+    call of apps.cubic_transform_check per block."""
     L = ctx.q - 1
-    step = max(1, curves.BLOCK_CELLS // L)
-    for i in range(0, 2 * L * L, step):
-        k = np.arange(i, min(i + step, 2 * L * L), dtype=np.int64)
+    for i in range(0, 2 * L * L, _BLOCK_ROWS):
+        k = np.arange(i, min(i + _BLOCK_ROWS, 2 * L * L), dtype=np.int64)
         b, a, branch = 1 + k // (2 * L), 1 + k // 2 % L, k % 2
         keep = apps.cubic_transform_admissible(ctx, a, b, branch)
         if keep.any():

@@ -27,7 +27,7 @@ from .field import CongruenceError, FieldCtx, require_congruence
 
 ROUND_GUARD = 0.01
 # Oracle cells (curves times q-1) that count_bruteforce holds at once for
-# arrays of curves; `charsum count` cuts its selection into blocks of this size.
+# arrays of curves; a longer array is worked through in chunks of this size.
 BLOCK_CELLS = 1 << 15
 # Cells of the (x, y) comparison matrix that count_naive holds at once.
 _NAIVE_BLOCK_CELLS = 1 << 20

@@ -370,6 +370,20 @@ def test_cubic_transform_admissible_checks_range(f13):
                                            np.array([4, 0, 4])).tolist() == [False, False, True]
 
 
+def test_cubic_transform_refuses_non_integer_branch(f13):
+    # a float branch would reach the Zech gather as a float index; any other
+    # integer than 0 or 1 is just not admissible
+    a, b = np.array([12, 12]), np.array([4, 4])
+    for fn in (apps.cubic_transform_admissible, apps.cubic_transform_check):
+        for args in ((12, 4, 0.5), (12, 4, 1.0), (a, b, np.array([0, 0.5])),
+                     (a, b, np.array([0, 1], dtype=np.uint64))):
+            with pytest.raises(ValueError, match="branch must be"):
+                fn(f13, *args)
+    for branch in (2, -1, np.int64(2)):
+        assert not apps.cubic_transform_admissible(f13, 12, 4, branch)
+    assert apps.cubic_transform_admissible(f13, a, b, np.array([2, -1])).tolist() == [False, False]
+
+
 def test_special_value_half():
     for q in (13, 17, 29, 37):
         report = apps.special_value_check(field(q), "half")

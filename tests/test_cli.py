@@ -334,11 +334,33 @@ def test_count_builds_gauss_table_before_first_row(monkeypatch):
 def test_verify_builds_tables_before_first_block(monkeypatch, suite, q, module, name):
     # every table the run reads exists when the first block's oracle starts
     seen = _spy_cache_keys(monkeypatch, module, name)
-    code, _ = run_cli(["verify", "--suite", suite, "--q", str(q), "--count", "300",
+    code, _ = run_cli(["verify", "--suite", suite, "--q", str(q), "--count", "1500",
                        "--format", "json"])
     assert code == 0
-    assert len(seen) == 2  # blocks of 182 and 118 rows
+    assert len(seen) == 2  # blocks of 1024 and 476 rows
     assert all(keys == set(ctx._cache) for ctx, keys in seen)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--q", "37", "--e", "3", "--d", "4", "--sweep"],
+        ["count", "--p", "5", "--n", "2", "--e", "2", "--d", "3", "--sweep"],
+        *(["verify", "--suite", suite, "--q", "181", "--count", "1500"]
+          for suite in ("lennon", "e34", "edwards")),
+        ["verify", "--suite", "cubic-transform", "--q", "37"],
+    ],
+    ids=["sweep-37", "sweep-25", "lennon-181", "e34-181", "edwards-181", "cubic-transform-37"],
+)
+def test_rows_do_not_depend_on_block_size(monkeypatch, argv):
+    # only ms may change with the block split, the last block included
+    outs = []
+    for rows in (1, 7, cli._BLOCK_ROWS):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+        code, out = run_cli(argv + ["--format", "json"])
+        assert code == 0
+        outs.append(_rows_without_ms(out))
+    assert outs[0] and outs[0] == outs[1] == outs[2]
 
 
 def _scalar_rows(ctx, e, d, cases):
@@ -365,7 +387,7 @@ def _rows_without_ms(out):
     "p,n,e,d,select",
     [
         (37, 1, 3, 3, ["--sweep"]),
-        (181, 1, 2, 3, ["--random", "500", "--seed", "4"]),  # blocks of 182 rows
+        (181, 1, 2, 3, ["--random", "1500", "--seed", "4"]),  # blocks of 1024 and 476 rows
         (7, 4, 2, 5, ["--random", "100", "--seed", "3"]),
         (13, 1, 2, 3, ["--a", "5", "--b", "7"]),
     ],
@@ -435,9 +457,9 @@ def _scalar_suite_rows(ctx, suite, count, seed):
 @pytest.mark.parametrize(
     "suite,p,n,count",
     [
-        ("lennon", 37, 1, 1000),  # blocks of 910 rows
-        ("lennon", 7, 2, 700),  # 682
-        ("e34", 181, 1, 500),  # 182
+        ("lennon", 37, 1, 1500),  # blocks of 1024 and 476 rows
+        ("lennon", 7, 2, 1500),
+        ("e34", 181, 1, 1500),
         ("edwards", 181, 1, 500),
         ("edwards", 7, 2, 700),
     ],

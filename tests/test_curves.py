@@ -53,6 +53,26 @@ def test_bruteforce_matches_naive_every_pair(pn, eds):
                 assert curves.count_bruteforce(spec) == curves.count_naive(spec), (e, d, a, b)
 
 
+@pytest.mark.parametrize("pn", [(13, 1), (37, 1), (5, 2), (3, 3), (2, 4)],
+                         ids=["13", "37", "25", "27", "16"])
+def test_oracles_are_invariant_on_torus_orbits(pn):
+    # x -> u^e*x, y -> u^d*y carries y^e = x^d + a*x + b onto the curve at
+    # (a*u^(e-de), b*u^(-de)), so the two counts are equal for every unit u.
+    # The families include ones whose congruence fails in these fields.
+    ctx = field(*pn)
+    L = ctx.q - 1
+    rng = random.Random(ctx.q)
+    for e, d in ((2, 3), (3, 4), (2, 5), (5, 2), (3, 3)):
+        a, b, u = (np.array([rng.randrange(1, ctx.q) for _ in range(40)]) for _ in range(3))
+        a2 = ctx.mul(a, ctx.pow(u, (e - d * e) % L))
+        b2 = ctx.mul(b, ctx.pow(u, -d * e % L))
+        counts = curves.count_bruteforce(curves.CurveSpec(ctx, e, d, a, b)).tolist()
+        assert curves.count_bruteforce(curves.CurveSpec(ctx, e, d, a2, b2)).tolist() == counts
+        for i in range(3):
+            spec = curves.CurveSpec(ctx, e, d, int(a2[i]), int(b2[i]))
+            assert curves.count_naive(spec) == counts[i], (e, d, a[i], b[i], u[i])
+
+
 @pytest.mark.parametrize(
     "p,n,e,d", [(2, 16, 3, 5), (2, 16, 5, 3), (3, 9, 2, 5)],
     ids=["2^16-3-5", "2^16-5-3", "3^9-2-5"],
