@@ -8,18 +8,12 @@ The Edwards and shifted-cubic oracles count points in O(q) by square
 classes, from the table curves.power_count_table(ctx, 2).
 
 Every public function but special_value_check also takes equal-length int
-arrays for (a, b) or (alpha, beta) (and the branch), for blocks of curves.
-Each has one body for ints and arrays: it works out dlog of each series
-argument and character argument from dlog a and dlog b (sums such as
-a' = b - a^2/3 through the field's Zech table, field.zech_table), gathers the
-characters from unit_roots and reads the series through hyperf.hf_eval.
-For the two traces, which are called once per curve, what depends only on
-the field (the dlogs of the constants in the arguments, e34_trace's binomial
-and Gauss products, the series parameters) is a plan built once per field
-through ctx.cached, as curves.count_theorem's is.  Lennon's formula and
-the Edwards count each have an unrounded core at (dlog a, dlog b), which the
-shifted-cubic functions read at the shifted or Edwards parameters.
-The Edwards oracle works through the per-field oracle buffer for arrays.
+arrays for (a, b) or (alpha, beta) (and the branch), in one body.  Lennon's
+trace, the (3, 4) trace and the Edwards series are per-field plans in
+count_theorem's format (curves._make_plan), read by curves._plan_value; the
+shifted-cubic functions read two of them at parameters whose dlogs come from
+dlog a, dlog b through the Zech table.  The Edwards oracle works through the
+per-field oracle buffer for arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import chars, hyperf, sums
-from .curves import BLOCK_CELLS, _oracle_buffers, _round_guarded, _unit_dlogs, power_count_table
+from .curves import (BLOCK_CELLS, _make_plan, _oracle_buffers, _plan_value, _round_guarded,
+                     _unit_dlogs, power_count_table)
 from .field import FieldCtx, require_congruence, zech_table
 
 
@@ -37,8 +32,9 @@ def _require(cond: bool, msg: str):
 
 
 def _in_field(ctx: FieldCtx, *xs) -> bool:
-    """Whether every entry of every x lies in [0, q)."""
-    return all(((x >= 0) & (x < ctx.q)).all() for x in map(np.asarray, xs))
+    """Whether every x is an int or signed-int array with entries in [0, q)."""
+    return all(x.dtype.kind == "i" and ((x >= 0) & (x < ctx.q)).all()
+               for x in map(np.asarray, xs))
 
 
 def _dlogs(ctx: FieldCtx, *consts: int) -> list[int]:
@@ -47,80 +43,54 @@ def _dlogs(ctx: FieldCtx, *consts: int) -> list[int]:
 
 
 def _lennon_plan(ctx: FieldCtx) -> tuple:
-    """(c_arg, c_char, upper, lower): the constant parts dlog(-27/4) of the
-    series argument -27 b^2 / (4 a^3) and -dlog 27 of the character argument
-    a^3 / 27, and the series parameters."""
+    """Lennon's -q * T^(L/4)(a^3/27) * 2F1(T^(L/12), T^(5L/12); phi | -27 b^2
+    / (4 a^3)), L = q-1, as a one-term plan."""
     L = ctx.q - 1
     l_neg, l4, l27 = _dlogs(ctx, -1, 4, 27)
-    return (l_neg + l27 - l4) % L, -l27 % L, (L // 12, 5 * L // 12), (L // 2,)
+    return _make_plan(ctx, [(-ctx.q, L // 4 * -l27, 3 * (L // 4), 0)],
+                      (l_neg + l27 - l4, -3, 2), [((L // 12, 5 * L // 12), (L // 2,))])
 
 
 def lennon_trace(ctx: FieldCtx, a, b):
     """Trace of Frobenius of y^2 = x^3 + a*x + b via the order-12 2F1 formula.
 
     Needs q = 1 mod 12 (else CongruenceError) and a, b != 0 (equivalently j
-    not in {0, 1728}).  Equal-length int arrays a, b give an int64 array of
-    traces, read from the series table at dlog of the argument worked out
-    from dlog a, dlog b.
+    not in {0, 1728}).  Equal-length int arrays a, b give an int64 array.
     """
     require_congruence(ctx, 12)
-    return _round_guarded(ctx, _lennon_core(ctx, *_unit_dlogs(ctx, a, b)))
-
-
-def _lennon_core(ctx: FieldCtx, la, lb):
-    """-q * T^(L/4)(a^3/27) * 2F1(T^(L/12), T^(5L/12); phi | -27 b^2/(4 a^3)),
-    L = q-1, at a = g^la and b = g^lb, unrounded; q = 1 mod 12 is the
-    caller's to check."""
-    L = ctx.q - 1
-    c_arg, c_char, upper, lower = ctx.cached("lennon_plan", _lennon_plan, ctx)
-    series = hyperf.hf_eval(ctx, upper, lower, ctx.exp[(c_arg + 2 * lb - 3 * la) % L])
-    char = chars.unit_roots(ctx)[(L // 4 * (3 * la + c_char)) % L]
-    return -ctx.q * char * series
+    plan = ctx.cached("lennon_plan", _lennon_plan, ctx)
+    return _round_guarded(ctx, _plan_value(ctx, plan, *_unit_dlogs(ctx, a, b)))
 
 
 def _e34_plan(ctx: FieldCtx) -> tuple:
-    """(c_arg, c1, c2, upper, lower1, lower2): dlog(256/27), the constant part
-    of the series argument 256 b^3 / (27 a^4); the coefficients of the two
-    4F3 series, q^3 times two Greene binomials, with the constant factors
-    T^(L/3)(3) and T^(2L/3)(3) * T^(2L/9)(-1) of their characters folded in;
-    and the series parameters."""
-    L, q3 = ctx.q - 1, ctx.q**3
-    l_neg, l3, l27, l256 = _dlogs(ctx, -1, 3, 27, 256)
-    roots = chars.unit_roots(ctx)
-
-    def t(m, l):  # T^m(g^l)
-        return complex(roots[(m * l) % L])
-
+    """The (3, 4) trace -T^(L/3)(3/b) * (1 + c1 * 4F3(...)) - T^(2L/3)(3/b)
+    * (1 + c2 * 4F3(...)) at alpha = 256 b^3 / (27 a^4), L = q-1, as a
+    four-term plan; c1 and c2, q^3 times two Greene binomials, take the
+    factors T^(L/3)(3) and T^(2L/3)(3) * T^(2L/9)(-1) of the characters."""
+    L, q3, three = ctx.q - 1, ctx.q**3, ctx.embed(3)
+    l27, l256 = _dlogs(ctx, 27, 256)
+    t = chars.mul_char
     c1 = (q3 * sums.greene_binom(ctx, 4 * L // 9, L // 3)
-          * sums.greene_binom(ctx, L // 36, 5 * L // 36) * t(L // 3, l3))
+          * sums.greene_binom(ctx, L // 36, 5 * L // 36) * t(ctx, L // 3, three))
     c2 = (q3 * sums.greene_binom(ctx, 5 * L // 9, 2 * L // 3)
           * sums.greene_binom(ctx, 5 * L // 36, L // 36)
-          * t(2 * L // 9, l_neg) * t(2 * L // 3, l3))
-    return ((l256 - l27) % L, c1, c2, (L // 2, 0, L // 4, 3 * L // 4),
-            (5 * L // 9, 2 * L // 9, 8 * L // 9), (4 * L // 9, L // 9, 7 * L // 9))
+          * t(ctx, 2 * L // 9, ctx.minus_one()) * t(ctx, 2 * L // 3, three))
+    upper = (L // 2, 0, L // 4, 3 * L // 4)
+    return _make_plan(ctx, [(-c1, 0, 0, -L // 3), (-c2, 0, 0, -2 * L // 3),
+                            (-1, 0, 0, -L // 3), (-1, 0, 0, -2 * L // 3)],
+                      (l256 - l27, -4, 3), [(upper, (5 * L // 9, 2 * L // 9, 8 * L // 9)),
+                                            (upper, (4 * L // 9, L // 9, 7 * L // 9))])
 
 
 def e34_trace(ctx: FieldCtx, a, b):
     """Trace of Frobenius of y^3 = x^4 + a*x + b via two 4F3 series.
 
     Needs q = 1 mod 36 (else CongruenceError) and a, b != 0.  Equal-length
-    int arrays a, b give an int64 array of traces.  The binomial and Gauss
-    constants are computed once per field, in the plan read through
-    ctx.cached; the characters and series are gathers.
+    int arrays a, b give an int64 array.
     """
-    L = ctx.q - 1
     require_congruence(ctx, 36)
-    la, lb = _unit_dlogs(ctx, a, b)
-    c_arg, c1, c2, upper, lower1, lower2 = ctx.cached("e34_plan", _e34_plan, ctx)
-    roots = chars.unit_roots(ctx)
-    # series argument is the even-d alpha = (4/a)(4b/(3a))^3 = 256 b^3 / (27 a^4)
-    arg = ctx.exp[(c_arg + 3 * lb - 4 * la) % L]
-    # T^(L/3) and T^(2L/3) at 1/b; the series terms' characters at 3/b are
-    # these times the factors at 3 that the plan folded into c1 and c2
-    r1, r2 = roots[(-L // 3 * lb) % L], roots[(-2 * L // 3 * lb) % L]
-    total = (-r1 * (1 + c1 * hyperf.hf_eval(ctx, upper, lower1, arg))
-             - r2 * (1 + c2 * hyperf.hf_eval(ctx, upper, lower2, arg)))
-    return _round_guarded(ctx, total)
+    plan = ctx.cached("e34_plan", _e34_plan, ctx)
+    return _round_guarded(ctx, _plan_value(ctx, plan, *_unit_dlogs(ctx, a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +159,14 @@ def _edwards_count_array(ctx: FieldCtx, beta: np.ndarray, la: np.ndarray,
     return total
 
 
+def _edwards_plan(ctx: FieldCtx) -> tuple:
+    """q * phi(-alpha) * 2F1(phi, phi; eps | beta/alpha), phi = T^(L/2) and
+    L = q-1, as a one-term plan at (dlog alpha, dlog beta); needs odd q."""
+    L = ctx.q - 1
+    return _make_plan(ctx, [(ctx.q, L // 2 * ctx.dlog_of(ctx.minus_one()), L // 2, 0)],
+                      (0, -1, 1), [((L // 2, L // 2), (0,))])
+
+
 def edwards_count_formula(ctx: FieldCtx, alpha, beta):
     """Point count via q - 1 - phi(beta) - phi(alpha*beta) + q*phi(-alpha)*2F1.
 
@@ -197,16 +175,8 @@ def edwards_count_formula(ctx: FieldCtx, alpha, beta):
     la, lb = _unit_dlogs(ctx, alpha, beta, "alpha, beta")
     # phi(x) = 1 - 2 * (dlog x mod 2)
     total = ctx.q - 1 - (1 - 2 * (lb & 1)) - (1 - 2 * ((la + lb) & 1))
-    return _round_guarded(ctx, total + _edwards_core(ctx, la, lb))
-
-
-def _edwards_core(ctx: FieldCtx, la, lb):
-    """q * phi(-alpha) * 2F1(phi, phi; eps | beta/alpha) at alpha = g^la and
-    beta = g^lb, unrounded."""
-    L = ctx.q - 1
-    series = hyperf.hf_eval(ctx, [L // 2, L // 2], [0], ctx.exp[(lb - la) % L])
-    char = chars.unit_roots(ctx)[(L // 2 * (la + ctx.dlog_of(ctx.minus_one()))) % L]
-    return ctx.q * char * series
+    plan = ctx.cached("edwards_plan", _edwards_plan, ctx)
+    return _round_guarded(ctx, total + _plan_value(ctx, plan, la, lb))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +220,8 @@ def shifted_cubic_count(ctx: FieldCtx, a, b):
     require_congruence(ctx, 12)
     l_ap, l_bp, nonzero = _shifted_coeffs(ctx, *_unit_dlogs(ctx, a, b))
     _require(np.all(nonzero), "shifted curve is degenerate (a' or b' is zero)")
-    return _round_guarded(ctx, ctx.q - _lennon_core(ctx, l_ap, l_bp))
+    plan = ctx.cached("lennon_plan", _lennon_plan, ctx)
+    return _round_guarded(ctx, ctx.q - _plan_value(ctx, plan, l_ap, l_bp))
 
 
 def _transform_params(ctx: FieldCtx, la, lb, branch):
@@ -306,11 +277,11 @@ def cubic_transform_check(ctx: FieldCtx, a, b, branch=0):
     _require(np.all(ok),
              "(a, b, branch) is not admissible: need b a nonzero square, branch 0 or 1, "
              "a != +-2*sqrt(b) and a', b' != 0")
-    lhs = -_lennon_core(ctx, l_ap, l_bp)
+    lhs = -_plan_value(ctx, ctx.cached("lennon_plan", _lennon_plan, ctx), l_ap, l_bp)
     roots = chars.unit_roots(ctx)
     # phi(x) = T^(L/2)(x); a*b - 2*b*r = b*beta and a^2 - 4b = alpha*beta
     rhs = (-roots[(L // 2 * l_beta) % L] + roots[(L // 2 * (lb + l_beta)) % L]
-           + _edwards_core(ctx, l_alpha, l_beta))
+           + _plan_value(ctx, ctx.cached("edwards_plan", _edwards_plan, ctx), l_alpha, l_beta))
     disc = np.abs(lhs - rhs)
     n_edwards = edwards_count_bruteforce(ctx, ctx.exp[l_alpha], ctx.exp[l_beta])
     bridge = n_edwards + 3 + (1 - 2 * ((l_alpha + l_beta) & 1)) + (1 - 2 * ((lb + l_beta) & 1))

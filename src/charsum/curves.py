@@ -5,9 +5,11 @@ Gauss-sum coefficients with one hypergeometric factor per i in [1, e-1]:
 a dF(d-1) series at argument alpha for even d, a (d-1)F(d-2) series at
 -alpha for odd d, with alpha = (d/a) * (b*d/(a*(d-1)))^(d-1).  Everything
 but the characters of b and alpha is fixed by (q, e, d), so it is cached as
-one plan per family.  Every count is an exact integer; the evaluator rounds
-the assembled real part and refuses loudly when the imaginary part or the
-rounding residue indicates a transcription or precision failure.
+one plan per family, a _make_plan record of terms coef * character *
+series that the traces in apps share, summed by the one evaluator
+_plan_value.  Every count is an exact integer; count_theorem rounds the real
+part and refuses loudly when the imaginary part or the rounding residue
+indicates a transcription or precision failure.
 
 Two enumeration oracles check them: count_bruteforce looks up the e-th
 power class of each x-value (O(q)), and count_naive compares all (x, y)
@@ -17,6 +19,7 @@ field's tables (O(q^2) time, O(q * n) memory).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -287,18 +290,55 @@ def _gauss_products(G: np.ndarray, e: int, d: int, i: int):
     return m_i, n_i
 
 
-def _count_plan(spec: CurveSpec) -> tuple:
-    """The closed-form count of spec's (e, d) family as arrays; reads only
-    spec.ctx, e and d, so it is built once per (field, e, d).
+def _make_plan(ctx: FieldCtx, terms, arg, series) -> tuple:
+    """The plan record (coef, phase, arg, series) of a sum of terms (coef, u0,
+    u_a, u_b) at a = g^la, b = g^lb: term t is coef[t] * w^(u0 + u_a*la +
+    u_b*lb), w = exp(2*pi*i/(q-1)), and each of the first len(series) terms
+    is also times its series (upper, lower) at g^(c0 + s_a*la + s_b*lb), arg
+    = (c0, s_a, s_b).  The series are kept as hyperf.hf_params tuples, their
+    tables built here rather than on the first evaluation."""
+    L = ctx.q - 1
+    coef = np.array([t[0] for t in terms], dtype=np.complex128)
+    phase = np.array([t[1:] for t in terms], dtype=np.int64).T % L
+    series = tuple(hyperf.hf_params(ctx, upper, lower) for upper, lower in series)
+    for params in series:
+        hyperf.hf_table(ctx, *params)
+    return coef, phase, tuple(int(c) % L for c in arg), series
 
-    The count is the sum over terms t of coef[t] * T^u_b(b) * T^u_alpha(alpha),
-    (u_b, u_alpha) = expo[:, t], each of the first len(tables) terms also
-    times its series table at dlog(alpha) + shift (the series sit at -alpha
-    for odd d).  dlog(alpha) = c0 + (d-1)*dlog(b) - d*dlog(a) mod q-1, where
-    c0 = dlog(d) + (d-1)*(dlog(d) - dlog(d-1)); d and d-1 are units since
-    d*(d-1) divides q-1.  Returns (coef, expo, [c0, shift], *tables); the
-    tables are the hyperf.hf_table arrays themselves, not copies.
-    """
+
+def _plan_value(ctx: FieldCtx, plan: tuple, la, lb):
+    """The unrounded sum of a _make_plan record at dlog a = la, dlog b = lb:
+    for ints as Python scalars (plans hold a handful of terms, and array ops
+    on them cost more than the arithmetic), for arrays by one gather per term.
+    Each term is coef * root * series in that order, every series read by
+    hyperf.hf_eval; ints sum from the first term, as 0j + z may flip a -0.0."""
+    coef, phase, (c0, s_a, s_b), series = plan
+    L = ctx.q - 1
+    roots = chars.unit_roots(ctx)
+    s = (c0 + s_a * la + s_b * lb) % L
+    if isinstance(la, np.ndarray):
+        x, (u0, u_a, u_b) = ctx.exp[s], phase[:, :, None]
+        z = coef[:, None] * roots[(u0 + u_a * la + u_b * lb) % L]
+        for j, params in enumerate(series):
+            # out of place: z[j] *= ... changed the last bit with the block size
+            z[j] = z[j] * hyperf.hf_eval(ctx, *params, x)
+        return z.sum(axis=0)
+    x, root, total = ctx.exp.item(s), roots.item, None
+    for c, u0, u_a, u_b, params in itertools.zip_longest(coef.tolist(), *phase.tolist(), series):
+        z = c * root((u0 + u_a * la + u_b * lb) % L)
+        if params:
+            z *= hyperf.hf_eval(ctx, *params, x)
+        total = z if total is None else total + z
+    return total
+
+
+def _count_plan(spec: CurveSpec) -> tuple:
+    """The closed-form count of spec's (e, d) family as a _make_plan record,
+    built once per (field, e, d).  The terms are coef * T^u_b(b) *
+    T^u_alpha(alpha), the first e-1 also times a series at alpha (at -alpha
+    for odd d).  dlog(alpha) = c0 + (d-1)*dlog(b) - d*dlog(a) with c0 =
+    dlog(d) + (d-1)*(dlog(d) - dlog(d-1)) (d and d-1 are units since d*(d-1)
+    divides q-1), so T^u_alpha folds into the phase."""
     require_congruence(spec.ctx, spec.modulus_required)
     ctx, e, d = spec.ctx, spec.e, spec.d
     q, L = ctx.q, ctx.q - 1
@@ -310,7 +350,7 @@ def _count_plan(spec: CurveSpec) -> tuple:
     def t(m, l):  # T^m(g^l)
         return complex(roots[(m * l) % L])
 
-    series = []  # (coef, u_b, u_alpha, table)
+    series = []  # (coef, u_b, u_alpha, (upper, lower))
     plain = {(0, 0): complex(q)}  # (u_b, u_alpha) mod q-1 -> coef
 
     def add(coef, u_b, u_alpha):
@@ -333,7 +373,7 @@ def _count_plan(spec: CurveSpec) -> tuple:
             deg = _degenerate_ks(e, d, i, skip=half)
             # T^(i(q-1)/e)((d-1)/b) splits into a constant and T^u_b(b)
             coef = q ** len(deg) * prefactor * m_i * t(i * m1, ld1)
-            series.append((coef, -i * m1, 0, hyperf.hf_table(ctx, upper, lower)))
+            series.append((coef, -i * m1, 0, (upper, lower)))
             glt = G[(-i * m1) % L] * t(i * m1, l_neg) * t(-(e - i) * m1, ld1) * pref_raw / q
             for k0 in deg:
                 m0 = (-k0 * md) % L
@@ -359,7 +399,7 @@ def _count_plan(spec: CurveSpec) -> tuple:
             deg = _degenerate_ks(e, d, i)
             u_alpha = -(e - i) * mpsi
             coef = q ** len(deg) * sign3 / g_half * g_lead * m_i * t(u_alpha, l_neg)
-            series.append((coef, -i * m1, u_alpha, hyperf.hf_table(ctx, upper, lower)))
+            series.append((coef, -i * m1, u_alpha, (upper, lower)))
             glt *= sign2 * (q - 1) / (q ** (d - 2) * g_half)
             for k0 in deg:
                 m0 = (-k0 * md) % L
@@ -368,41 +408,18 @@ def _count_plan(spec: CurveSpec) -> tuple:
                     if k != k0:
                         rest *= G[(m0 + k * md) % L] * G[(-m0 - (k * e - i) * mpsi) % L]
                 add(glt * rest * t(m0, l_neg), -i * m1, m0)
-    terms = [s[:3] for s in series] + [(c, u_b, u_a) for (u_b, u_a), c in plain.items()]
-    coef = np.array([c for c, _, _ in terms], dtype=np.complex128)
-    expo = np.array([[u_b for _, u_b, _ in terms], [u_a for _, _, u_a in terms]], dtype=np.int64)
-    c0 = (ld + (d - 1) * (ld - ld1)) % L
-    return (coef, expo, np.array([c0, shift], dtype=np.int64), *(s[3] for s in series))
+    c0 = ld + (d - 1) * (ld - ld1)
+    terms = [(c, u_a * c0, -d * u_a, u_b + (d - 1) * u_a) for c, u_b, u_a in
+             [s[:3] for s in series] + [(c, *u) for u, c in plain.items()]]
+    return _make_plan(ctx, terms, (c0 + shift, -d, d - 1), [s[3] for s in series])
 
 
 def count_theorem(spec: CurveSpec) -> int | np.ndarray:
-    """Closed-form count: the (field, e, d) plan read at dlog(a) and dlog(b).
-
-    Plans hold a handful of terms, so one curve's terms are summed as Python
-    scalars; array operations on them cost more than the arithmetic.  Array
-    a, b give an int64 array: one gather per term over all rows."""
-    ctx, d = spec.ctx, spec.d
-    L = ctx.q - 1
-    coef, expo, consts, *tables = ctx.cached(("count_plan", spec.e, d), _count_plan, spec)
-    c0, shift = consts.tolist()
-    if isinstance(spec.b, np.ndarray):
-        lb, la = ctx.dlog[spec.b], ctx.dlog[spec.a]
-        l_alpha = (c0 + (d - 1) * lb - d * la) % L
-        phase = (expo[0][:, None] * lb + expo[1][:, None] * l_alpha) % L
-        z = coef[:, None] * chars.unit_roots(ctx)[phase]
-        s = (l_alpha + shift) % L
-        for j, table in enumerate(tables):
-            z[j] *= table[s]
-        return _round_guarded(ctx, z.sum(axis=0))
-    lb, la = int(ctx.dlog[spec.b]), int(ctx.dlog[spec.a])
-    l_alpha = (c0 + (d - 1) * lb - d * la) % L
-    s = (l_alpha + shift) % L
-    root = chars.unit_roots(ctx).item
-    total = 0j
-    for j, (c, u_b, u_alpha) in enumerate(zip(coef.tolist(), *expo.tolist())):
-        z = c * root((u_b * lb + u_alpha * l_alpha) % L)
-        total += z * tables[j].item(s) if j < len(tables) else z
-    return _round_guarded(ctx, total)
+    """Closed-form count: the (field, e, d) plan read at dlog(a) and dlog(b)
+    by _plan_value.  Array a, b give an int64 array."""
+    ctx = spec.ctx
+    plan = ctx.cached(("count_plan", spec.e, spec.d), _count_plan, spec)
+    return _round_guarded(ctx, _plan_value(ctx, plan, *_unit_dlogs(ctx, spec.a, spec.b)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ one row of binomial coefficients binom(T^(a+k), T^(b+k)), built vectorized
 from the Gauss table and multiplied into the row product P.  At x = g^j the
 sum is q/(q-1) * sum_k P[k] exp(2*pi*i*k*j/(q-1)), so the series at every x
 at once is q times the inverse DFT of P: one FFT per parameter tuple, cached
-on the context, after which an evaluation is a table lookup.  The rows are
-not kept.
+on the context, after which an evaluation is a table lookup, probed first
+under the exponents as given.  The rows are not kept.  The reference route
+binom_row_direct builds a row from Jacobi sums, by one scatter and one FFT.
 """
 
 from __future__ import annotations
@@ -25,15 +26,15 @@ def _shifted_row(ctx: FieldCtx, a: int, b: int) -> np.ndarray:
 
 
 def binom_row_direct(ctx: FieldCtx, a: int, b: int) -> np.ndarray:
-    """The same row entry by entry through the defining Jacobi sum."""
+    """The same row from the defining Jacobi sums, no Gauss sum read: with
+    ka = dlog(1 - g^m), m in [1, q-2], entry k is T^(b+k)(-1)/q * sum_m
+    w^((a+k)*ka - (b+k)*m), and scattering w^(a*ka - b*m) into H at (ka - m)
+    mod q-1 makes the sum (q-1) * ifft(H)[k], one FFT for the whole row."""
     L = ctx.q - 1
-    sign_base = ctx.minus_one()
-    out = np.empty(L, dtype=np.complex128)
-    for k in range(L):
-        out[k] = chars.mul_char(ctx, b + k, sign_base) / ctx.q * sums.jacobi_direct(
-            ctx, a + k, -(b + k)
-        )
-    return out
+    ka, m = sums._one_minus_logs(ctx), np.arange(1, L)
+    H = np.zeros(L, dtype=np.complex128)
+    np.add.at(H, (ka - m) % L, chars.unit_roots(ctx)[(a * ka - b * m) % L])
+    return chars.char_at_minus_one(ctx, b + np.arange(L)) / ctx.q * (L * np.fft.ifft(H))
 
 
 def _check_params(upper, lower):
@@ -59,19 +60,30 @@ def _series_table(ctx: FieldCtx, upper, lower) -> np.ndarray:
     return ctx.q * np.fft.ifft(_row_product(ctx, upper, lower, _shifted_row))
 
 
+def hf_params(ctx: FieldCtx, upper, lower) -> tuple[tuple, tuple]:
+    """(upper, lower) as tuples of exponents reduced mod q-1; ValueError
+    unless upper has one more entry than lower."""
+    L = ctx.q - 1
+    upper = tuple([int(m) % L for m in upper])
+    lower = tuple([int(m) % L for m in lower])
+    _check_params(upper, lower)
+    return upper, lower
+
+
 def hf_table(ctx: FieldCtx, upper, lower) -> np.ndarray:
     """The series at x = g^j for every j in [0, q-2], cached per parameter tuple.
 
     Exponents are taken mod q-1, so equal characters share one table.  The
-    table is read-only.
+    cache is probed under the exponents as given before they are reduced, so
+    a caller holding hf_params tuples (a closed-form plan) skips the
+    reduction.  The table is read-only.
     """
-    L = ctx.q - 1
-    # list comprehensions: about twice as fast as generators here, and every
-    # cached series read goes through this normalisation
-    upper = tuple([int(m) % L for m in upper])
-    lower = tuple([int(m) % L for m in lower])
-    _check_params(upper, lower)
-    return ctx.cached(("hf", upper, lower), _series_table, ctx, upper, lower)
+    upper, lower = tuple(upper), tuple(lower)
+    table = ctx._cache.get(("hf", upper, lower))
+    if table is None:
+        params = hf_params(ctx, upper, lower)
+        table = ctx.cached(("hf", *params), _series_table, ctx, *params)
+    return table
 
 
 def hf_eval(ctx: FieldCtx, upper, lower, x: int) -> complex:
@@ -82,10 +94,10 @@ def hf_eval(ctx: FieldCtx, upper, lower, x: int) -> complex:
     dlog(x), and also takes an int array of elements x, giving a complex
     array.
     """
-    vals = hf_table(ctx, upper, lower)[ctx.dlog[x]]
+    table = hf_table(ctx, upper, lower)
     if isinstance(x, np.ndarray):
-        return np.where(x == 0, 0j, vals)
-    return 0j if x == 0 else complex(vals)
+        return np.where(x == 0, 0j, table[ctx.dlog[x]])
+    return 0j if x == 0 else table.item(ctx.dlog.item(x))
 
 
 def hf_direct(ctx: FieldCtx, upper, lower, x: int) -> complex:

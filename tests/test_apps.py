@@ -384,6 +384,24 @@ def test_cubic_transform_refuses_non_integer_branch(f13):
     assert apps.cubic_transform_admissible(f13, a, b, np.array([2, -1])).tolist() == [False, False]
 
 
+def test_non_integer_elements_are_refused(f13):
+    # a float a or b would reach a dlog gather or an index array and raise
+    # IndexError or TypeError; a non-integer is not an element of F_q
+    calls = ((apps.cubic_transform_admissible, (0.5, 4)),
+             (apps.cubic_transform_admissible, (12, 4.0)),
+             (apps.cubic_transform_admissible, (np.array([12, 1]), np.array([4.0, 1.0]))),
+             (apps.cubic_count_bruteforce, (1.5, 2)),
+             (apps.cubic_count_bruteforce, (np.array([1.5]), np.array([2]))),
+             (apps.edwards_count_bruteforce, (1.5, 2)),
+             (apps.edwards_count_bruteforce, (2, 3.0)))
+    for fn, args in calls:
+        with pytest.raises(ValueError, match="elements of F_13"):
+            fn(f13, *args)
+    # numpy integer scalars are elements
+    assert apps.cubic_count_bruteforce(f13, np.int64(1), 2) == apps.cubic_count_bruteforce(f13, 1, 2)
+    assert apps.edwards_count_bruteforce(f13, np.int64(2), 3) == apps.edwards_count_bruteforce(f13, 2, 3)
+
+
 def test_special_value_half():
     for q in (13, 17, 29, 37):
         report = apps.special_value_check(field(q), "half")

@@ -68,7 +68,7 @@ def test_count_rows_match_golden():
     # seeded count rows are exact integers: every column but ms must repeat
     with open(_GOLDEN) as fh:
         golden = json.load(fh)
-    assert len(golden) == 2
+    assert len(golden) == 5
     for argv, want in golden.items():
         code, out = run_cli(argv.split() + ["--format", "json"])
         assert code == 0

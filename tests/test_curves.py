@@ -350,19 +350,21 @@ def test_plan_built_once_per_family():
 @pytest.mark.parametrize("pn,e,d", [((37, 1), 3, 4), ((181, 1), 3, 3), ((3, 4), 5, 2)],
                          ids=["37-3-4", "181-3-3", "81-5-2"])
 def test_plan_reads_the_series_tables_in_place(pn, e, d):
+    # the plan names its e-1 series by reduced parameter tuples; the tables
+    # themselves live only under their ("hf", upper, lower) keys
     ctx = charsum.make_field(*pn)
     curves.count_theorem(curves.CurveSpec(ctx, e, d, 1, 2))
-    plan = ctx._cache[("count_plan", e, d)]
-    coef, expo, _, *tables = plan
-    assert len(tables) == e - 1 and expo.shape == (2, coef.size)
-    for arr in plan:
-        assert not arr.flags.writeable
-    series = [
-        hyperf.hf_table(ctx, *key[1:])
-        for key in ctx._cache if isinstance(key, tuple) and key[0] == "hf"
-    ]
-    for tab in tables:
-        assert any(np.shares_memory(tab, s) for s in series)
+    coef, phase, arg, series = ctx._cache[("count_plan", e, d)]
+    L = ctx.q - 1
+    assert phase.shape == (3, coef.size) and len(arg) == 3 and len(series) == e - 1
+    assert not coef.flags.writeable and not phase.flags.writeable
+    for upper, lower in series:
+        assert all(isinstance(m, int) and 0 <= m < L for m in upper + lower)
+        assert ("hf", upper, lower) in ctx._cache
+    tables = [v for k, v in ctx._cache.items() if isinstance(k, tuple) and k[0] == "hf"]
+    held = [arr for k, v in ctx._cache.items() if not (isinstance(k, tuple) and k[0] == "hf")
+            for arr in (v if isinstance(v, tuple) else (v,)) if isinstance(arr, np.ndarray)]
+    assert not any(np.shares_memory(arr, tab) for arr in held for tab in tables)
 
 
 def test_thm_coeffs_dual_forms():

@@ -458,5 +458,7 @@ def test_every_cached_table_is_read_only(pn):
     assert {"gauss", "theta", "unit_roots", "zech"} <= keys
     for key in keys:
         value = ctx._cache[key]
+        # a plan's parameter tuples are immutable already; only arrays are frozen
         for arr in value if isinstance(value, tuple) else (value,):
-            assert not arr.flags.writeable, key
+            if isinstance(arr, np.ndarray):
+                assert not arr.flags.writeable, key

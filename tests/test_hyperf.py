@@ -155,6 +155,20 @@ def test_table_cached_frozen_and_reduced(f13):
         hyperf.hf_table(f13, [1], [6])
 
 
+def test_table_probe_takes_reduced_and_unreduced_exponents(f13):
+    # the cache is probed under the exponents as given; a miss reduces them
+    tab = hyperf.hf_table(f13, [1, 5], [6])
+    assert hyperf.hf_params(f13, [13, -7], [18]) == ((1, 5), (6,))
+    for upper, lower in (((1, 5), (6,)), ([1, 5], [6]), ([13, -7], [18]),
+                         (np.array([1, 5]), np.array([6]))):
+        assert hyperf.hf_table(f13, upper, lower) is tab
+    # a probe never stands in for the parameter check
+    with pytest.raises(ValueError):
+        hyperf.hf_eval(f13, [1, 5], [6, 2], 1)
+    with pytest.raises(ValueError):
+        hyperf.hf_eval(f13, (1, 5, 6), (), 1)
+
+
 def test_binom_row_and_series_table_peak_memory():
     # tracemalloc peaks at q = 4093, in rows of 16(q-1) bytes: measured 3.64
     # for a full binom_grid row and 5.16 for a 4F3 table build (the table
