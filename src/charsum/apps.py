@@ -305,7 +305,8 @@ def special_value_check(ctx: FieldCtx, which: str) -> sums.VerifyReport:
         )
     elif which == "frac-1323-1331":
         require_congruence(ctx, 12)
-        _require(ctx.embed(1331) != 0 and ctx.embed(3) != 0, "p must avoid 3 and 11")
+        # 1323 = 3^3 7^2 and 1331 = 11^3: the argument must be neither 0 nor 1/0
+        _require(ctx.embed(1323) != 0 and ctx.embed(1331) != 0, "p must avoid 3, 7 and 11")
         x = ctx.div(ctx.embed(1323), ctx.embed(1331))
         lhs = hyperf.hf_eval(ctx, [L // 12, 5 * L // 12], [phi], x)
         arg = ctx.div(ctx.embed(-44), ctx.embed(3))

@@ -7,11 +7,13 @@ All multiplicative structure is table-driven: a fixed canonical generator
 g, an exp table g^k, and its inverse dlog table, so that characters and
 character sums downstream are O(1) lookups per element.
 
-The tables are F_p linear algebra over coefficient vectors, not one
-polynomial product per element: multiplication by g is an n x n matrix, so
-the coefficient vectors of all powers g^k come from about log2(q) matrix
-products, and the trace, being F_p-linear, is the digit table of all
-indices times the traces of the n basis elements.
+Construction is F_p linear algebra over coefficient vectors.  For n > 1, t
+acts as the companion matrix C of the modulus and c as sum_j c_j C^j; the
+modulus and g are the first candidates to pass a test on matrix powers, 16
+candidates per stack (prime fields find g with the builtin pow).  So g acts
+as an n x n matrix, the coefficient vectors of all powers g^k come from
+about log2(q) matrix products, and the trace, being F_p-linear, is the digit
+table of all indices times the traces of the n basis elements.
 
 Addition is digit-wise mod p with no carry between digits.  For n > 1 the
 digits split at k = n // 2, and each half of every element is re-read in
@@ -91,83 +93,42 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial arithmetic over F_p (coefficient tuples, ascending degree).
-# Used during construction, on a few elements: the modulus and generator
-# searches and the matrix of x -> g*x.  The q-sized tables are array work;
-# runtime arithmetic is table-driven.
+# The modulus and generator searches, by F_p matrix powers.  Entries of a
+# product stay exact in int64: n (p - 1)^2 < 2^63 for every n > 1 field.
 # ---------------------------------------------------------------------------
 
-def _poly_trim(a: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
+_CHUNK = 16  # candidates per matrix stack
 
 
-def _poly_mod(a: list[int], mod: tuple[int, ...], p: int) -> list[int]:
-    # mod is monic
-    dm = len(mod) - 1
-    a = list(a)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
-        if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-    return [c % p for c in a[:dm]] + [0] * max(0, dm - len(a))
+def _digit_rows(codes: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Base-p digits of each integer code, constant term first: shape (k, n)."""
+    return codes[:, None] // p ** np.arange(n, dtype=np.int64) % p
 
 
-def _poly_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else [0]
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_mod(out, mod, p)
-
-
-def _poly_powmod(a, e, mod, p):
-    result = [1] + [0] * (len(mod) - 2)
-    base = _poly_mod(list(a), mod, p)
-    while e > 0:
+def _matpow(A: np.ndarray, e: int, p: int) -> np.ndarray:
+    """A^e mod p for a stack A of shape (..., n, n) and e >= 0."""
+    R = np.broadcast_to(np.eye(A.shape[-1], dtype=np.int64), A.shape)
+    while e:
         if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
+            R = R @ A % p
         e >>= 1
-    return result
+        if e:
+            A = A @ A % p
+    return R
 
 
-def _poly_gcd(a, b, p):
-    a = list(_poly_trim(tuple(c % p for c in a)))
-    b = list(_poly_trim(tuple(c % p for c in b)))
-    while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        bm = tuple((c * inv_lead) % p for c in b)
-        r = _poly_trim(tuple(_poly_mod(a, bm, p))) if len(bm) > 1 else ()
-        a, b = b, list(r)
-    return tuple(a)
+def _companion(p: int, lows: np.ndarray) -> np.ndarray:
+    """Companion matrices of the monic t^n + sum_i lows[:, i] t^i: column j
+    holds the coefficients of t * t^j."""
+    k, n = lows.shape
+    C = np.zeros((k, n, n), dtype=np.int64)
+    C[:, 1:, :-1] = np.eye(n - 1, dtype=np.int64)
+    C[:, :, -1] = -lows % p
+    return C
 
 
-def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Irreducibility of a monic degree-n polynomial over F_p.
-
-    Uses the standard criterion: x^(p^n) == x (mod f), and
-    gcd(x^(p^(n/r)) - x, f) = 1 for every prime r dividing n.
-    """
-    n = len(poly) - 1
-    if n == 1:
-        return True
-    x = (0, 1)
-    xq = _poly_powmod(x, p**n, poly, p)
-    target = _poly_mod([0, 1], poly, p)
-    if _poly_trim(tuple(xq)) != _poly_trim(tuple(target)):
-        return False
-    for r in prime_factors(n):
-        h = _poly_powmod(x, p ** (n // r), poly, p)
-        diff = [(hi - ti) % p for hi, ti in zip(h, target)]
-        g = _poly_gcd(diff, list(poly), p)
-        if len(g) > 1:
-            return False
-    return True
+def _is_identity(A: np.ndarray) -> np.ndarray:
+    return (A == np.eye(A.shape[-1], dtype=np.int64)).all(axis=(-2, -1))
 
 
 def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
@@ -175,18 +136,48 @@ def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
 
     Candidates are ordered by the coefficient tuple (a_{n-1}, ..., a_0),
     highest-degree coefficient most significant; that order coincides with
-    integer order of the encoding sum(a_i * p^i).
+    integer order of the encoding sum(a_i * p^i).  Rabin's criterion on the
+    companion matrix C: C^(p^n) = C, so that F_p[t]/f is a product of fields
+    of orders p^k with k | n, and for each prime r | n the element
+    t^(p^(n/r)) - t is a unit, i.e. (C^(p^(n/r)) - C)^(p^n - 1) = I.
     """
-    for code in range(p**n):
-        digits = []
-        v = code
-        for _ in range(n):
-            digits.append(v % p)
-            v //= p
-        poly = tuple(digits) + (1,)  # (a_0, ..., a_{n-1}, 1) ascending
-        if _is_irreducible(poly, p):
-            return poly
+    q = p**n
+    for start in range(0, q, _CHUNK):
+        lows = _digit_rows(np.arange(start, min(start + _CHUNK, q), dtype=np.int64), p, n)
+        C = _companion(p, lows)
+        ok = (_matpow(C, q, p) == C).all(axis=(1, 2))
+        for r in prime_factors(n):
+            ok &= _is_identity(_matpow((_matpow(C, p ** (n // r), p) - C) % p, q - 1, p))
+        if ok.any():
+            return tuple(lows[ok.argmax()].tolist()) + (1,)
     raise FieldError(f"no irreducible polynomial of degree {n} over F_{p}")
+
+
+def _find_generator(p: int, n: int, modulus) -> tuple[int, np.ndarray]:
+    """The first unit g in index order that generates F_q^*, and the matrix of
+    x -> g*x.  For n > 1 a unit c acts as M_c = sum_j c_j C^j, and c
+    generates iff M_c^((q-1)/r) != I for every prime r | q-1.  The search
+    starts at c = p: the codes below p are F_p, whose units have order
+    dividing p - 1 < q - 1."""
+    q = p**n
+    factors = prime_factors(q - 1)
+    if n == 1:
+        g = next(c for c in range(1, p) if all(pow(c, (p - 1) // r, p) != 1 for r in factors))
+        return g, np.array([[g]], dtype=np.int64)
+    C = _companion(p, np.array([modulus[:n]], dtype=np.int64))[0]
+    powers = [np.eye(n, dtype=np.int64)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ C % p)
+    powers = np.stack(powers)  # C^j, j = 0 .. n-1
+    for start in range(p, q, _CHUNK):
+        cands = np.arange(start, min(start + _CHUNK, q), dtype=np.int64)
+        M = np.tensordot(_digit_rows(cands, p, n), powers, axes=1) % p
+        ok = np.ones(len(cands), dtype=bool)
+        for r in factors:
+            ok &= ~_is_identity(_matpow(M, (q - 1) // r, p))
+        if ok.any():
+            return int(cands[ok.argmax()]), M[ok.argmax()]
+    raise FieldError("no generator found")  # unreachable for a true field
 
 
 def _reduction_table(p: int, B: int, m: int) -> np.ndarray:
@@ -241,9 +232,9 @@ class FieldCtx:
         self.tol = tol
         self.modulus = None if n == 1 else _smallest_irreducible(p, n)
         self._pow_basis = [p**i for i in range(n)]
-        self.g = self._find_generator()
+        self.g, M = _find_generator(p, n, self.modulus)
         pow_basis = np.array(self._pow_basis, dtype=np.int64)
-        self.exp, self.dlog = self._build_log_tables(pow_basis)
+        self.exp, self.dlog = self._build_log_tables(M, pow_basis)
         if n == 1:
             self.trace_tab = np.arange(q, dtype=np.int64)
         else:
@@ -277,36 +268,8 @@ class FieldCtx:
 
     # -- construction helpers -------------------------------------------------
 
-    def _raw_mul(self, x: int, y: int) -> int:
-        if self.n == 1:
-            return (x * y) % self.p
-        a = self.to_coeffs(x)
-        b = self.to_coeffs(y)
-        prod = _poly_mulmod(list(a), list(b), self.modulus, self.p)
-        return self.from_coeffs(prod)
-
-    def _raw_pow(self, x: int, e: int) -> int:
-        result = 1
-        base = x
-        while e > 0:
-            if e & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return result
-
-    def _find_generator(self) -> int:
-        order = self.q - 1
-        if order == 1:
-            return 1
-        factors = prime_factors(order)
-        for cand in range(1, self.q):
-            if all(self._raw_pow(cand, order // r) != 1 for r in factors):
-                return cand
-        raise FieldError("no generator found")  # unreachable for a true field
-
-    def _build_log_tables(self, pow_basis: np.ndarray):
-        """exp[k] = g^k and its inverse dlog, from the matrix of x -> g*x.
+    def _build_log_tables(self, M: np.ndarray, pow_basis: np.ndarray):
+        """exp[k] = g^k and its inverse dlog, from the matrix M of x -> g*x.
 
         Column j of M holds the coefficients of g*t^j, so column k of V,
         the coefficient vector of g^k, is M^k e_0.  V is filled by doubling:
@@ -314,10 +277,6 @@ class FieldCtx:
         M = [[g]].
         """
         p, n, order = self.p, self.n, self.q - 1
-        M = np.array(
-            [self.to_coeffs(self._raw_mul(self.g, t)) for t in self._pow_basis],
-            dtype=np.int64,
-        ).T
         V = np.zeros((n, order), dtype=np.int64)
         V[0, 0] = 1
         s = 1

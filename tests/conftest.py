@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from charsum.curves import _coeff_mulmod, _coeff_pow
 from charsum.field import make_field
 
 settings.register_profile(
@@ -21,6 +23,21 @@ def field(p, n=1):
     if key not in _CTX_CACHE:
         _CTX_CACHE[key] = make_field(p, n)
     return _CTX_CACHE[key]
+
+
+def coeff_mul(ctx, x, y):
+    """x * y through count_naive's product of coefficient rows: it reads no
+    table and shares no code with the field's matrix construction."""
+    rows = np.array([ctx.to_coeffs(x), ctx.to_coeffs(y)], dtype=np.int64)
+    return ctx.from_coeffs(_coeff_mulmod(ctx, rows[0], rows[1]).tolist())
+
+
+def coeff_pow(ctx, x, e):
+    """x^e for e >= 0 (0^0 = 1) through count_naive's square and multiply."""
+    if e == 0:
+        return 1
+    row = np.array(ctx.to_coeffs(x), dtype=np.int64)
+    return ctx.from_coeffs(_coeff_pow(ctx, row, e).tolist())
 
 
 @pytest.fixture(scope="session")

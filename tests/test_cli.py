@@ -183,6 +183,18 @@ def test_verify_davenport_hasse():
     assert len(rows) == 2  # t = 1 and t = -1
 
 
+def test_special_values_refuse_a_zero_argument():
+    # 1323 = 3^3 7^2, so at p = 7 the argument 1323/1331 is 0: the check is
+    # refused like p = 3 and p = 11, and the suite runs the half value alone
+    with pytest.raises(ValueError, match="p must avoid 3, 7 and 11"):
+        apps.special_value_check(charsum.make_field(7, 2), "frac-1323-1331")
+    code, out = run_cli(["verify", "--suite", "special-values", "--p", "7", "--n", "2",
+                         "--format", "json"])
+    assert code == 0
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert [row["case"] for row in rows] == ["special-half"] and rows[0]["match"]
+
+
 def test_verify_edwards_seeded():
     code, out = run_cli(["verify", "--suite", "edwards", "--q", "13",
                          "--count", "15", "--seed", "3", "--format", "json"])

@@ -1,5 +1,8 @@
 """Field construction, arithmetic, dlog tables, and the trace map."""
 
+import hashlib
+import json
+import os
 import random
 import tracemalloc
 
@@ -7,9 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from charsum.field import FieldError, factor_prime_power, make_field, zech_table
+from charsum.field import (
+    DEFAULT_SIZE_CAP, FieldError, factor_prime_power, is_prime, make_field, zech_table,
+)
 
-from conftest import field
+from conftest import coeff_mul, coeff_pow, field
 
 
 def brute_order(ctx, x):
@@ -32,16 +37,22 @@ def test_f13_generator_is_two(f13):
 def test_f9_modulus_is_smallest_irreducible(f9):
     assert f9.q == 9
     assert f9.modulus == (1, 0, 1)  # t^2 + 1
-    # independent oracle: enumerate monic quadratics in candidate order,
-    # test irreducibility by root search
-    p = 3
-    for code in range(p**2):
-        a0, a1 = code % p, (code // p) % p
-        has_root = any((t * t + a1 * t + a0) % p == 0 for t in range(p))
-        if not has_root:
-            assert (a0, a1, 1) == f9.modulus
-            break
-        assert (a0, a1, 1) != f9.modulus
+    # independent oracle: enumerate monic polynomials in candidate order and
+    # test irreducibility by root search, which decides it in degree <= 3;
+    # F_9 and every other degree-2 and degree-3 field under the size cap
+    fields = [(p, n) for n in (2, 3) for p in range(2, 257)
+              if is_prime(p) and p**n <= DEFAULT_SIZE_CAP]
+    assert len(fields) == 54 + 12
+    for p, n in fields:
+        modulus = f9.modulus if (p, n) == (3, 2) else make_field(p, n).modulus
+        for code in range(p**n):
+            low = tuple(code // p**i % p for i in range(n))
+            has_root = any((t**n + sum(c * t**i for i, c in enumerate(low))) % p == 0
+                           for t in range(p))
+            if not has_root:
+                assert low + (1,) == modulus
+                break
+            assert low + (1,) != modulus
 
 
 def test_nonprime_p_rejected():
@@ -124,6 +135,23 @@ def test_trace_additive_and_surjective(f9, f25, f27):
                 assert ctx.trace(ctx.mul(c, x)) == (c * ctx.trace(x)) % ctx.p
 
 
+_FIELD_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "field_golden.json")
+
+
+def test_fields_match_golden():
+    # modulus, generator and exp table of every extension field under the
+    # size cap and of seven prime fields, pinned from a scalar polynomial
+    # construction that shares no code with the matrix-power searches
+    with open(_FIELD_GOLDEN) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 93 + 7
+    for want in golden:
+        ctx = make_field(want["p"], want["n"])
+        assert ctx.modulus == (None if want["modulus"] is None else tuple(want["modulus"]))
+        assert ctx.g == want["g"]
+        assert hashlib.sha256(ctx.exp.astype("<i8").tobytes()).hexdigest() == want["exp_sha256"]
+
+
 def test_generator_canonical_across_rebuilds():
     a = make_field(37)
     b = make_field(37)
@@ -138,18 +166,18 @@ def brute_dlog(ctx, x):
     """The k in [0, q-2] with g^k = x, by walking the powers of g."""
     k, acc = 0, 1
     while acc != x:
-        acc = ctx._raw_mul(acc, ctx.g)
+        acc = coeff_mul(ctx, acc, ctx.g)
         k += 1
     return k
 
 
 def raw_inv(ctx, x):
-    return ctx._raw_pow(x, ctx.q - 2)
+    return coeff_pow(ctx, x, ctx.q - 2)
 
 
 def raw_pow(ctx, x, e):
     """x^e by the polynomial product, negative e through x^(q-2)."""
-    return ctx._raw_pow(x if e >= 0 else raw_inv(ctx, x), abs(e))
+    return coeff_pow(ctx, x if e >= 0 else raw_inv(ctx, x), abs(e))
 
 
 @pytest.mark.parametrize("p,n", [(13, 1), (2, 4), (5, 2), (3, 3)], ids=["13", "16", "25", "27"])
@@ -161,7 +189,7 @@ def test_field_ops_match_raw_arithmetic(p, n):
     q = ctx.q
     xs = np.arange(q, dtype=np.int64)
     units = xs[1:]
-    mul_table = [[ctx._raw_mul(x, y) for y in range(q)] for x in range(q)]
+    mul_table = [[coeff_mul(ctx, x, y) for y in range(q)] for x in range(q)]
     for x in range(q):
         for y in range(q):
             assert ctx.mul(x, y) == mul_table[x][y]
@@ -229,13 +257,13 @@ def reference_tables(ctx):
     for k in range(order):
         exp[k] = acc
         dlog[acc] = k
-        acc = ctx._raw_mul(acc, ctx.g)
+        acc = coeff_mul(ctx, acc, ctx.g)
     assert acc == 1
     tr = np.zeros(ctx.q, dtype=np.int64)
     for x in range(ctx.q):
         acc = total = x
         for _ in range(ctx.n - 1):
-            acc = ctx._raw_pow(acc, ctx.p)
+            acc = coeff_pow(ctx, acc, ctx.p)
             total = ctx.add(total, acc)
         coeffs = ctx.to_coeffs(total)
         assert not any(coeffs[1:])
@@ -283,14 +311,14 @@ def test_field_ops_broadcast(pn, shape, rows, cols, seed):
         xs = int(xs)
     bx, by = np.broadcast_arrays(xs, ys)
     pairs = [(int(x), int(y)) for x, y in zip(bx.ravel(), by.ravel())]
-    for op, want in ((ctx.add_vec, ctx.add), (ctx.mul, ctx._raw_mul)):
+    for op, want in ((ctx.add_vec, ctx.add), (ctx.mul, lambda x, y: coeff_mul(ctx, x, y))):
         got = op(xs, ys)
         assert got.shape == bx.shape and got.dtype == np.int64
         assert np.ravel(got).tolist() == [want(x, y) for x, y in pairs]
     e = rows * cols  # 1..36, past q - 1 on the smaller fields
     powed = ctx.pow(ys, e)
     assert powed.shape == ys.shape and powed.dtype == np.int64
-    assert powed.ravel().tolist() == [ctx._raw_pow(int(y), e) for y in ys.ravel()]
+    assert powed.ravel().tolist() == [coeff_pow(ctx, int(y), e) for y in ys.ravel()]
     negated = ctx.neg(ys)
     assert negated.shape == ys.shape and negated.dtype == np.int64
     assert negated.ravel().tolist() == [coeffwise_neg(ctx, int(y)) for y in ys.ravel()]
