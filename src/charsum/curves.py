@@ -7,9 +7,13 @@ a dF(d-1) series at argument alpha for even d, a (d-1)F(d-2) series at
 but the characters of b and alpha is fixed by (q, e, d), so it is cached as
 one plan per family, a _make_plan record of terms coef * character *
 series that the traces in apps share, summed by the one evaluator
-_plan_value.  Every count is an exact integer; count_theorem rounds the real
-part and refuses loudly when the imaginary part or the rounding residue
-indicates a transcription or precision failure.
+_plan_value.  The record also holds each term as plain Python values, so a
+single curve pays only for the arithmetic that depends on it: one root per
+term, one series read per series term.  CurveSpec keeps the dlogs of a and b
+that its check computes, and both count routes read them.  Every count is an
+exact integer; count_theorem rounds the real part and refuses loudly when
+the imaginary part or the rounding residue indicates a transcription or
+precision failure.
 
 Two enumeration oracles check them: count_bruteforce looks up the e-th
 power class of each x-value (O(q)), and count_naive compares all (x, y)
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,14 +44,21 @@ class RoundingGuardError(ArithmeticError):
     """Assembled value is not close enough to an integer to round safely."""
 
 
+# The scalar types taken as integers: int and numpy's integer scalars, one
+# per C integer type (every sized type is one of them), but not bool.  A set
+# lookup on type(x) is the cheapest test on the per-curve path.
+_INT_TYPES = frozenset([int] + [np.dtype(c).type for c in "bhilqBHILQ"])
+
+
 def _unit_dlogs(ctx: FieldCtx, a, b, names: str = "a, b"):
-    """(dlog a, dlog b) of nonzero elements a, b: Python ints for ints, int64
-    arrays for equal-length 1-D signed-int arrays.  Raises ValueError for
-    anything else and for a zero or out-of-range entry."""
-    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+    """(dlog a, dlog b) of nonzero elements a, b: Python ints for ints (numpy
+    integer scalars included), int64 arrays for equal-length 1-D signed-int
+    arrays.  Raises ValueError for anything else (bools and floats too) and
+    for a zero or out-of-range entry."""
+    if type(a) in _INT_TYPES and type(b) in _INT_TYPES:
         if 0 < a < ctx.q and 0 < b < ctx.q:
             return ctx.dlog.item(a), ctx.dlog.item(b)
-    else:
+    elif isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         a, b = np.asarray(a), np.asarray(b)
         if a.ndim != 1 or a.shape != b.shape or a.dtype.kind != "i" or b.dtype.kind != "i":
             raise ValueError(f"array {names} must be 1-D signed-int arrays of equal length")
@@ -59,20 +70,26 @@ def _unit_dlogs(ctx: FieldCtx, a, b, names: str = "a, b"):
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Curve y^e = x^d + a*x + b over a fixed field context, or a block of them."""
+    """Curve y^e = x^d + a*x + b over a fixed field context, or a block of them.
+
+    The check of a and b keeps their discrete logs as dlogs, which the oracle
+    and the closed form read rather than look them up again."""
 
     ctx: FieldCtx
     e: int
     d: int
     a: int
     b: int
+    dlogs: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not (type(self.e) in _INT_TYPES and type(self.d) in _INT_TYPES):
+            raise ValueError(f"e and d must be ints, got {self.e!r} and {self.d!r}")
         if self.e < 1:
             raise ValueError("need e >= 1")
         if self.d < 2:
             raise ValueError("need d >= 2")
-        _unit_dlogs(self.ctx, self.a, self.b)
+        object.__setattr__(self, "dlogs", _unit_dlogs(self.ctx, self.a, self.b))
 
     @property
     def modulus_required(self) -> int:
@@ -131,7 +148,8 @@ def _spread_planes(ctx: FieldCtx, d: int | None) -> tuple[np.ndarray, ...]:
 
 def _oracle_tables(ctx: FieldCtx, e: int, d: int) -> tuple:
     """(counts, gathers, xd, ex) of count_bruteforce, gathers being the tables
-    a sum of spread planes indexes: tiled counts for n = 1, _red_hi, _red_lo else."""
+    a sum of spread planes indexes: tiled counts for n = 1, _red_hi, _red_lo
+    else.  count_bruteforce caches the record per (e, d): one lookup a call."""
     counts = power_count_table(ctx, e)
     if ctx.n == 1:
         gathers = (ctx.cached(("power_counts_tiled", e), np.resize, counts, 3 * ctx.p - 2),)
@@ -169,14 +187,14 @@ def count_bruteforce(spec: CurveSpec) -> int | np.ndarray:
     Array a, b give an int64 array, BLOCK_CELLS cells at a time: one add per
     row writes x^d + a*x into the buffer, and each other step is one call.
     """
-    ctx, b, d = spec.ctx, spec.b, spec.d
+    ctx, b, e, d = spec.ctx, spec.b, spec.e, spec.d
     L = ctx.q - 1
-    counts, gathers, xd, ex = _oracle_tables(ctx, spec.e, d)
+    counts, gathers, xd, ex = ctx.cached(("oracle_tables", e, d), _oracle_tables, ctx, e, d)
     buffer = _oracle_buffers(ctx)
     if isinstance(b, np.ndarray):
         step = buffer.shape[1]
         offsets = (b,) if ctx.n == 1 else (ctx._spread_hi[b], ctx._spread_lo[b])
-        shifts, total = ctx.dlog[spec.a].tolist(), counts[b]
+        shifts, total = spec.dlogs[0].tolist(), counts[b]
         for i in range(0, b.size, step):
             val, got, tmp = buffer[:, :min(step, b.size - i)]
             for k, (table, offset, plane, rotated) in enumerate(zip(gathers, offsets, xd, ex)):
@@ -189,7 +207,7 @@ def count_bruteforce(spec: CurveSpec) -> int | np.ndarray:
                 np.take(counts, got, out=tmp, mode="clip")
             total[i:i + step] += (got if ctx.n == 1 else tmp).sum(axis=1)
         return total
-    s = int(ctx.dlog[spec.a])
+    s = spec.dlogs[0]
     # three row views by index: unpacking buffer[:, 0] by iteration costs ~0.5 us more
     idx, val, got = buffer[0, 0], buffer[1, 0], buffer[2, 0]
     np.add(xd[0], ex[0][s:s + L], out=idx)
@@ -291,30 +309,33 @@ def _gauss_products(G: np.ndarray, e: int, d: int, i: int):
 
 
 def _make_plan(ctx: FieldCtx, terms, arg, series) -> tuple:
-    """The plan record (coef, phase, arg, series) of a sum of terms (coef, u0,
-    u_a, u_b) at a = g^la, b = g^lb: term t is coef[t] * w^(u0 + u_a*la +
-    u_b*lb), w = exp(2*pi*i/(q-1)), and each of the first len(series) terms
-    is also times its series (upper, lower) at g^(c0 + s_a*la + s_b*lb), arg
-    = (c0, s_a, s_b).  The series are kept as hyperf.hf_params tuples, their
-    tables built here rather than on the first evaluation."""
+    """The plan record (coef, phase, arg, series, roots, scalar) of a sum of
+    terms (coef, u0, u_a, u_b) at a = g^la, b = g^lb: term t is coef[t] *
+    w^(u0 + u_a*la + u_b*lb), roots[k] = w^k with w = exp(2*pi*i/(q-1)), and
+    each of the first len(series) terms is also times its series (upper,
+    lower) at g^(c0 + s_a*la + s_b*lb), arg = (c0, s_a, s_b).  The series are
+    kept as hyperf.hf_params tuples, their tables built here rather than on
+    the first evaluation.  scalar holds each term once more as Python values
+    (coef, u0, u_a, u_b, series params or None), the form the int route reads."""
     L = ctx.q - 1
     coef = np.array([t[0] for t in terms], dtype=np.complex128)
     phase = np.array([t[1:] for t in terms], dtype=np.int64).T % L
     series = tuple(hyperf.hf_params(ctx, upper, lower) for upper, lower in series)
     for params in series:
         hyperf.hf_table(ctx, *params)
-    return coef, phase, tuple(int(c) % L for c in arg), series
+    scalar = tuple(itertools.zip_longest(coef.tolist(), *phase.tolist(), series))
+    return coef, phase, tuple(int(c) % L for c in arg), series, chars.unit_roots(ctx), scalar
 
 
 def _plan_value(ctx: FieldCtx, plan: tuple, la, lb):
     """The unrounded sum of a _make_plan record at dlog a = la, dlog b = lb:
-    for ints as Python scalars (plans hold a handful of terms, and array ops
-    on them cost more than the arithmetic), for arrays by one gather per term.
-    Each term is coef * root * series in that order, every series read by
-    hyperf.hf_eval; ints sum from the first term, as 0j + z may flip a -0.0."""
-    coef, phase, (c0, s_a, s_b), series = plan
+    for ints by a loop over the record's Python terms (plans hold a handful of
+    terms, and array ops on them cost more than the arithmetic), for arrays by
+    one gather per term.  Each term is coef * root * series in that order,
+    every series read by hyperf.hf_eval at x = g^s; ints sum from the first
+    term, as 0j + z may flip a -0.0."""
+    coef, phase, (c0, s_a, s_b), series, roots, scalar = plan
     L = ctx.q - 1
-    roots = chars.unit_roots(ctx)
     s = (c0 + s_a * la + s_b * lb) % L
     if isinstance(la, np.ndarray):
         x, (u0, u_a, u_b) = ctx.exp[s], phase[:, :, None]
@@ -324,7 +345,7 @@ def _plan_value(ctx: FieldCtx, plan: tuple, la, lb):
             z[j] = z[j] * hyperf.hf_eval(ctx, *params, x)
         return z.sum(axis=0)
     x, root, total = ctx.exp.item(s), roots.item, None
-    for c, u0, u_a, u_b, params in itertools.zip_longest(coef.tolist(), *phase.tolist(), series):
+    for c, u0, u_a, u_b, params in scalar:
         z = c * root((u0 + u_a * la + u_b * lb) % L)
         if params:
             z *= hyperf.hf_eval(ctx, *params, x)
@@ -415,11 +436,11 @@ def _count_plan(spec: CurveSpec) -> tuple:
 
 
 def count_theorem(spec: CurveSpec) -> int | np.ndarray:
-    """Closed-form count: the (field, e, d) plan read at dlog(a) and dlog(b)
-    by _plan_value.  Array a, b give an int64 array."""
+    """Closed-form count: the (field, e, d) plan read at the spec's dlogs by
+    _plan_value.  Array a, b give an int64 array."""
     ctx = spec.ctx
     plan = ctx.cached(("count_plan", spec.e, spec.d), _count_plan, spec)
-    return _round_guarded(ctx, _plan_value(ctx, plan, *_unit_dlogs(ctx, spec.a, spec.b)))
+    return _round_guarded(ctx, _plan_value(ctx, plan, *spec.dlogs))
 
 
 # ---------------------------------------------------------------------------

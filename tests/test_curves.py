@@ -1,6 +1,7 @@
 """Point counting: enumeration oracles, closed forms, coefficient dual forms."""
 
 import itertools
+import json
 import math
 import os
 import random
@@ -167,6 +168,50 @@ def test_spec_validation(f13):
         curves.CurveSpec(f13, 0, 3, 1, 1)
     with pytest.raises(ValueError):
         curves.CurveSpec(f13, 2, 1, 1, 1)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(2.0), True, np.True_, "2", None],
+                         ids=["1.5", "2.0", "np2.0", "True", "npTrue", "str", "None"])
+def test_non_integer_input_raises_value_error(f37, bad):
+    # a float, bool, str or None in place of a, b, e or d is refused as a
+    # ValueError when the spec is built or the formula called, never passed
+    # on to a table gather (TypeError, or IndexError from count_bruteforce)
+    for args in [(2, 3, bad, 2), (2, 3, 1, bad), (bad, 3, 1, 2), (2, bad, 1, 2)]:
+        with pytest.raises(ValueError):
+            curves.CurveSpec(f37, *args)
+    for formula in (apps.lennon_trace, apps.e34_trace, apps.edwards_count_formula):
+        for a, b in [(bad, 2), (1, bad)]:
+            with pytest.raises(ValueError):
+                formula(f37, a, b)
+
+
+def test_numpy_integer_scalars_are_accepted(f37):
+    spec = curves.CurveSpec(f37, np.int64(3), np.int32(4), np.int64(5), np.uint8(7))
+    assert spec.dlogs == (f37.dlog_of(5), f37.dlog_of(7))
+    assert all(type(v) is int for v in spec.dlogs)
+    want = curves.CurveSpec(f37, 3, 4, 5, 7)
+    assert curves.count_bruteforce(spec) == curves.count_bruteforce(want)
+    assert curves.count_theorem(spec) == curves.count_theorem(want)
+    for formula in (apps.lennon_trace, apps.e34_trace, apps.edwards_count_formula):
+        assert formula(f37, np.int16(5), np.uint64(7)) == formula(f37, 5, 7)
+
+
+def test_spec_dlogs_are_checked_once(f37, monkeypatch):
+    # the spec keeps the dlogs its check computes, and the oracle and the
+    # closed form read them rather than check a and b again
+    calls = []
+    unit_dlogs = curves._unit_dlogs
+    monkeypatch.setattr(curves, "_unit_dlogs", lambda *args: calls.append(args) or unit_dlogs(*args))
+    for a, b in [(5, 7), (np.array([5, 6, 30]), np.array([7, 1, 2]))]:
+        calls.clear()
+        spec = curves.CurveSpec(f37, 3, 4, a, b)
+        counts = curves.count_bruteforce(spec)
+        assert np.array_equal(curves.count_theorem(spec), counts)
+        assert len(calls) == 1
+    one, two = curves.CurveSpec(f37, 2, 3, 5, 7), curves.CurveSpec(f37, 2, 3, 5, 7)
+    assert one == two and hash(one) == hash(two)
+    assert one != curves.CurveSpec(f37, 2, 3, 5, 8)
+    assert "dlogs" not in repr(one) and repr(one).endswith(", a=5, b=7)")
 
 
 def test_congruence_errors(f13):
@@ -354,7 +399,7 @@ def test_plan_reads_the_series_tables_in_place(pn, e, d):
     # themselves live only under their ("hf", upper, lower) keys
     ctx = charsum.make_field(*pn)
     curves.count_theorem(curves.CurveSpec(ctx, e, d, 1, 2))
-    coef, phase, arg, series = ctx._cache[("count_plan", e, d)]
+    coef, phase, arg, series, *_ = ctx._cache[("count_plan", e, d)]
     L = ctx.q - 1
     assert phase.shape == (3, coef.size) and len(arg) == 3 and len(series) == e - 1
     assert not coef.flags.writeable and not phase.flags.writeable
@@ -365,6 +410,31 @@ def test_plan_reads_the_series_tables_in_place(pn, e, d):
     held = [arr for k, v in ctx._cache.items() if not (isinstance(k, tuple) and k[0] == "hf")
             for arr in (v if isinstance(v, tuple) else (v,)) if isinstance(arr, np.ndarray)]
     assert not any(np.shares_memory(arr, tab) for arr in held for tab in tables)
+
+
+_PLAN_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "plan_values_golden.json")
+
+
+def test_scalar_plan_values_match_golden():
+    # repr of the unrounded scalar sum of every count plan each field admits
+    # and of the Lennon, (3, 4) and Edwards plans, at 50 seeded (a, b) each,
+    # over F_37, F_181, F_25 and F_81: a change to the evaluator or the plan
+    # layout must keep every last bit
+    with open(_PLAN_GOLDEN) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 20
+    for rec in golden:
+        ctx = field(rec["p"], rec["n"])
+        kind, *ed = rec["plan"].split()
+        if kind == "count":
+            e, d = map(int, ed)
+            plan = ctx.cached(("count_plan", e, d), curves._count_plan,
+                              curves.CurveSpec(ctx, e, d, 1, 1))
+        else:
+            plan = ctx.cached(f"{kind}_plan", getattr(apps, f"_{kind}_plan"), ctx)
+        got = [[a, b, repr(curves._plan_value(ctx, plan, ctx.dlog_of(a), ctx.dlog_of(b)))]
+               for a, b, _ in rec["values"]]
+        assert got == rec["values"], (rec["p"], rec["n"], rec["plan"])
 
 
 def test_thm_coeffs_dual_forms():
