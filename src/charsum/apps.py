@@ -9,11 +9,11 @@ classes, from the table curves.power_count_table(ctx, 2).
 
 Every public function but special_value_check also takes equal-length int
 arrays for (a, b) or (alpha, beta) (and the branch), in one body.  Lennon's
-trace, the (3, 4) trace and the Edwards series are per-field plans in
-count_theorem's format (curves._make_plan), read by curves._plan_value; the
-shifted-cubic functions read two of them at parameters whose dlogs come from
-dlog a, dlog b through the Zech table.  The Edwards oracle works through the
-per-field oracle buffer for arrays.
+trace, the (3, 4) trace and the Edwards series are per-field plans, records
+of Python terms (curves._make_plan) that curves._plan_value reads for ints
+and arrays in one loop; the shifted-cubic functions read two of them at
+parameters whose dlogs come from dlog a, dlog b through the Zech table.  The
+Edwards oracle works through the per-field oracle buffer for arrays.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ a dF(d-1) series at argument alpha for even d, a (d-1)F(d-2) series at
 but the characters of b and alpha is fixed by (q, e, d), so it is cached as
 one plan per family, a _make_plan record of terms coef * character *
 series that the traces in apps share, summed by the one evaluator
-_plan_value.  The record also holds each term as plain Python values, so a
-single curve pays only for the arithmetic that depends on it: one root per
+_plan_value, one loop over its Python terms for one curve or an array of
+them, paying only for the arithmetic that depends on the curve: one root per
 term, one series read per series term.  CurveSpec keeps the dlogs of a and b
 that its check computes, and both count routes read them.  Every count is an
 exact integer; count_theorem rounds the real part and refuses loudly when
@@ -249,8 +249,10 @@ def count_naive(spec: CurveSpec) -> int:
     x^d + a*x + b and y^e are evaluated for every element at once, as
     polynomial arithmetic on the (q, n) array of coefficient vectors; the
     pairs are then compared in blocks of x rows of about _NAIVE_BLOCK_CELLS
-    cells, so memory stays O(q * n) at every q.
+    cells, so memory stays O(q * n) at every q; array a, b raise ValueError.
     """
+    if isinstance(spec.b, np.ndarray):
+        raise ValueError("count_naive counts one curve: a and b must be ints")
     ctx = spec.ctx
     basis = np.array(ctx._pow_basis, dtype=np.int64)
     xs = (np.arange(ctx.q, dtype=np.int64)[:, None] // basis) % ctx.p
@@ -309,46 +311,41 @@ def _gauss_products(G: np.ndarray, e: int, d: int, i: int):
 
 
 def _make_plan(ctx: FieldCtx, terms, arg, series) -> tuple:
-    """The plan record (coef, phase, arg, series, roots, scalar) of a sum of
-    terms (coef, u0, u_a, u_b) at a = g^la, b = g^lb: term t is coef[t] *
-    w^(u0 + u_a*la + u_b*lb), roots[k] = w^k with w = exp(2*pi*i/(q-1)), and
-    each of the first len(series) terms is also times its series (upper,
-    lower) at g^(c0 + s_a*la + s_b*lb), arg = (c0, s_a, s_b).  The series are
-    kept as hyperf.hf_params tuples, their tables built here rather than on
-    the first evaluation.  scalar holds each term once more as Python values
-    (coef, u0, u_a, u_b, series params or None), the form the int route reads."""
+    """The plan record (terms, arg, roots) of a sum of terms (coef, u0, u_a,
+    u_b) at a = g^la, b = g^lb: term t is coef * w^(u0 + u_a*la + u_b*lb),
+    roots[k] = w^k with w = exp(2*pi*i/(q-1)), and each of the first
+    len(series) terms is also times its series (upper, lower) at
+    g^(c0 + s_a*la + s_b*lb), arg = (c0, s_a, s_b).  Each term is kept once
+    as Python values (coef, u0, u_a, u_b, series params or None), the u
+    reduced mod q-1 and the series as hyperf.hf_params tuples, their tables
+    built here rather than on the first evaluation."""
     L = ctx.q - 1
-    coef = np.array([t[0] for t in terms], dtype=np.complex128)
-    phase = np.array([t[1:] for t in terms], dtype=np.int64).T % L
-    series = tuple(hyperf.hf_params(ctx, upper, lower) for upper, lower in series)
+    series = [hyperf.hf_params(ctx, upper, lower) for upper, lower in series]
     for params in series:
         hyperf.hf_table(ctx, *params)
-    scalar = tuple(itertools.zip_longest(coef.tolist(), *phase.tolist(), series))
-    return coef, phase, tuple(int(c) % L for c in arg), series, chars.unit_roots(ctx), scalar
+    terms = tuple((complex(c), *(int(u) % L for u in us), params)
+                  for (c, *us), params in itertools.zip_longest(terms, series))
+    return terms, tuple(int(c) % L for c in arg), chars.unit_roots(ctx)
 
 
 def _plan_value(ctx: FieldCtx, plan: tuple, la, lb):
-    """The unrounded sum of a _make_plan record at dlog a = la, dlog b = lb:
-    for ints by a loop over the record's Python terms (plans hold a handful of
-    terms, and array ops on them cost more than the arithmetic), for arrays by
-    one gather per term.  Each term is coef * root * series in that order,
-    every series read by hyperf.hf_eval at x = g^s; ints sum from the first
-    term, as 0j + z may flip a -0.0."""
-    coef, phase, (c0, s_a, s_b), series, roots, scalar = plan
+    """The unrounded sum of a _make_plan record at dlog a = la, dlog b = lb,
+    ints or equal-length int64 arrays, in one loop over the record's terms
+    (plans hold a handful, and array ops across them cost more than the
+    arithmetic), reading roots and exp by item for ints and by index for arrays.
+    Each term is coef * root * series in that order, every series read by
+    hyperf.hf_eval at x = g^s; the sum starts from the first term, as 0j + z
+    may flip a -0.0."""
+    terms, (c0, s_a, s_b), roots = plan
     L = ctx.q - 1
     s = (c0 + s_a * la + s_b * lb) % L
-    if isinstance(la, np.ndarray):
-        x, (u0, u_a, u_b) = ctx.exp[s], phase[:, :, None]
-        z = coef[:, None] * roots[(u0 + u_a * la + u_b * lb) % L]
-        for j, params in enumerate(series):
-            # out of place: z[j] *= ... changed the last bit with the block size
-            z[j] = z[j] * hyperf.hf_eval(ctx, *params, x)
-        return z.sum(axis=0)
-    x, root, total = ctx.exp.item(s), roots.item, None
-    for c, u0, u_a, u_b, params in scalar:
+    arrays = isinstance(la, np.ndarray)
+    x, root = (ctx.exp[s], roots.__getitem__) if arrays else (ctx.exp.item(s), roots.item)
+    total = None
+    for c, u0, u_a, u_b, params in terms:
         z = c * root((u0 + u_a * la + u_b * lb) % L)
         if params:
-            z *= hyperf.hf_eval(ctx, *params, x)
+            z = z * hyperf.hf_eval(ctx, *params, x)
         total = z if total is None else total + z
     return total
 
@@ -359,7 +356,7 @@ def _count_plan(spec: CurveSpec) -> tuple:
     T^u_alpha(alpha), the first e-1 also times a series at alpha (at -alpha
     for odd d).  dlog(alpha) = c0 + (d-1)*dlog(b) - d*dlog(a) with c0 =
     dlog(d) + (d-1)*(dlog(d) - dlog(d-1)) (d and d-1 are units since d*(d-1)
-    divides q-1), so T^u_alpha folds into the phase."""
+    divides q-1), so T^u_alpha folds into the root exponent."""
     require_congruence(spec.ctx, spec.modulus_required)
     ctx, e, d = spec.ctx, spec.e, spec.d
     q, L = ctx.q, ctx.q - 1
@@ -535,16 +532,16 @@ def thm_coeffs(spec: CurveSpec) -> ThmCoeffs:
 # Trace of Frobenius
 # ---------------------------------------------------------------------------
 
-def trace_frobenius(spec: CurveSpec) -> int:
+def trace_frobenius(spec: CurveSpec) -> int | np.ndarray:
     """a_q = q - N (affine count), via closed form when the congruence holds
-    and by enumeration otherwise."""
+    and by enumeration otherwise.  Array a, b give an int64 array, the Hasse
+    check for e=2, d=3 then applying to every entry."""
     try:
         n_points = count_theorem(spec)
     except CongruenceError:
         n_points = count_bruteforce(spec)
     a_q = spec.ctx.q - n_points
-    if (spec.e, spec.d) == (2, 3) and abs(a_q) > 2 * math.sqrt(spec.ctx.q):
-        raise RoundingGuardError(
-            f"trace {a_q} violates the Hasse bound for e=2, d=3"
-        )
+    if (spec.e, spec.d) == (2, 3) and np.any(np.abs(a_q) > 2 * math.sqrt(spec.ctx.q)):
+        raise RoundingGuardError(f"|trace| {np.max(np.abs(a_q))} violates the Hasse "
+                                 "bound for e=2, d=3")
     return a_q

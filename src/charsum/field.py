@@ -314,11 +314,11 @@ class FieldCtx:
     # -- element codec ---------------------------------------------------------
 
     def to_coeffs(self, x: int) -> tuple[int, ...]:
-        """Digit decomposition (c_0, ..., c_{n-1}) of an element index."""
+        """Digit decomposition (c_0, ..., c_{n-1}) of an element index or int array."""
         out = []
         for _ in range(self.n):
-            out.append(x % self.p)
-            x //= self.p
+            x, c = divmod(x, self.p)
+            out.append(c)
         return tuple(out)
 
     def from_coeffs(self, coeffs) -> int:

@@ -74,6 +74,22 @@ def test_oracles_are_invariant_on_torus_orbits(pn):
             assert curves.count_naive(spec) == counts[i], (e, d, a[i], b[i], u[i])
 
 
+@pytest.mark.parametrize("pn", [(13, 1), (5, 2)], ids=["13", "25"])
+def test_count_naive_refuses_arrays_and_leaves_them_as_they_are(pn):
+    # to_coeffs once divided its argument in place: an array spec zeroed the
+    # caller's a and b before count_naive failed on a shape error
+    ctx = field(*pn)
+    a, b = np.array([1, 2, ctx.q - 1]), np.array([ctx.q - 2, 3, 1])
+    spec = curves.CurveSpec(ctx, 2, 3, a, b)
+    with pytest.raises(ValueError, match="one curve"):
+        curves.count_naive(spec)
+    digits = ctx.to_coeffs(a)
+    assert [list(c) for c in zip(*(d.tolist() for d in digits))] == \
+        [list(ctx.to_coeffs(int(x))) for x in a]
+    assert a.tolist() == [1, 2, ctx.q - 1] and b.tolist() == [ctx.q - 2, 3, 1]
+    assert spec.a is a and spec.b is b
+
+
 @pytest.mark.parametrize(
     "p,n,e,d", [(2, 16, 3, 5), (2, 16, 5, 3), (3, 9, 2, 5)],
     ids=["2^16-3-5", "2^16-5-3", "3^9-2-5"],
@@ -399,11 +415,15 @@ def test_plan_reads_the_series_tables_in_place(pn, e, d):
     # themselves live only under their ("hf", upper, lower) keys
     ctx = charsum.make_field(*pn)
     curves.count_theorem(curves.CurveSpec(ctx, e, d, 1, 2))
-    coef, phase, arg, series, *_ = ctx._cache[("count_plan", e, d)]
+    terms, arg, _ = ctx._cache[("count_plan", e, d)]
     L = ctx.q - 1
-    assert phase.shape == (3, coef.size) and len(arg) == 3 and len(series) == e - 1
-    assert not coef.flags.writeable and not phase.flags.writeable
+    series = [t[4] for t in terms[:e - 1]]
+    assert len(arg) == 3 and all(series) and not any(t[4] for t in terms[e - 1:])
+    for c, *us, params in terms:
+        assert type(c) is complex
+        assert all(type(u) is int and 0 <= u < L for u in us)
     for upper, lower in series:
+        assert (upper, lower) == hyperf.hf_params(ctx, upper, lower)
         assert all(isinstance(m, int) and 0 <= m < L for m in upper + lower)
         assert ("hf", upper, lower) in ctx._cache
     tables = [v for k, v in ctx._cache.items() if isinstance(k, tuple) and k[0] == "hf"]
@@ -413,6 +433,16 @@ def test_plan_reads_the_series_tables_in_place(pn, e, d):
 
 
 _PLAN_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "plan_values_golden.json")
+
+
+def _golden_plan(ctx, name):
+    """The plan a golden record names: "count e d", or "lennon", "e34" or "edwards"."""
+    kind, *ed = name.split()
+    if kind == "count":
+        e, d = map(int, ed)
+        return ctx.cached(("count_plan", e, d), curves._count_plan,
+                          curves.CurveSpec(ctx, e, d, 1, 1))
+    return ctx.cached(f"{kind}_plan", getattr(apps, f"_{kind}_plan"), ctx)
 
 
 def test_scalar_plan_values_match_golden():
@@ -425,15 +455,28 @@ def test_scalar_plan_values_match_golden():
     assert len(golden) == 20
     for rec in golden:
         ctx = field(rec["p"], rec["n"])
-        kind, *ed = rec["plan"].split()
-        if kind == "count":
-            e, d = map(int, ed)
-            plan = ctx.cached(("count_plan", e, d), curves._count_plan,
-                              curves.CurveSpec(ctx, e, d, 1, 1))
-        else:
-            plan = ctx.cached(f"{kind}_plan", getattr(apps, f"_{kind}_plan"), ctx)
+        plan = _golden_plan(ctx, rec["plan"])
         got = [[a, b, repr(curves._plan_value(ctx, plan, ctx.dlog_of(a), ctx.dlog_of(b)))]
                for a, b, _ in rec["values"]]
+        assert got == rec["values"], (rec["p"], rec["n"], rec["plan"])
+
+
+_PLAN_ARRAY_GOLDEN = os.path.join(os.path.dirname(__file__), "data",
+                                  "plan_array_values_golden.json")
+
+
+def test_array_plan_values_match_golden():
+    # the same 20 plans and 50 (a, b) each as plan_values_golden.json, read
+    # by one array call per plan: repr of every unrounded sum, to the last bit
+    with open(_PLAN_ARRAY_GOLDEN) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 20
+    for rec in golden:
+        ctx = field(rec["p"], rec["n"])
+        plan = _golden_plan(ctx, rec["plan"])
+        a, b = (np.array([ctx.dlog_of(v[k]) for v in rec["values"]]) for k in (0, 1))
+        got = [[v[0], v[1], repr(z)]
+               for v, z in zip(rec["values"], curves._plan_value(ctx, plan, a, b).tolist())]
         assert got == rec["values"], (rec["p"], rec["n"], rec["plan"])
 
 
@@ -576,6 +619,18 @@ def test_trace_falls_back_without_congruence(f17):
     # 17 is not 1 mod 12, so the theorem path is inadmissible
     spec = curves.CurveSpec(f17, 2, 3, 1, 1)
     assert curves.trace_frobenius(spec) == 17 - curves.count_bruteforce(spec)
+
+
+@pytest.mark.parametrize("e,d", [(2, 3), (2, 2), (2, 5)])
+def test_trace_frobenius_on_arrays_matches_per_int_calls(f13, e, d):
+    # (2, 3) and (2, 2) take the closed form at q = 13, (2, 5) enumeration;
+    # the Hasse check of (2, 3) applies entry by entry
+    a, b = (np.array(v) for v in zip(*itertools.product(f13.units(), repeat=2)))
+    got = curves.trace_frobenius(curves.CurveSpec(f13, e, d, a, b))
+    expect = [curves.trace_frobenius(curves.CurveSpec(f13, e, d, int(x), int(y)))
+              for x, y in zip(a, b)]
+    assert got.dtype == np.int64 and got.tolist() == expect
+    assert all(type(t) is int for t in expect)
 
 
 def test_power_count_table(f13):
