@@ -1,7 +1,7 @@
 """Finite-field character sums, Gaussian hypergeometric series over F_q,
 and exact point-count verification for curves y^e = x^d + a*x + b."""
 
-from .field import DEFAULT_SIZE_CAP, DEFAULT_TOL, CongruenceError, FieldCtx, FieldError, make_field
+from .field import DEFAULT_SIZE_CAP, TOL, CongruenceError, FieldCtx, FieldError, make_field
 from .chars import (
     add_char,
     char_order,
@@ -45,11 +45,11 @@ __all__ = [
     "CongruenceError",
     "CurveSpec",
     "DEFAULT_SIZE_CAP",
-    "DEFAULT_TOL",
     "FieldCtx",
     "FieldError",
     "IDENTITY_NAMES",
     "RoundingGuardError",
+    "TOL",
     "VerifyReport",
     "add_char",
     "char_order",

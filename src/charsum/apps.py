@@ -23,7 +23,7 @@ import numpy as np
 from . import chars, hyperf, sums
 from .curves import (BLOCK_CELLS, _make_plan, _oracle_buffers, _plan_value, _round_guarded,
                      _unit_dlogs, power_count_table)
-from .field import FieldCtx, require_congruence, zech_table
+from .field import TOL, FieldCtx, require_congruence, zech_table
 
 
 def _require(cond: bool, msg: str):
@@ -285,7 +285,7 @@ def cubic_transform_check(ctx: FieldCtx, a, b, branch=0):
     disc = np.abs(lhs - rhs)
     n_edwards = edwards_count_bruteforce(ctx, ctx.exp[l_alpha], ctx.exp[l_beta])
     bridge = n_edwards + 3 + (1 - 2 * ((l_alpha + l_beta) & 1)) + (1 - 2 * ((lb + l_beta) & 1))
-    match = (disc < ctx.tol * ctx.q * ctx.q) & (cubic_count_bruteforce(ctx, a, b) + 2 == bridge)
+    match = (disc < TOL * ctx.q * ctx.q) & (cubic_count_bruteforce(ctx, a, b) + 2 == bridge)
     return lhs, rhs.real, disc, match
 
 
@@ -320,5 +320,5 @@ def special_value_check(ctx: FieldCtx, which: str) -> sums.VerifyReport:
         )
     else:
         raise ValueError(f"unknown special value {which!r}")
-    return sums.VerifyReport(f"special-{which}", ctx.q, ctx.tol * ctx.q, formula=complex(lhs),
+    return sums.VerifyReport(f"special-{which}", ctx.q, TOL * ctx.q, formula=complex(lhs),
                              oracle=rhs.real, disc=abs(lhs - rhs), cases=1)

@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from . import apps, curves, hyperf, sums
-from .field import DEFAULT_SIZE_CAP, DEFAULT_TOL, FieldError, factor_prime_power, make_field
+from .field import DEFAULT_SIZE_CAP, FieldError, factor_prime_power, make_field
 
 _COLUMNS = ["q", "e", "d", "a", "b", "formula_re", "formula_im", "oracle", "match", "disc", "ms"]
 # (a, b) pairs or cubic-transform candidates per block.  Each block pays one
@@ -53,7 +53,7 @@ def _build_field(args):
         raise CliError("need --q or --p (with optional --n)")
     else:
         p, n = args.p, args.n
-    return make_field(p, n, size_cap=size_cap, tol=args.tol)
+    return make_field(p, n, size_cap=size_cap)
 
 
 def _parse_element(ctx, text: str, label: str) -> int:
@@ -425,20 +425,10 @@ def _count_arg(text: str) -> int:
     return value
 
 
-def _tol_arg(text: str) -> float:
-    """A tolerance: a finite float > 0 (argparse exits 2 otherwise)."""
-    value = float(text)
-    if not 0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"need a finite value > 0, got {text}")
-    return value
-
-
 def _add_field_args(parser):
     parser.add_argument("--q", type=int, help="field size (prime power)")
     parser.add_argument("--p", type=int, help="characteristic (alternative to --q)")
     parser.add_argument("--n", type=int, default=1, help="extension degree (with --p)")
-    parser.add_argument("--tol", type=_tol_arg, default=DEFAULT_TOL,
-                        help="base per-summand tolerance")
     parser.add_argument("--size-cap", type=int, default=None,
                         help="max permitted q (env CHARSUM_SIZE_CAP)")
     parser.add_argument("--format", choices=("json", "csv", "table"), default="table")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chars, hyperf, sums
-from .field import CongruenceError, FieldCtx, require_congruence
+from .field import TOL, CongruenceError, FieldCtx, require_congruence
 
 ROUND_GUARD = 0.01
 # Oracle cells (curves times q-1) that count_bruteforce holds at once for
@@ -107,7 +107,7 @@ def _round_guarded(ctx: FieldCtx, z: complex) -> int | np.ndarray:
     pass their guards.  A complex array gives an int64 array; the guards then
     apply element-wise and any failing entry refuses the whole call, the
     message giving the worst residues."""
-    imag_tol = min(ROUND_GUARD, ctx.tol * ctx.q * ctx.q)
+    imag_tol = min(ROUND_GUARD, TOL * ctx.q * ctx.q)
     if isinstance(z, np.ndarray):
         r = np.round(z.real)
         im, re = np.abs(z.imag), np.abs(z.real - r)

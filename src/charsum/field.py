@@ -13,7 +13,8 @@ modulus and g are the first candidates to pass a test on matrix powers, 16
 candidates per stack (prime fields find g with the builtin pow).  So g acts
 as an n x n matrix, the coefficient vectors of all powers g^k come from
 about log2(q) matrix products, and the trace, being F_p-linear, is the digit
-table of all indices times the traces of the n basis elements.
+table of all indices times the traces of the basis elements t^j, which are
+the matrix traces of the C^j.  A context depends on (p, n) alone.
 
 Addition is digit-wise mod p with no carry between digits.  For n > 1 the
 digits split at k = n // 2, and each half of every element is re-read in
@@ -30,10 +31,12 @@ F_{37^3}, 2q at F_{2^16}).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 DEFAULT_SIZE_CAP = 65536
-DEFAULT_TOL = 1e-9
+TOL = 1e-9  # absolute tolerance per summand; each guard scales it by its sum's size
 
 
 class FieldError(ValueError):
@@ -153,22 +156,17 @@ def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     raise FieldError(f"no irreducible polynomial of degree {n} over F_{p}")
 
 
-def _find_generator(p: int, n: int, modulus) -> tuple[int, np.ndarray]:
+def _find_generator(p: int, n: int, powers) -> tuple[int, np.ndarray]:
     """The first unit g in index order that generates F_q^*, and the matrix of
-    x -> g*x.  For n > 1 a unit c acts as M_c = sum_j c_j C^j, and c
-    generates iff M_c^((q-1)/r) != I for every prime r | q-1.  The search
-    starts at c = p: the codes below p are F_p, whose units have order
-    dividing p - 1 < q - 1."""
+    x -> g*x.  For n > 1 a unit c acts as M_c = sum_j c_j C^j, read from the
+    stack `powers` of the C^j, and c generates iff M_c^((q-1)/r) != I for every
+    prime r | q-1.  The search starts at c = p: the codes below p are F_p,
+    whose units have order dividing p - 1 < q - 1."""
     q = p**n
     factors = prime_factors(q - 1)
     if n == 1:
         g = next(c for c in range(1, p) if all(pow(c, (p - 1) // r, p) != 1 for r in factors))
         return g, np.array([[g]], dtype=np.int64)
-    C = _companion(p, np.array([modulus[:n]], dtype=np.int64))[0]
-    powers = [np.eye(n, dtype=np.int64)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ C % p)
-    powers = np.stack(powers)  # C^j, j = 0 .. n-1
     for start in range(p, q, _CHUNK):
         cands = np.arange(start, min(start + _CHUNK, q), dtype=np.int64)
         M = np.tensordot(_digit_rows(cands, p, n), powers, axes=1) % p
@@ -190,6 +188,16 @@ def _reduction_table(p: int, B: int, m: int) -> np.ndarray:
     return red
 
 
+def _as_int(name: str, v) -> int:
+    """v as a Python int: an int or numpy integer, not a bool."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise FieldError(f"{name} must be an integer, got {v!r}")
+
+
 def _gather(table: np.ndarray, x):
     """table[x]: a Python scalar for one index, an array for an index array."""
     return table[x] if isinstance(x, np.ndarray) else table.item(x)
@@ -205,7 +213,6 @@ class FieldCtx:
         exp: int64 array, exp[k] = index of g^k for k in [0, q-2].
         dlog: int64 array over all indices; dlog[0] = -1 sentinel.
         trace_tab: int64 array, absolute trace to F_p per index.
-        tol: base absolute tolerance per summand (scaled by sum length).
 
     For n > 1, addition reads the spread-digit encoding of the module
     docstring: _spread_lo and _spread_hi (length q) and the reduction tables
@@ -214,7 +221,8 @@ class FieldCtx:
     add three spread values before one reduction.
     """
 
-    def __init__(self, p: int, n: int, size_cap: int, tol: float):
+    def __init__(self, p: int, n: int, size_cap: int):
+        p, n = _as_int("p", p), _as_int("n", n)
         if n < 1:
             raise FieldError(f"extension degree must be >= 1, got {n}")
         # The cap comes before the primality test, and p**n is formed only
@@ -229,10 +237,14 @@ class FieldCtx:
         self.p = p
         self.n = n
         self.q = q
-        self.tol = tol
-        self.modulus = None if n == 1 else _smallest_irreducible(p, n)
+        if n == 1:
+            self.modulus = powers = None
+        else:
+            self.modulus = _smallest_irreducible(p, n)
+            C = _companion(p, np.array([self.modulus[:n]]))
+            powers = np.concatenate([_matpow(C, j, p) for j in range(n)])  # x -> t^j * x
         self._pow_basis = [p**i for i in range(n)]
-        self.g, M = _find_generator(p, n, self.modulus)
+        self.g, M = _find_generator(p, n, powers)
         pow_basis = np.array(self._pow_basis, dtype=np.int64)
         self.exp, self.dlog = self._build_log_tables(M, pow_basis)
         if n == 1:
@@ -250,7 +262,7 @@ class FieldCtx:
             self._red_lo = _reduction_table(p, B, k)
             self._red_hi = _reduction_table(p, B, n - k) * p**k
             self._neg_tab = ((p - digits) % p) @ pow_basis
-            self.trace_tab = (digits @ self._basis_traces()) % p
+            self.trace_tab = digits @ (np.trace(powers, axis1=1, axis2=2) % p) % p
         self._cache: dict = {}  # derived tables, written through cached()
 
     def cached(self, key, build, *args):
@@ -291,25 +303,6 @@ class FieldCtx:
         if exp.min() < 1 or np.count_nonzero(dlog >= 0) != order:
             raise FieldError("powers of the generator miss some unit")
         return exp, dlog
-
-    def _basis_traces(self) -> np.ndarray:
-        """Tr(t^j) for each basis element t^j, by the Frobenius sum.
-
-        Runs after the log tables are built, so each p-th power is a lookup.
-        The trace is F_p-linear, so checking that these land in the prime
-        subfield covers every element.
-        """
-        out = []
-        for x in self._pow_basis:
-            acc = total = x
-            for _ in range(self.n - 1):
-                acc = self.pow(acc, self.p)
-                total = self.add(total, acc)
-            coeffs = self.to_coeffs(total)
-            if any(coeffs[1:]):
-                raise FieldError("trace left the prime subfield")
-            out.append(coeffs[0])
-        return np.array(out, dtype=np.int64)
 
     # -- element codec ---------------------------------------------------------
 
@@ -438,14 +431,9 @@ class FieldCtx:
         return f"FieldCtx(q={self.p}^{self.n}, modulus={self.modulus})"
 
 
-def make_field(
-    p: int,
-    n: int = 1,
-    size_cap: int = DEFAULT_SIZE_CAP,
-    tol: float = DEFAULT_TOL,
-) -> FieldCtx:
+def make_field(p: int, n: int = 1, size_cap: int = DEFAULT_SIZE_CAP) -> FieldCtx:
     """Construct F_{p^n} with deterministic generator and modulus choices."""
-    return FieldCtx(p, n, size_cap, tol)
+    return FieldCtx(p, n, size_cap)
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chars
-from .field import FieldCtx, require_congruence, zech_table
+from .field import TOL, FieldCtx, require_congruence, zech_table
 
 
 def gauss_table(ctx: FieldCtx) -> np.ndarray:
@@ -432,7 +432,7 @@ def verify_identity(ctx: FieldCtx, name: str, **params) -> VerifyReport:
     """
     if name not in _IDENTITIES:
         raise KeyError(f"unknown identity {name!r}; known: {', '.join(_IDENTITIES)}")
-    report = VerifyReport(name, ctx.q, ctx.tol * ctx.q)
+    report = VerifyReport(name, ctx.q, TOL * ctx.q)
     _IDENTITIES[name](ctx, report, **params)
     return report
 
@@ -461,7 +461,7 @@ def davenport_hasse(ctx: FieldCtx, d: int, l: int | None = None, t: int = 1) -> 
         sign = chars.char_at_minus_one(ctx, (d - 2) * L // 8)
         scale = ctx.q ** ((d - 2) // 2) * G[L // 2] * sign
     # the product's magnitude grows like q^(d/2)
-    report = VerifyReport("davenport-hasse", ctx.q, ctx.tol * ctx.q ** (d / 2), d=d)
+    report = VerifyReport("davenport-hasse", ctx.q, TOL * ctx.q ** (d / 2), d=d)
     ls = _params(L, l)
     for s in _blocks(len(ls), 1):
         ll = ls[s]  # consecutive values of l

@@ -558,20 +558,78 @@ def test_count_random_zero_emits_no_rows():
     assert run_cli(["count", "--q", "13", "--e", "2", "--d", "3", "--random", "0"]) == (0, "")
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+_COUNT_13 = ["count", "--q", "13", "--e", "2", "--d", "3"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,msg",
     [
-        ["count", "--q", "13", "--e", "2", "--d", "3", "--a", "1", "--b", "1"],
-        ["verify", "--suite", "lemmas", "--q", "13"],
-        ["eval", "gauss", "--q", "13", "--m", "1"],
+        (["eval", "gauss", "--m", "1"], "need --q or --p"),
+        (_COUNT_13 + ["--a", "x", "--b", "1"], "bad element literal for --a: 'x'"),
+        (_COUNT_13 + ["--a", "1,2", "--b", "1"], "--a must be a single residue for a prime field"),
+        (["count", "--p", "5", "--n", "2", "--e", "2", "--d", "3", "--a", "1,2,3", "--b", "1"],
+         "--a has more than 2 coefficients"),
+        (["eval", "hf", "--q", "13", "--upper", "1,x", "--lower", "2", "--x", "1"],
+         "bad exponent list for --upper: '1,x'"),
+        (_COUNT_13 + ["--a", "0", "--b", "1"], "a and b must be nonzero"),
+        (["verify", "--suite", "davenport-hasse", "--q", "13"], "davenport-hasse needs --d"),
+        (["verify", "--suite", "special-values", "--q", "7"],
+         "no special-value identity is admissible at q = 7"),
+        (["eval", "gauss", "--q", "13"], "eval gauss needs --m"),
+        (["eval", "jacobi", "--q", "13"], "eval jacobi needs --exps"),
+        (["eval", "binom", "--q", "13", "--top", "1"], "eval binom needs --top and --bottom"),
+        (["eval", "hf", "--q", "13", "--upper", "1,3", "--lower", "2"],
+         "eval hf needs --upper, --lower and --x"),
     ],
-    ids=["count", "verify", "eval"],
+    ids=["no-field", "bad-literal", "prime-field-vector", "too-many-coeffs", "bad-exponents",
+         "zero-a", "dh-no-d", "special-none", "gauss-no-m", "jacobi-no-exps", "binom-no-bottom",
+         "hf-no-x"],
 )
-def test_tol_must_be_finite_and_positive(argv, tol, capsys):
-    code, out = run_cli(argv + ["--tol", tol])
+def test_invalid_input_exits_2_with_message(argv, msg, capsys):
+    code, out = run_cli(argv)
     assert code == 2 and out == ""
-    assert "--tol" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {msg}")
+
+
+def test_verify_binom_props_rows():
+    ctx = cli.make_field(5, 2)
+    code, out = run_cli(["verify", "--suite", "binom-props", "--q", "25", "--format", "json"])
+    assert code == 0
+    names = ["binom-translate", "binom-absorb", "binom-complement", "binom-transpose"]
+    want = [{"case": name, "e": None, "a": None, "b": None,
+             **sums.verify_identity(ctx, name).to_row()} for name in names]
+    assert _strip_ms(out) == want
+
+
+def _table_lines(out):
+    return [line.split() for line in out.splitlines()]
+
+
+def test_count_sweep_default_table_format():
+    code, out = run_cli(_COUNT_13 + ["--sweep"])
+    assert code == 0
+    header, *rows = _table_lines(out)
+    assert header == cli._COLUMNS
+    assert len(rows) == 144
+    assert all(len(row) == len(header) and row[header.index("match")] == "True" for row in rows)
+    assert rows[0][:5] == ["13", "2", "3", "1", "1"] and rows[1][4] == "2"
+
+
+def test_verify_lemmas_table_has_case_column():
+    code, out = run_cli(["verify", "--suite", "lemmas", "--q", "13"])
+    assert code == 0
+    header, *rows = _table_lines(out)
+    assert header == ["case"] + cli._COLUMNS
+    assert [row[0] for row in rows] == list(sums.IDENTITY_NAMES)
+
+
+def test_eval_hf_complex_value_as_text():
+    want = hyperf.hf_eval(cli.make_field(13), [1, 3], [2], 5)
+    assert abs(want.imag) > 0.1
+    code, out = run_cli(["eval", "hf", "--q", "13", "--upper", "1,3", "--lower", "2", "--x", "5"])
+    assert code == 0
+    assert out == f"{want.real:.12g}{want.imag:+.12g}j\n"
+    assert abs(complex(out) - want) < 1e-11
 
 
 def test_edwards_at_even_q_exits_2():

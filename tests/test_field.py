@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from charsum.curves import CurveSpec, count_bruteforce, count_theorem
 from charsum.field import (
     DEFAULT_SIZE_CAP, FieldError, factor_prime_power, is_prime, make_field, zech_table,
 )
@@ -58,6 +59,22 @@ def test_f9_modulus_is_smallest_irreducible(f9):
 def test_nonprime_p_rejected():
     with pytest.raises(FieldError):
         make_field(4)
+
+
+def test_numpy_integer_p_and_n_become_python_ints():
+    assert make_field(np.int64(13)).g == 2
+    ctx = make_field(251, np.int64(2))
+    assert all(type(v) is int for v in (ctx.p, ctx.n, ctx.q))
+    # q^(d-2) (q-1) overflows int64 at q = 251^2, d = 6: only Python ints hold it
+    spec = CurveSpec(ctx, 2, 6, 1, 1)
+    assert count_theorem(spec) == count_bruteforce(spec)
+
+
+@pytest.mark.parametrize("p,n", [(13.0, 1), (True, 1), (13, 2.0), (13, True), ("13", 1)],
+                         ids=["float-p", "bool-p", "float-n", "bool-n", "str-p"])
+def test_non_integer_p_or_n_rejected(p, n):
+    with pytest.raises(FieldError, match="must be an integer"):
+        make_field(p, n)
 
 
 def test_size_cap_enforced():
@@ -272,8 +289,8 @@ def reference_tables(ctx):
 
 
 @pytest.mark.parametrize(
-    "p,n", [(13, 1), (3, 2), (5, 2), (3, 3), (3, 5), (2, 8), (7, 4)],
-    ids=["13", "3^2", "5^2", "3^3", "3^5", "2^8", "7^4"],
+    "p,n", [(13, 1), (3, 2), (2, 4), (5, 2), (3, 3), (3, 5), (7, 3), (2, 8), (7, 4)],
+    ids=["13", "3^2", "2^4", "5^2", "3^3", "3^5", "7^3", "2^8", "7^4"],
 )
 def test_tables_match_reference_builder(p, n):
     ctx = field(p, n)
