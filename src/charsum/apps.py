@@ -23,7 +23,7 @@ import numpy as np
 from . import chars, hyperf, sums
 from .curves import (BLOCK_CELLS, _make_plan, _oracle_buffers, _plan_value, _round_guarded,
                      _unit_dlogs, power_count_table)
-from .field import TOL, FieldCtx, require_congruence, zech_table
+from .field import TOL, FieldCtx, _as_int, require_congruence, zech_table
 
 
 def _require(cond: bool, msg: str):
@@ -230,10 +230,12 @@ def _transform_params(ctx: FieldCtx, la, lb, branch):
     a * (1 +- 2r/a), r the root g^(dlog b / 2) of b on branch 0 and -r on
     branch 1.  admissible marks a != 0, b a nonzero square, branch 0 or 1, and
     a', b', alpha, beta != 0; elsewhere the dlogs are junk.  ValueError for
-    a branch that is not an int or a signed-int array; needs q = 1 mod 12."""
-    _require(isinstance(branch, (int, np.signedinteger))
-             or (isinstance(branch, np.ndarray) and branch.dtype.kind == "i"),
-             f"branch must be an int or a signed-int array, got {branch!r}")
+    a branch that is not an int, a numpy integer (not a bool) or a signed-int
+    array; needs q = 1 mod 12."""
+    if isinstance(branch, np.ndarray):
+        _require(branch.dtype.kind == "i", f"branch must be a signed-int array, got {branch!r}")
+    else:
+        branch = _as_int("branch", branch)
     require_congruence(ctx, 12)
     L = ctx.q - 1
     l_ap, l_bp, nonzero = _shifted_coeffs(ctx, la, lb)

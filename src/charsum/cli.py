@@ -1,18 +1,18 @@
 """Command-line driver: point-count verification, identity suites, and evaluation.
 
-Exit codes: 0 all reports match, 1 at least one mismatch, 2 invalid input.
-JSON output is line-delimited with the fixed key set
-{q, e, d, a, b, formula_re, formula_im, oracle, match, disc, ms};
-verify streams add a leading "case" key naming the checked identity/config.
-CSV uses the same columns in the same order.  The "table" format is for
-humans and not schema-stable.  `count` and the lennon, e34, edwards and
-cubic-transform suites evaluate their cases in blocks of _BLOCK_ROWS pairs or
-candidates, whatever q is, one array call of the oracle and of the closed
-form per block, and write a block's rows at once; such a row's ms is its
-block's wall time divided by the block's rows.  Every other row's ms is the
-wall time of the step that produced it.  Invalid input raises CliError or a
-ValueError (a field's unmet congruence included), both exit 2.
-"""
+A field is --q, or --p with an optional --n (default 1), never both; its
+size cap is CHARSUM_SIZE_CAP.  Exit codes: 0 all reports match, 1 at least
+one mismatch, 2 invalid input (CliError or ValueError, a field's unmet
+congruence included).  JSON output is line-delimited with the fixed key set
+{q, e, d, a, b, formula_re, formula_im, oracle, match, disc, ms}; verify
+streams add a leading "case" key naming the checked identity/config.  CSV
+uses the same columns in the same order.  The "table" format is for humans
+and not schema-stable.  A verify suite is one entry of _SUITE_RUNNERS.
+`count` and the lennon, e34 and edwards suites run through _block_suite, and
+cubic-transform has its own blocks: _BLOCK_ROWS pairs or candidates, whatever
+q is, one array call of the oracle and of the closed form per block, and a
+block's rows written at once; such a row's ms is its block's wall time over
+its rows.  Every other row's ms is the wall time of the step that made it."""
 
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ import os
 import random
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -42,17 +43,17 @@ class CliError(Exception):
 
 
 def _build_field(args):
-    size_cap = args.size_cap
-    if size_cap is None:
-        size_cap = int(os.environ.get("CHARSUM_SIZE_CAP", DEFAULT_SIZE_CAP))
+    size_cap = int(os.environ.get("CHARSUM_SIZE_CAP", DEFAULT_SIZE_CAP))
     if args.q is not None:
+        if args.p is not None or args.n is not None:
+            raise CliError("--q conflicts with --p/--n; give one of them")
         if args.q > size_cap:  # before factoring, which trial-divides up to sqrt(q)
             raise FieldError(f"q = {args.q} exceeds size cap {size_cap}")
         p, n = factor_prime_power(args.q)
     elif args.p is None:
         raise CliError("need --q or --p (with optional --n)")
     else:
-        p, n = args.p, args.n
+        p, n = args.p, 1 if args.n is None else args.n
     return make_field(p, n, size_cap=size_cap)
 
 
@@ -177,14 +178,11 @@ def _emit_timed(emitter: _Emitter, rows) -> None:
 
 def _random_unit_pairs(ctx, rng, count, distinct=False):
     """count seeded pairs of units, drawn as the blocks consume them."""
-    made = 0
-    while made < count:
-        a = rng.randrange(1, ctx.q)
-        b = rng.randrange(1, ctx.q)
-        if distinct and a == b:
-            continue
-        made += 1
-        yield a, b
+    while count:
+        a, b = rng.randrange(1, ctx.q), rng.randrange(1, ctx.q)
+        if not (distinct and a == b):
+            count -= 1
+            yield a, b
 
 
 def _count_cases(ctx, args):
@@ -236,37 +234,34 @@ def _block_rows(ctx, pairs, oracle, formula, e=None, d=None):
                "match": (disc == 0.0).tolist(), "disc": disc.tolist()}
 
 
-def _build_tables(oracle, formula) -> None:
-    """Call both routes on an empty block, which builds every table they read
-    (and raises what they raise for the field) outside any block's ms."""
+def _block_suite(ctx, label, pairs, oracle, formula, e=None, d=None):
+    """(label, row) for each block of _block_rows over the (a, b) pairs.  Not
+    a generator: both routes run on an empty block first, which builds every
+    table they read (and raises what they raise for the field) outside any
+    block's ms."""
     empty = np.empty(0, dtype=np.int64)
     formula(empty, empty)
     oracle(empty, empty)
+    return ((label, row) for row in _block_rows(ctx, pairs, oracle, formula, e, d))
 
 
 def cmd_count(args, emitter: _Emitter) -> None:
     ctx = _build_field(args)
     e, d = args.e, args.d
-
-    def oracle(a, b):
-        return curves.count_bruteforce(curves.CurveSpec(ctx, e, d, a, b))
-
-    def formula(a, b):
-        return curves.count_theorem(curves.CurveSpec(ctx, e, d, a, b))
-
-    _build_tables(oracle, formula)
-    rows = _block_rows(ctx, _count_cases(ctx, args), oracle, formula, e, d)
-    _emit_timed(emitter, ((None, row) for row in rows))
+    _emit_timed(emitter, _block_suite(
+        ctx, None, _count_cases(ctx, args),
+        lambda a, b: curves.count_bruteforce(curves.CurveSpec(ctx, e, d, a, b)),
+        lambda a, b: curves.count_theorem(curves.CurveSpec(ctx, e, d, a, b)), e, d))
 
 
 # ---------------------------------------------------------------------------
 # verify suites
 # ---------------------------------------------------------------------------
 
-def _suite_lemmas(ctx, args):
-    for name in sums.IDENTITY_NAMES:
-        report = sums.verify_identity(ctx, name, seed=args.seed)
-        yield name, report.to_row()
+def _identity_suite(names, ctx, args):
+    """(name, row) of verify_identity for each named identity."""
+    for name in names:
+        yield name, sums.verify_identity(ctx, name, seed=args.seed).to_row()
 
 
 def _suite_davenport_hasse(ctx, args):
@@ -274,11 +269,6 @@ def _suite_davenport_hasse(ctx, args):
         raise CliError("davenport-hasse needs --d")
     for t in (1, -1):
         yield f"davenport-hasse(t={t})", sums.davenport_hasse(ctx, args.d, t=t).to_row()
-
-
-def _suite_binom_props(ctx, args):
-    for name in ("binom-translate", "binom-absorb", "binom-complement", "binom-transpose"):
-        yield name, sums.verify_identity(ctx, name).to_row()
 
 
 def _suite_special_values(ctx, args):
@@ -321,56 +311,45 @@ def _cubic_transform_blocks(ctx):
                     "oracle": oracle.tolist(), "match": match.tolist(), "disc": disc.tolist()})
 
 
-def _block_suite(ctx, args, label, oracle, formula, e=None, d=None, distinct=False):
-    """(label, row) for each block of args.count seeded random unit pairs.
-    Not a generator, so the tables are built before the first block is timed."""
-    _build_tables(oracle, formula)
+def _pairs_suite(label, oracle, formula, e, d, ctx, args, distinct=False):
+    """_block_suite over args.count seeded random unit pairs (a != b if
+    distinct), with the routes oracle(ctx, a, b) and formula(ctx, a, b)."""
     pairs = _random_unit_pairs(ctx, random.Random(args.seed), args.count, distinct)
-    return ((label, row) for row in _block_rows(ctx, pairs, oracle, formula, e, d))
+    return _block_suite(ctx, label, pairs, lambda a, b: oracle(ctx, a, b),
+                        lambda a, b: formula(ctx, a, b), e, d)
 
 
-def _suite_edwards(ctx, args):
-    # the closed form does not cover alpha == beta (series argument 1);
-    # sampling sticks to the off-diagonal where it is an identity.  At even q
-    # (at q = 2 the off-diagonal is empty) the formula refuses the field while
-    # _build_tables runs, before any pair is drawn.
-    return _block_suite(ctx, args, "edwards",
-                        lambda a, b: apps.edwards_count_bruteforce(ctx, a, b),
-                        lambda a, b: apps.edwards_count_formula(ctx, a, b), distinct=True)
+def _trace_oracle(e, d):
+    """q minus the brute-force count of y^e = x^d + a*x + b."""
+    return lambda ctx, a, b: ctx.q - curves.count_bruteforce(curves.CurveSpec(ctx, e, d, a, b))
 
 
-def _trace_suite(ctx, args, label, trace_fn, e, d):
-    def oracle(a, b):
-        return ctx.q - curves.count_bruteforce(curves.CurveSpec(ctx, e, d, a, b))
-
-    return _block_suite(ctx, args, label, oracle, lambda a, b: trace_fn(ctx, a, b), e, d)
-
-
-def _suite_lennon(ctx, args):
-    return _trace_suite(ctx, args, "lennon", apps.lennon_trace, 2, 3)
-
-
-def _suite_e34(ctx, args):
-    return _trace_suite(ctx, args, "e34", apps.e34_trace, 3, 4)
-
-
+# Each suite is one runner(ctx, args) of (case, row) pairs.  The apps routes
+# are looked up when a suite runs, not when this table is built.
 _SUITE_RUNNERS = {
-    "lemmas": _suite_lemmas,
+    "lemmas": partial(_identity_suite, sums.IDENTITY_NAMES),
     "davenport-hasse": _suite_davenport_hasse,
-    "binom-props": _suite_binom_props,
+    "binom-props": partial(_identity_suite, (
+        "binom-translate", "binom-absorb", "binom-complement", "binom-transpose")),
     "special-values": _suite_special_values,
     "cubic-transform": _suite_cubic_transform,
-    "edwards": _suite_edwards,
-    "lennon": _suite_lennon,
-    "e34": _suite_e34,
+    # the closed form does not cover alpha == beta (series argument 1), so the
+    # pairs are off-diagonal.  At even q (at q = 2 there is no such pair) it
+    # refuses the field on the empty block, before any pair is drawn.
+    "edwards": partial(_pairs_suite, "edwards",
+                       lambda ctx, a, b: apps.edwards_count_bruteforce(ctx, a, b),
+                       lambda ctx, a, b: apps.edwards_count_formula(ctx, a, b),
+                       None, None, distinct=True),
+    "lennon": partial(_pairs_suite, "lennon", _trace_oracle(2, 3),
+                      lambda ctx, a, b: apps.lennon_trace(ctx, a, b), 2, 3),
+    "e34": partial(_pairs_suite, "e34", _trace_oracle(3, 4),
+                   lambda ctx, a, b: apps.e34_trace(ctx, a, b), 3, 4),
 }
 
 
 def cmd_verify(args, emitter: _Emitter) -> None:
     if args.suite not in _SUITE_RUNNERS:
-        raise CliError(
-            f"unknown suite {args.suite!r}; known: {', '.join(_SUITE_RUNNERS)}"
-        )
+        raise CliError(f"unknown suite {args.suite!r}; known: {', '.join(_SUITE_RUNNERS)}")
     _emit_timed(emitter, _SUITE_RUNNERS[args.suite](_build_field(args), args))
 
 
@@ -428,9 +407,7 @@ def _count_arg(text: str) -> int:
 def _add_field_args(parser):
     parser.add_argument("--q", type=int, help="field size (prime power)")
     parser.add_argument("--p", type=int, help="characteristic (alternative to --q)")
-    parser.add_argument("--n", type=int, default=1, help="extension degree (with --p)")
-    parser.add_argument("--size-cap", type=int, default=None,
-                        help="max permitted q (env CHARSUM_SIZE_CAP)")
+    parser.add_argument("--n", type=int, help="extension degree (with --p; default 1)")
     parser.add_argument("--format", choices=("json", "csv", "table"), default="table")
     parser.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
 

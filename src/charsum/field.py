@@ -222,7 +222,7 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, n: int, size_cap: int):
-        p, n = _as_int("p", p), _as_int("n", n)
+        p, n, size_cap = _as_int("p", p), _as_int("n", n), _as_int("size_cap", size_cap)
         if n < 1:
             raise FieldError(f"extension degree must be >= 1, got {n}")
         # The cap comes before the primality test, and p**n is formed only

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import chars, sums
-from .field import FieldCtx
+from .field import FieldCtx, _as_int
 
 
 def _shifted_row(ctx: FieldCtx, a: int, b: int) -> np.ndarray:
@@ -62,10 +62,11 @@ def _series_table(ctx: FieldCtx, upper, lower) -> np.ndarray:
 
 def hf_params(ctx: FieldCtx, upper, lower) -> tuple[tuple, tuple]:
     """(upper, lower) as tuples of exponents reduced mod q-1; ValueError
-    unless upper has one more entry than lower."""
+    unless every exponent is an int or numpy integer (not a bool) and upper
+    has one more entry than lower."""
     L = ctx.q - 1
-    upper = tuple([int(m) % L for m in upper])
-    lower = tuple([int(m) % L for m in lower])
+    upper = tuple([_as_int("exponent", m) % L for m in upper])
+    lower = tuple([_as_int("exponent", m) % L for m in lower])
     _check_params(upper, lower)
     return upper, lower
 
@@ -76,7 +77,8 @@ def hf_table(ctx: FieldCtx, upper, lower) -> np.ndarray:
     Exponents are taken mod q-1, so equal characters share one table.  The
     cache is probed under the exponents as given before they are reduced, so
     a caller holding hf_params tuples (a closed-form plan) skips the
-    reduction.  The table is read-only.
+    reduction and the exponent check; a probe that equals a cached key
+    (True or 1.0 for 1) reads that table unchecked.  The table is read-only.
     """
     upper, lower = tuple(upper), tuple(lower)
     table = ctx._cache.get(("hf", upper, lower))

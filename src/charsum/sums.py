@@ -10,6 +10,7 @@ convolutions, computed by FFT over the group (Z/p)^n.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass
@@ -238,7 +239,7 @@ class VerifyReport:
         }
 
 
-def _check_gauss_reflection(ctx: FieldCtx, report: VerifyReport, m=None, **_):
+def _check_gauss_reflection(ctx: FieldCtx, report: VerifyReport, m=None):
     L = ctx.q - 1
     G = gauss_table(ctx)
     ms = _params(L, m, start=1)
@@ -249,7 +250,7 @@ def _check_gauss_reflection(ctx: FieldCtx, report: VerifyReport, m=None, **_):
         report.update_all(lhs, rhs, lambda i: (int(mm[i]),), skip=mm == 0)
 
 
-def _check_gauss_shift(ctx: FieldCtx, report: VerifyReport, m=None, n=None, **_):
+def _check_gauss_shift(ctx: FieldCtx, report: VerifyReport, m=None, n=None):
     """G_m G_-n = J(T^m, T^-n) G_(m-n) wherever T^(m-n) is nontrivial, with J
     from the defining sums, so that an error in G shows on every entry."""
     L = ctx.q - 1
@@ -269,7 +270,7 @@ def _check_gauss_shift(ctx: FieldCtx, report: VerifyReport, m=None, n=None, **_)
         report.update_all(lhs, rhs, lambda i, j: (int(mm[i, 0]), int(nn[j])), skip=mm == nn)
 
 
-def _check_jacobi_gauss(ctx: FieldCtx, report: VerifyReport, seed=0, triples=24, **_):
+def _check_jacobi_gauss(ctx: FieldCtx, report: VerifyReport, seed=0, triples=24):
     L = ctx.q - 1
     G = gauss_table(ctx)
     b = np.arange(1, L)
@@ -294,7 +295,7 @@ def _check_jacobi_gauss(ctx: FieldCtx, report: VerifyReport, seed=0, triples=24,
     report.update_all(lhs, rhs, lambda i: tuple(ks[i]))
 
 
-def _check_theta_expansion(ctx: FieldCtx, report: VerifyReport, **_):
+def _check_theta_expansion(ctx: FieldCtx, report: VerifyReport):
     L = ctx.q - 1
     unit = chars.unit_roots(ctx)
     m = np.arange(L)
@@ -306,7 +307,7 @@ def _check_theta_expansion(ctx: FieldCtx, report: VerifyReport, **_):
         report.update_all(lhs, rhs, lambda i: (int(alpha[i]),))
 
 
-def _check_orthogonality(ctx: FieldCtx, report: VerifyReport, **_):
+def _check_orthogonality(ctx: FieldCtx, report: VerifyReport):
     L = ctx.q - 1
     unit = chars.unit_roots(ctx)
     ks = np.arange(L)
@@ -333,7 +334,7 @@ def binom_translate_rhs(ctx: FieldCtx, a) -> np.ndarray:
     return out
 
 
-def _check_binom_translate(ctx: FieldCtx, report: VerifyReport, a=None, **_):
+def _check_binom_translate(ctx: FieldCtx, report: VerifyReport, a=None):
     L = ctx.q - 1
     # dlog(1 + x) for every x: 0 at x = 0, and -1 at x = -1, where T^a(1 + x) = 0
     k1 = zech_table(ctx)[ctx.dlog]
@@ -350,7 +351,7 @@ def _check_binom_translate(ctx: FieldCtx, report: VerifyReport, a=None, **_):
 def _binom_check(rhs_of):
     """Checker of binom(T^a, T^b) = rhs_of(ctx, a, b) over the whole (a, b) grid."""
 
-    def check(ctx: FieldCtx, report: VerifyReport, **_):
+    def check(ctx: FieldCtx, report: VerifyReport):
         L = ctx.q - 1
         b = np.arange(L)
         for s in _blocks(L, L):
@@ -387,7 +388,7 @@ def quadratic_gauss_value(ctx: FieldCtx) -> complex:
     return -((-gp) ** ctx.n)
 
 
-def _check_gauss_special(ctx: FieldCtx, report: VerifyReport, **_):
+def _check_gauss_special(ctx: FieldCtx, report: VerifyReport):
     G = gauss_table(ctx)
     report.update_all(G[0], -1 + 0j, lambda: ("trivial",))
     if ctx.q % 2:
@@ -396,7 +397,7 @@ def _check_gauss_special(ctx: FieldCtx, report: VerifyReport, **_):
         report.update_all(got, expect, lambda: ("quadratic",))
 
 
-def _check_theta_delta(ctx: FieldCtx, report: VerifyReport, **_):
+def _check_theta_delta(ctx: FieldCtx, report: VerifyReport):
     theta = chars.theta_table(ctx)
     zs = np.arange(ctx.q)
     for s in _blocks(ctx.q, ctx.q):
@@ -422,18 +423,27 @@ _IDENTITIES = {
 }
 
 IDENTITY_NAMES = tuple(_IDENTITIES)
+# the keyword parameters of each grid (all but ctx and report)
+_IDENTITY_PARAMS = {name: tuple(inspect.signature(check).parameters)[2:]
+                    for name, check in _IDENTITIES.items()}
 
 
 def verify_identity(ctx: FieldCtx, name: str, **params) -> VerifyReport:
     """Evaluate both sides of a named identity over its parameter grid.
 
     Free parameters may be pinned through keyword arguments (e.g. m=3);
-    grid points whose preconditions fail are counted as skipped.
+    grid points whose preconditions fail are counted as skipped.  Every
+    identity takes a seed, which only the seeded ones read; any other
+    parameter the identity does not take raises ValueError.
     """
     if name not in _IDENTITIES:
         raise KeyError(f"unknown identity {name!r}; known: {', '.join(_IDENTITIES)}")
+    taken = _IDENTITY_PARAMS[name]
+    for key in params:
+        if key not in taken and key != "seed":
+            raise ValueError(f"identity {name!r} takes no parameter {key!r}")
     report = VerifyReport(name, ctx.q, TOL * ctx.q)
-    _IDENTITIES[name](ctx, report, **params)
+    _IDENTITIES[name](ctx, report, **{k: v for k, v in params.items() if k in taken})
     return report
 
 

@@ -384,6 +384,17 @@ def test_cubic_transform_refuses_non_integer_branch(f13):
     assert apps.cubic_transform_admissible(f13, a, b, np.array([2, -1])).tolist() == [False, False]
 
 
+def test_cubic_transform_refuses_a_bool_branch(f13):
+    # a bool is not an integer branch, as for CurveSpec's e and d; numpy
+    # integers are
+    for fn in (apps.cubic_transform_admissible, apps.cubic_transform_check):
+        for branch in (True, np.bool_(False)):
+            with pytest.raises(ValueError, match="branch must be an integer"):
+                fn(f13, 1, 4, branch)
+    assert apps.cubic_transform_admissible(f13, 12, 4, np.uint8(1)) == \
+        apps.cubic_transform_admissible(f13, 12, 4, 1)
+
+
 def test_non_integer_elements_are_refused(f13):
     # a float a or b would reach a dlog gather or an index array and raise
     # IndexError or TypeError; a non-integer is not an element of F_q

@@ -293,6 +293,18 @@ def test_oversized_field_exits_2_at_once(field, capsys):
     assert "exceeds size cap" in capsys.readouterr().err
 
 
+def test_p_alone_is_a_prime_field():
+    assert run_cli(["eval", "gauss", "--p", "13", "--m", "6"]) == \
+        run_cli(["eval", "gauss", "--q", "13", "--m", "6"])
+
+
+def test_size_cap_has_no_flag(capsys):
+    # CHARSUM_SIZE_CAP is the one way to set the cap
+    code, out = run_cli(["eval", "gauss", "--q", "13", "--size-cap", "100", "--m", "1"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --size-cap" in capsys.readouterr().err
+
+
 def test_exit_code_one_on_mismatch(monkeypatch):
     # force a formula/oracle disagreement to confirm the exit-code contract
     from charsum import curves as curves_mod
@@ -499,6 +511,24 @@ def test_verify_guard_failures_stay_per_row(monkeypatch, suite):
     assert all('"disc": Infinity' in row and '"match": false' in row for row in failed)
 
 
+# Extra arguments of each registered suite; q = 37 meets every congruence.
+_SUITE_CASES = {
+    "lemmas": [], "davenport-hasse": ["--d", "3"], "binom-props": [], "special-values": [],
+    "cubic-transform": [], "edwards": [], "lennon": [], "e34": [],
+}
+
+
+@pytest.mark.parametrize("suite", list(cli._SUITE_RUNNERS))
+def test_every_registered_suite_runs(suite):
+    # a suite registered without a case here fails
+    assert _SUITE_CASES.keys() == cli._SUITE_RUNNERS.keys()
+    code, out = run_cli(["verify", "--suite", suite, "--q", "37", *_SUITE_CASES[suite],
+                         "--format", "json"])
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert rows and all(row["match"] and row["q"] == 37 for row in rows)
+
+
 def test_json_writer_matches_json_dumps():
     # one block, and a row of shared values only, against json.dumps per row
     nan, inf = float("nan"), float("inf")
@@ -565,6 +595,11 @@ _COUNT_13 = ["count", "--q", "13", "--e", "2", "--d", "3"]
     "argv,msg",
     [
         (["eval", "gauss", "--m", "1"], "need --q or --p"),
+        # --q is not silently preferred to a second way of naming the field
+        (["eval", "gauss", "--q", "13", "--p", "7", "--m", "1"], "--q conflicts with --p/--n"),
+        (["eval", "gauss", "--p", "13", "--n", "1", "--q", "49", "--m", "1"],
+         "--q conflicts with --p/--n"),
+        (["eval", "gauss", "--q", "13", "--n", "1", "--m", "1"], "--q conflicts with --p/--n"),
         (_COUNT_13 + ["--a", "x", "--b", "1"], "bad element literal for --a: 'x'"),
         (_COUNT_13 + ["--a", "1,2", "--b", "1"], "--a must be a single residue for a prime field"),
         (["count", "--p", "5", "--n", "2", "--e", "2", "--d", "3", "--a", "1,2,3", "--b", "1"],
@@ -581,7 +616,7 @@ _COUNT_13 = ["count", "--q", "13", "--e", "2", "--d", "3"]
         (["eval", "hf", "--q", "13", "--upper", "1,3", "--lower", "2"],
          "eval hf needs --upper, --lower and --x"),
     ],
-    ids=["no-field", "bad-literal", "prime-field-vector", "too-many-coeffs", "bad-exponents",
+    ids=["no-field", "q-p", "p-n-q", "q-n", "bad-literal", "prime-field-vector", "too-many-coeffs", "bad-exponents",
          "zero-a", "dh-no-d", "special-none", "gauss-no-m", "jacobi-no-exps", "binom-no-bottom",
          "hf-no-x"],
 )

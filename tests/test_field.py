@@ -86,6 +86,16 @@ def test_size_cap_enforced():
         make_field(2, 3_000_000)
 
 
+def test_size_cap_takes_the_integer_rule():
+    # a numpy integer cap is a cap; a float or bool one is refused, as for p and n
+    assert make_field(13, size_cap=np.int64(100)).q == 13
+    with pytest.raises(FieldError, match="exceeds size cap 12"):
+        make_field(13, size_cap=np.int32(12))
+    for cap in (100.0, True):
+        with pytest.raises(FieldError, match="size_cap must be an integer"):
+            make_field(13, size_cap=cap)
+
+
 def test_known_extension_moduli(f25, f27):
     assert f25.modulus == (2, 0, 1)  # t^2 + 2
     assert f27.modulus == (1, 2, 0, 1)  # t^3 + 2t + 1

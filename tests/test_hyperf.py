@@ -51,6 +51,17 @@ def test_mismatched_parameter_lists(f13):
         hyperf.hf_eval(f13, [1], [6], 1)
 
 
+def test_exponents_take_the_integer_rule():
+    # a fresh field, so no cached table answers the probe: the check runs
+    # when a table is built, and only then
+    ctx = make_field(13)
+    for upper, lower in (([1.5, 5], [6]), ([True, 5], [6]), ([1, 5], [np.float64(6)])):
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            hyperf.hf_eval(ctx, upper, lower, 3)
+    want = hyperf.hf_eval(ctx, [1, 5], [6], 3)
+    assert hyperf.hf_eval(make_field(13), [np.int64(1), np.uint8(5)], [np.int32(6)], 3) == want
+
+
 def test_2f1_matches_oracle_every_argument(f13):
     for x in f13.elements():
         got = hyperf.hf_eval(f13, [1, 5], [6], x)

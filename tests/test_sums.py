@@ -223,6 +223,13 @@ def test_identity_unknown_name(f13):
         sums.verify_identity(f13, "no-such-identity")
 
 
+@pytest.mark.parametrize("name,param", [("gauss-shift", "mm"), ("gauss-reflection", "n"),
+                                        ("jacobi-gauss", "m"), ("theta-delta", "a")])
+def test_identity_refuses_parameters_it_does_not_take(f13, name, param):
+    with pytest.raises(ValueError, match=f"identity '{name}' takes no parameter '{param}'"):
+        sums.verify_identity(f13, name, **{param: 3})
+
+
 def test_identity_skip_on_precondition(f13):
     report = sums.verify_identity(f13, "gauss-shift", m=3, n=3)
     assert report.cases == 0
