@@ -13,7 +13,7 @@ trace, the (3, 4) trace and the Edwards series are per-field plans, records
 of Python terms (curves._make_plan) that curves._plan_value reads for ints
 and arrays in one loop; the shifted-cubic functions read two of them at
 parameters whose dlogs come from dlog a, dlog b through the Zech table.  The
-Edwards oracle works through the per-field oracle buffer for arrays.
+Edwards oracle allocates one work array per call for arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import chars, hyperf, sums
-from .curves import (BLOCK_CELLS, _make_plan, _oracle_buffers, _plan_value, _round_guarded,
+from .curves import (_INT_TYPES, BLOCK_CELLS, _make_plan, _plan_value, _round_guarded,
                      _unit_dlogs, power_count_table)
 from .field import TOL, FieldCtx, _as_int, require_congruence, zech_table
 
@@ -32,9 +32,11 @@ def _require(cond: bool, msg: str):
 
 
 def _in_field(ctx: FieldCtx, *xs) -> bool:
-    """Whether every x is an int or signed-int array with entries in [0, q)."""
+    """Whether every x is an int (a numpy integer scalar included, a bool not)
+    or a signed-int array, with entries in [0, q)."""
     return all(x.dtype.kind == "i" and ((x >= 0) & (x < ctx.q)).all()
-               for x in map(np.asarray, xs))
+               if isinstance(x, np.ndarray) else type(x) in _INT_TYPES and 0 <= x < ctx.q
+               for x in xs)
 
 
 def _dlogs(ctx: FieldCtx, *consts: int) -> list[int]:
@@ -109,6 +111,7 @@ def edwards_count_bruteforce(ctx: FieldCtx, alpha, beta):
     if isinstance(alpha, np.ndarray) or isinstance(beta, np.ndarray):
         return _edwards_count_array(ctx, beta, *_unit_dlogs(ctx, alpha, beta, "alpha, beta"))
     _require(_in_field(ctx, alpha, beta), f"alpha, beta must be elements of F_{ctx.q}")
+    alpha, beta = int(alpha), int(beta)  # -x of a numpy unsigned scalar wraps
     x2 = ctx.pow(np.arange(ctx.q, dtype=np.int64), 2)
     u = ctx.add_vec(1, ctx.mul(x2, ctx.neg(beta)))
     w = ctx.add_vec(1, ctx.mul(x2, ctx.neg(alpha)))
@@ -137,8 +140,8 @@ def _edwards_count_array(ctx: FieldCtx, beta: np.ndarray, la: np.ndarray,
     s + 2k of the chi table, and likewise chi(w).  x = 0 adds counts[1]; u = 0
     at the counts[beta] units x with beta*x^2 = 1, whose true count is q if
     w = 1 - alpha/beta = 0 and 0 otherwise, against the 1 the sum gives.
-    The products go through the per-field oracle buffer, so no step
-    allocates a (rows, q-1) temporary.
+    The call allocates one (3, rows, q-1) work array and reuses it for every
+    chunk, so no step allocates a (rows, q-1) temporary.
     """
     L = ctx.q - 1
     chi, two_k = ctx.cached("edwards_classes", _edwards_classes, ctx)
@@ -146,10 +149,10 @@ def _edwards_count_array(ctx: FieldCtx, beta: np.ndarray, la: np.ndarray,
     l_neg = ctx.dlog_of(ctx.minus_one())
     s_alpha, s_beta = ((lv + l_neg) % L for lv in (la, lb))
     total = counts[1] + L + counts[beta] * (ctx.q * (la == lb) - 1)
-    block = _oracle_buffers(ctx)
-    step = block.shape[1]
+    step = max(1, BLOCK_CELLS // L)
+    work = np.empty((3, min(step, total.size), L), dtype=np.int64)
     for i in range(0, total.size, step):
-        idx, u, w = block[:, :min(step, total.size - i)]
+        idx, u, w = work[:, :min(step, total.size - i)]
         np.add(s_beta[i:i + step, None], two_k, out=idx)
         np.take(chi, idx, out=u, mode="clip")  # "clip" writes straight to out
         np.add(s_alpha[i:i + step, None], two_k, out=idx)
@@ -200,9 +203,9 @@ def cubic_count_bruteforce(ctx: FieldCtx, a, b):
     """Affine count of y^2 = x^3 + a*x^2 + b*x from the square class of the
     right side at every x, evaluated as written.  Equal-length int arrays a, b
     give an int64 array, BLOCK_CELLS cells at a time."""
-    a2, b2 = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
-    _require(a2.shape == b2.shape and _in_field(ctx, a2, b2),
+    _require(_in_field(ctx, a, b) and np.size(a) == np.size(b),
              f"a, b must be elements of F_{ctx.q} or equal-length arrays of them")
+    a2, b2 = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
     xs = np.arange(ctx.q, dtype=np.int64)
     x2, x3, counts = ctx.pow(xs, 2), ctx.pow(xs, 3), power_count_table(ctx, 2)
     step, total = max(1, BLOCK_CELLS // ctx.q), np.zeros(len(a2), dtype=np.int64)

@@ -3,11 +3,13 @@
 A field is --q, or --p with an optional --n (default 1), never both; its
 size cap is CHARSUM_SIZE_CAP.  Exit codes: 0 all reports match, 1 at least
 one mismatch, 2 invalid input (CliError or ValueError, a field's unmet
-congruence included).  JSON output is line-delimited with the fixed key set
-{q, e, d, a, b, formula_re, formula_im, oracle, match, disc, ms}; verify
-streams add a leading "case" key naming the checked identity/config.  CSV
-uses the same columns in the same order.  The "table" format is for humans
-and not schema-stable.  A verify suite is one entry of _SUITE_RUNNERS.
+congruence included), 141 (128 + SIGPIPE) the reader closed stdout early, as
+`| head` does, and nothing more was written.  JSON output is line-delimited
+with the fixed key set {q, e, d, a, b, formula_re, formula_im, oracle, match,
+disc, ms}; verify streams add a leading "case" key naming the checked
+identity/config.  CSV uses the same columns in the same order.  The "table"
+format is for humans and not schema-stable.  A verify suite is one entry of
+_SUITE_RUNNERS.
 `count` and the lennon, e34 and edwards suites run through _block_suite, and
 cubic-transform has its own blocks: _BLOCK_ROWS pairs or candidates, whatever
 q is, one array call of the oracle and of the closed form per block, and a
@@ -18,13 +20,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import os
 import random
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -43,7 +46,11 @@ class CliError(Exception):
 
 
 def _build_field(args):
-    size_cap = int(os.environ.get("CHARSUM_SIZE_CAP", DEFAULT_SIZE_CAP))
+    text = os.environ.get("CHARSUM_SIZE_CAP")
+    try:
+        size_cap = DEFAULT_SIZE_CAP if text is None else int(text)
+    except ValueError:
+        raise CliError(f"CHARSUM_SIZE_CAP must be an integer, got {text!r}") from None
     if args.q is not None:
         if args.p is not None or args.n is not None:
             raise CliError("--q conflicts with --p/--n; give one of them")
@@ -412,7 +419,11 @@ def _add_field_args(parser):
     parser.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every main call, built once per process.  It holds no
+    command function: main looks each up when it runs, so rebinding a cmd_*
+    function (as a tracer does) takes effect."""
     parser = argparse.ArgumentParser(
         prog="charsum",
         description="Finite-field character sums, hypergeometric series, and "
@@ -429,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--sweep", action="store_true", help="all (a, b) pairs")
     p_count.add_argument("--random", type=_count_arg, metavar="N",
                          help="N seeded random (a, b) pairs")
-    p_count.set_defaults(func=cmd_count)
 
     p_verify = sub.add_parser("verify", help="run an identity/formula suite")
     _add_field_args(p_verify)
@@ -439,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="section order for davenport-hasse")
     p_verify.add_argument("--count", type=_count_arg, default=100,
                           help="sample size for randomized suites")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate one sum/series value")
     p_eval.add_argument("what", choices=("gauss", "jacobi", "binom", "hf"))
@@ -451,22 +460,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--upper", type=str, help="upper exponent list (hf)")
     p_eval.add_argument("--lower", type=str, help="lower exponent list (hf)")
     p_eval.add_argument("--x", type=str, help="series argument element (hf)")
-    p_eval.set_defaults(func=cmd_eval)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    command = {"count": cmd_count, "verify": cmd_verify, "eval": cmd_eval}[args.command]
     emitter = _Emitter(args.format, sys.stdout)
     try:
-        args.func(args, emitter)
+        command(args, emitter)
+        sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's exit
     except (CliError, ValueError) as exc:  # FieldError and CongruenceError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except io.UnsupportedOperation:  # an in-memory stream
+            pass
+        else:  # the interpreter's final flush goes to devnull, not the closed pipe
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141
     return 0 if emitter.all_match else 1
 
 

@@ -159,20 +159,6 @@ def _oracle_tables(ctx: FieldCtx, e: int, d: int) -> tuple:
             ctx.cached("spread_exp2", _spread_planes, ctx, None))
 
 
-def _oracle_buffers(ctx: FieldCtx) -> np.ndarray:
-    """The per-field int64 work buffer of the oracles, (3, max(1, BLOCK_CELLS
-    // (q-1)), q-1): a block of curves, or one curve in [:, 0].
-
-    Writable scratch, not a table, so not through ctx.cached, which freezes;
-    oracle calls on one context must not overlap."""
-    buffer = ctx._cache.get("oracle_buffers")
-    if buffer is None:
-        L = ctx.q - 1
-        buffer = np.empty((3, max(1, BLOCK_CELLS // L), L), dtype=np.int64)
-        ctx._cache["oracle_buffers"] = buffer
-    return buffer
-
-
 def count_bruteforce(spec: CurveSpec) -> int | np.ndarray:
     """Affine point count by tabulating the e-th power class of each x-value.
 
@@ -182,25 +168,27 @@ def count_bruteforce(spec: CurveSpec) -> int | np.ndarray:
     the table the sum indexes.  For n = 1 that is one add and one gather from
     counts tiled three times (counts composed with s -> s mod p on [0, 3p-2));
     for n > 1 one add and one reduction gather per digit half, then one
-    gather from counts.  The arrays are the per-context buffer, so a warm call
-    allocates no length-(q-1) array, and calls on one context must not overlap.
-    Array a, b give an int64 array, BLOCK_CELLS cells at a time: one add per
-    row writes x^d + a*x into the buffer, and each other step is one call.
+    gather from counts.  A call reads the context's tables and writes only
+    arrays it allocates, so calls on one context may overlap.  Array a, b
+    give an int64 array, BLOCK_CELLS cells at a time: the call allocates one
+    (3, rows, q-1) work array and reuses it for every chunk, one add per row
+    writing x^d + a*x into it and each other step being one call.
     """
     ctx, b, e, d = spec.ctx, spec.b, spec.e, spec.d
     L = ctx.q - 1
     counts, gathers, xd, ex = ctx.cached(("oracle_tables", e, d), _oracle_tables, ctx, e, d)
-    buffer = _oracle_buffers(ctx)
+    offsets = (b,) if ctx.n == 1 else (ctx._spread_hi[b], ctx._spread_lo[b])
     if isinstance(b, np.ndarray):
-        step = buffer.shape[1]
-        offsets = (b,) if ctx.n == 1 else (ctx._spread_hi[b], ctx._spread_lo[b])
+        step = max(1, BLOCK_CELLS // L)
+        work = np.empty((3, min(step, b.size), L), dtype=np.int64)
         shifts, total = spec.dlogs[0].tolist(), counts[b]
         for i in range(0, b.size, step):
-            val, got, tmp = buffer[:, :min(step, b.size - i)]
+            val, got, tmp = work[:, :min(step, b.size - i)]
             for k, (table, offset, plane, rotated) in enumerate(zip(gathers, offsets, xd, ex)):
                 for row, s in zip(val, shifts[i:i + step]):
                     np.add(plane, rotated[s:s + L], out=row)
                 val += offset[i:i + step, None]
+                # mode="clip" writes straight to out ("raise" buffers it); indices lie in range
                 np.take(table, val, out=tmp if k else got, mode="clip")
             if ctx.n > 1:
                 got += tmp
@@ -208,18 +196,10 @@ def count_bruteforce(spec: CurveSpec) -> int | np.ndarray:
             total[i:i + step] += (got if ctx.n == 1 else tmp).sum(axis=1)
         return total
     s = spec.dlogs[0]
-    # three row views by index: unpacking buffer[:, 0] by iteration costs ~0.5 us more
-    idx, val, got = buffer[0, 0], buffer[1, 0], buffer[2, 0]
-    np.add(xd[0], ex[0][s:s + L], out=idx)
-    if ctx.n == 1:
-        # mode="clip" writes straight to out ("raise" buffers it); indices lie in range
-        np.take(gathers[0][b:], idx, out=got, mode="clip")
-    else:
-        np.take(ctx._red_hi[ctx._spread_hi[b]:], idx, out=val, mode="clip")
-        np.add(xd[1], ex[1][s:s + L], out=idx)
-        np.take(ctx._red_lo[ctx._spread_lo[b]:], idx, out=got, mode="clip")
-        val += got
-        np.take(counts, val, out=got, mode="clip")
+    got = np.take(gathers[0][offsets[0]:], xd[0] + ex[0][s:s + L], mode="clip")
+    if ctx.n > 1:
+        got += np.take(gathers[1][offsets[1]:], xd[1] + ex[1][s:s + L], mode="clip")
+        got = np.take(counts, got, mode="clip")
     return int(counts[b]) + int(got.sum())
 
 

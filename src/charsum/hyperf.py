@@ -6,9 +6,10 @@ one row of binomial coefficients binom(T^(a+k), T^(b+k)), built vectorized
 from the Gauss table and multiplied into the row product P.  At x = g^j the
 sum is q/(q-1) * sum_k P[k] exp(2*pi*i*k*j/(q-1)), so the series at every x
 at once is q times the inverse DFT of P: one FFT per parameter tuple, cached
-on the context, after which an evaluation is a table lookup, probed first
-under the exponents as given.  The rows are not kept.  The reference route
-binom_row_direct builds a row from Jacobi sums, by one scatter and one FFT.
+on the context, after which an evaluation is a table lookup, keyed by the
+checked exponent tuples of hf_params.  The rows are not kept.  The reference
+route binom_row_direct builds a row from Jacobi sums, by one scatter and one
+FFT.
 """
 
 from __future__ import annotations
@@ -60,13 +61,19 @@ def _series_table(ctx: FieldCtx, upper, lower) -> np.ndarray:
     return ctx.q * np.fft.ifft(_row_product(ctx, upper, lower, _shifted_row))
 
 
+class _Exponents(tuple):
+    """An exponent tuple that hf_params checked and reduced mod q-1."""
+
+    __slots__ = ()
+
+
 def hf_params(ctx: FieldCtx, upper, lower) -> tuple[tuple, tuple]:
     """(upper, lower) as tuples of exponents reduced mod q-1; ValueError
     unless every exponent is an int or numpy integer (not a bool) and upper
     has one more entry than lower."""
     L = ctx.q - 1
-    upper = tuple([_as_int("exponent", m) % L for m in upper])
-    lower = tuple([_as_int("exponent", m) % L for m in lower])
+    upper = _Exponents([_as_int("exponent", m) % L for m in upper])
+    lower = _Exponents([_as_int("exponent", m) % L for m in lower])
     _check_params(upper, lower)
     return upper, lower
 
@@ -75,17 +82,14 @@ def hf_table(ctx: FieldCtx, upper, lower) -> np.ndarray:
     """The series at x = g^j for every j in [0, q-2], cached per parameter tuple.
 
     Exponents are taken mod q-1, so equal characters share one table.  The
-    cache is probed under the exponents as given before they are reduced, so
-    a caller holding hf_params tuples (a closed-form plan) skips the
-    reduction and the exponent check; a probe that equals a cached key
-    (True or 1.0 for 1) reads that table unchecked.  The table is read-only.
+    tuples hf_params returned for this field (a closed-form plan holds them)
+    key the cache as they are; any other exponents go through hf_params
+    first, so a bool or a float is refused on every call, not only on the
+    first.  The table is read-only.
     """
-    upper, lower = tuple(upper), tuple(lower)
-    table = ctx._cache.get(("hf", upper, lower))
-    if table is None:
-        params = hf_params(ctx, upper, lower)
-        table = ctx.cached(("hf", *params), _series_table, ctx, *params)
-    return table
+    if not (type(upper) is _Exponents and type(lower) is _Exponents):
+        upper, lower = hf_params(ctx, upper, lower)
+    return ctx.cached(("hf", upper, lower), _series_table, ctx, upper, lower)
 
 
 def hf_eval(ctx: FieldCtx, upper, lower, x: int) -> complex:

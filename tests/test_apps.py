@@ -408,9 +408,14 @@ def test_non_integer_elements_are_refused(f13):
     for fn, args in calls:
         with pytest.raises(ValueError, match="elements of F_13"):
             fn(f13, *args)
-    # numpy integer scalars are elements
-    assert apps.cubic_count_bruteforce(f13, np.int64(1), 2) == apps.cubic_count_bruteforce(f13, 1, 2)
-    assert apps.edwards_count_bruteforce(f13, np.int64(2), 3) == apps.edwards_count_bruteforce(f13, 2, 3)
+    # numpy integer scalars, signed or unsigned, are elements, as they are to
+    # the closed forms
+    for t in (np.int64, np.uint8, np.uint64):
+        assert apps.cubic_count_bruteforce(f13, t(1), 2) == apps.cubic_count_bruteforce(f13, 1, 2)
+        assert apps.edwards_count_bruteforce(f13, t(2), 3) == \
+            apps.edwards_count_bruteforce(f13, 2, 3) == apps.edwards_count_formula(f13, t(2), 3)
+        assert apps.cubic_transform_admissible(f13, t(12), 4) == \
+            apps.cubic_transform_admissible(f13, 12, 4)
 
 
 def test_special_value_half():

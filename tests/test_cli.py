@@ -277,6 +277,41 @@ def test_size_cap_env_override():
     assert "size cap" in proc.stderr
 
 
+def test_size_cap_env_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("CHARSUM_SIZE_CAP", "1e5")
+    assert cli.main(["eval", "gauss", "--q", "13", "--m", "1"]) == 2
+    assert capsys.readouterr().err == "error: CHARSUM_SIZE_CAP must be an integer, got '1e5'\n"
+
+
+def test_closed_pipe_exits_141_quietly():
+    # the reader takes one line and closes the pipe: no traceback, and not
+    # exit 1, which means a mismatch
+    src_dir = os.path.dirname(os.path.dirname(charsum.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "charsum.cli", "count", "--q", "181", "--e", "2", "--d", "3",
+         "--sweep", "--format", "json"],
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_dir},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert json.loads(proc.stdout.readline())["match"] is True
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert code == 141
+    assert "Traceback" not in err and "Error" not in err
+
+
+def test_parser_is_built_once_per_process():
+    cli.build_parser.cache_clear()
+    argv = ["eval", "gauss", "--q", "13", "--m", "1"]
+    assert run_cli(argv) == run_cli(argv)
+    assert cli.build_parser.cache_info().misses == 1
+
+
 @pytest.mark.parametrize(
     "field",
     [["--q", "2305843009213693951"], ["--p", "2", "--n", "3000000"]],
@@ -340,7 +375,7 @@ def test_count_builds_gauss_table_before_first_row(monkeypatch):
     # the table builds belong to no row, so they must not land in block 1's ms
     seen = _spy_cache_keys(monkeypatch, curves, "count_bruteforce")
     built = {"gauss", ("count_plan", 3, 4), ("power_counts", 3), ("power_counts_tiled", 3),
-             ("spread_pow_by_exp", 4), "spread_exp2", "oracle_buffers"}
+             ("spread_pow_by_exp", 4), "spread_exp2"}
     code, _ = run_cli(["count", "--q", "37", "--e", "3", "--d", "4", "--random", "3",
                        "--seed", "1", "--format", "json"])
     assert code == 0

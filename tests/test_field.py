@@ -499,18 +499,22 @@ def test_cached_builds_once_and_freezes():
 
 @pytest.mark.parametrize("pn", [(13, 1), (5, 2)], ids=["13", "25"])
 def test_every_cached_table_is_read_only(pn):
-    from charsum import curves, hyperf, sums
+    from charsum import apps, curves, hyperf, sums
 
     ctx = make_field(*pn)
-    # a count (oracle and closed form), a series evaluation, a grid and a line
+    # a count (oracle and closed form) for one curve and an array of them, an
+    # array Edwards count, a series evaluation, a grid and a line
     spec = curves.CurveSpec(ctx, 2, 3, 1, 1)
     assert curves.count_theorem(spec) == curves.count_bruteforce(spec)
+    a, b = np.array([1, 2, 3]), np.array([4, 5, 6])
+    block = curves.CurveSpec(ctx, 2, 3, a, b)
+    assert (curves.count_theorem(block) == curves.count_bruteforce(block)).all()
+    apps.edwards_count_bruteforce(ctx, a, b)
     hyperf.hf_eval(ctx, [1, 5], [6], 2)
     assert sums.verify_identity(ctx, "jacobi-gauss").match
     assert sums.verify_identity(ctx, "binom-translate", a=2).match
-    # the oracle's buffers are writable scratch, not a table
-    keys = set(ctx._cache) - {"oracle_buffers"}
-    assert {"gauss", "theta", "unit_roots", "zech"} <= keys
+    keys = set(ctx._cache)
+    assert {"gauss", "theta", "unit_roots", "zech", "edwards_classes"} <= keys
     for key in keys:
         value = ctx._cache[key]
         # a plan's parameter tuples are immutable already; only arrays are frozen

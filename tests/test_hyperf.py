@@ -167,7 +167,7 @@ def test_table_cached_frozen_and_reduced(f13):
 
 
 def test_table_probe_takes_reduced_and_unreduced_exponents(f13):
-    # the cache is probed under the exponents as given; a miss reduces them
+    # exponents a caller gives are checked and reduced on every probe
     tab = hyperf.hf_table(f13, [1, 5], [6])
     assert hyperf.hf_params(f13, [13, -7], [18]) == ((1, 5), (6,))
     for upper, lower in (((1, 5), (6,)), ([1, 5], [6]), ([13, -7], [18]),
@@ -178,6 +178,25 @@ def test_table_probe_takes_reduced_and_unreduced_exponents(f13):
         hyperf.hf_eval(f13, [1, 5], [6, 2], 1)
     with pytest.raises(ValueError):
         hyperf.hf_eval(f13, (1, 5, 6), (), 1)
+
+
+def test_warm_probes_are_checked_and_plans_skip_the_check(monkeypatch):
+    from charsum import apps, curves
+
+    ctx = make_field(13)
+    want = hyperf.hf_eval(ctx, [1, 5], [6], 3)
+    for upper in ([True, 5], [1.0, 5]):
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            hyperf.hf_eval(ctx, upper, [6], 3)
+    assert hyperf.hf_eval(ctx, (1, 5), (6,), 3) == want
+    spec = curves.CurveSpec(ctx, 2, 3, 1, 2)
+    expected = curves.count_theorem(spec), apps.lennon_trace(ctx, 1, 2)
+
+    def refuse(*args):
+        raise AssertionError("hf_params called on a warm plan")
+
+    monkeypatch.setattr(hyperf, "hf_params", refuse)
+    assert (curves.count_theorem(spec), apps.lennon_trace(ctx, 1, 2)) == expected
 
 
 def test_binom_row_and_series_table_peak_memory():
