@@ -111,7 +111,6 @@ def edwards_count_bruteforce(ctx: FieldCtx, alpha, beta):
     if isinstance(alpha, np.ndarray) or isinstance(beta, np.ndarray):
         return _edwards_count_array(ctx, beta, *_unit_dlogs(ctx, alpha, beta, "alpha, beta"))
     _require(_in_field(ctx, alpha, beta), f"alpha, beta must be elements of F_{ctx.q}")
-    alpha, beta = int(alpha), int(beta)  # -x of a numpy unsigned scalar wraps
     x2 = ctx.pow(np.arange(ctx.q, dtype=np.int64), 2)
     u = ctx.add_vec(1, ctx.mul(x2, ctx.neg(beta)))
     w = ctx.add_vec(1, ctx.mul(x2, ctx.neg(alpha)))

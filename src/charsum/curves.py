@@ -148,11 +148,12 @@ def _spread_planes(ctx: FieldCtx, d: int | None) -> tuple[np.ndarray, ...]:
 
 def _oracle_tables(ctx: FieldCtx, e: int, d: int) -> tuple:
     """(counts, gathers, xd, ex) of count_bruteforce, gathers being the tables
-    a sum of spread planes indexes: tiled counts for n = 1, _red_hi, _red_lo
-    else.  count_bruteforce caches the record per (e, d): one lookup a call."""
+    a sum of spread planes indexes: counts[_red_hi] for n = 1, _red_hi and
+    _red_lo else.  count_bruteforce caches the record per (e, d): one lookup
+    a call."""
     counts = power_count_table(ctx, e)
     if ctx.n == 1:
-        gathers = (ctx.cached(("power_counts_tiled", e), np.resize, counts, 3 * ctx.p - 2),)
+        gathers = (ctx.cached(("power_counts_tiled", e), np.take, counts, ctx._red_hi),)
     else:
         gathers = (ctx._red_hi, ctx._red_lo)
     return (counts, gathers, ctx.cached(("spread_pow_by_exp", d), _spread_planes, ctx, d),
@@ -166,7 +167,7 @@ def count_bruteforce(spec: CurveSpec) -> int | np.ndarray:
     order: x^d + a*x + b is the sum of the spread planes of x^d and of exp
     rotated by dlog(a), plus the spread of b, which enters as an offset into
     the table the sum indexes.  For n = 1 that is one add and one gather from
-    counts tiled three times (counts composed with s -> s mod p on [0, 3p-2));
+    counts composed with the reduction table (counts[s mod p] on [0, 3p-2));
     for n > 1 one add and one reduction gather per digit half, then one
     gather from counts.  A call reads the context's tables and writes only
     arrays it allocates, so calls on one context may overlap.  Array a, b

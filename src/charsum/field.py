@@ -16,17 +16,18 @@ about log2(q) matrix products, and the trace, being F_p-linear, is the digit
 table of all indices times the traces of the basis elements t^j, which are
 the matrix traces of the C^j.  A context depends on (p, n) alone.
 
-Addition is digit-wise mod p with no carry between digits.  For n > 1 the
-digits split at k = n // 2, and each half of every element is re-read in
-base B = 3p - 2: spread_lo[x] and spread_hi[x] hold the low k and the high
-n - k digits of x as base-B integers.  A digit sum of up to three elements is
-at most 3(p - 1) = B - 1, so the spread values of up to three elements add as
-plain integers with no carry, and two reduction tables map the sums back:
-red_lo[s] reduces each base-B digit of s mod p (B^k entries) and red_hi does
-the same pre-scaled by P = p^k (B^(n-k) entries).  So x + y is
-red_hi[spread_hi[x] + spread_hi[y]] + red_lo[spread_lo[x] + spread_lo[y]],
-with 2q spread entries and B^k + B^(n-k) table entries (about 12,000 at
-F_{37^3}, 2q at F_{2^16}).
+Addition is digit-wise mod p with no carry between digits.  The digits split
+at k = n // 2 (for n = 1 the low half is empty), and each half of every
+element is re-read in base B = 3p - 2: spread_lo[x] and spread_hi[x] hold
+the low k and the high n - k digits of x as base-B integers.  A digit sum of
+up to three elements is at most 3(p - 1) = B - 1, so the spread values of up
+to three elements add as plain integers with no carry, and two reduction
+tables map the sums back: red_lo[s] reduces each base-B digit of s mod p
+(B^k entries) and red_hi does the same pre-scaled by P = p^k (B^(n-k)
+entries).  So x + y is red_hi[spread_hi[x] + spread_hi[y]] +
+red_lo[spread_lo[x] + spread_lo[y]], with 2q spread entries and B^k + B^(n-k)
+table entries (about 12,000 at F_{37^3}, 2q at F_{2^16}, 3p - 1 at F_p).
+Negation and the trace are table reads too, for every field.
 """
 
 from __future__ import annotations
@@ -178,14 +179,12 @@ def _find_generator(p: int, n: int, powers) -> tuple[int, np.ndarray]:
     raise FieldError("no generator found")  # unreachable for a true field
 
 
-def _reduction_table(p: int, B: int, m: int) -> np.ndarray:
-    """red[s] = sum_i (s_i mod p) * p^i over the m base-B digits s_i of s."""
-    s = np.arange(B**m, dtype=np.int64)
-    red = np.zeros_like(s)
-    for i in reversed(range(m)):  # Horner's rule, most significant digit first
-        red *= p
-        red += (s // B**i) % B % p
-    return red
+def _reduction_table(p: int, B: int, powers: range) -> np.ndarray:
+    """red[s] = sum_i (s_i mod p) * p^powers[i] over the base-B digits s_i of s."""
+    red = np.zeros(1, dtype=np.int64)
+    for j in powers:  # one outer sum per digit, most significant outermost: no division
+        red = np.add.outer(np.resize(np.arange(0, p ** (j + 1), p**j, dtype=np.int64), B), red)
+    return red.ravel()
 
 
 def _as_int(name: str, v) -> int:
@@ -196,6 +195,11 @@ def _as_int(name: str, v) -> int:
         except TypeError:
             pass
     raise FieldError(f"{name} must be an integer, got {v!r}")
+
+
+def _index(x):
+    """x as a Python int unless an array: numpy unsigned scalars overflow mod p."""
+    return x if isinstance(x, np.ndarray) else operator.index(x)
 
 
 def _gather(table: np.ndarray, x):
@@ -214,11 +218,11 @@ class FieldCtx:
         dlog: int64 array over all indices; dlog[0] = -1 sentinel.
         trace_tab: int64 array, absolute trace to F_p per index.
 
-    For n > 1, addition reads the spread-digit encoding of the module
-    docstring: _spread_lo and _spread_hi (length q) and the reduction tables
-    _red_lo and _red_hi (B^k and B^(n-k) entries, _red_hi pre-scaled by
-    p^k).  Sums of up to three elements fit the tables, so callers may
-    add three spread values before one reduction.
+    Addition reads the spread-digit encoding of the module docstring:
+    _spread_lo and _spread_hi (length q) and the reduction tables _red_lo
+    and _red_hi (B^k and B^(n-k) entries, _red_hi pre-scaled by p^k).  Sums
+    of up to three elements fit the tables, so callers may add three spread
+    values before one reduction.  Negation reads _neg_tab (length q).
     """
 
     def __init__(self, p: int, n: int, size_cap: int):
@@ -234,35 +238,28 @@ class FieldCtx:
         if not is_prime(p):
             raise FieldError(f"p = {p} is not prime")
         q = p**n
-        self.p = p
-        self.n = n
-        self.q = q
-        if n == 1:
-            self.modulus = powers = None
-        else:
-            self.modulus = _smallest_irreducible(p, n)
-            C = _companion(p, np.array([self.modulus[:n]]))
-            powers = np.concatenate([_matpow(C, j, p) for j in range(n)])  # x -> t^j * x
+        self.p, self.n, self.q = p, n, q
+        self.modulus = None if n == 1 else _smallest_irreducible(p, n)
+        # x -> t^j * x for j < n; F_p is F_p[t]/(t), where C = [[0]]
+        C = _companion(p, np.array([(self.modulus or (0, 1))[:n]]))
+        powers = np.concatenate([_matpow(C, j, p) for j in range(n)])
         self._pow_basis = [p**i for i in range(n)]
         self.g, M = _find_generator(p, n, powers)
         pow_basis = np.array(self._pow_basis, dtype=np.int64)
         self.exp, self.dlog = self._build_log_tables(M, pow_basis)
-        if n == 1:
-            self.trace_tab = np.arange(q, dtype=np.int64)
-        else:
-            # Digits of every index, narrow: the tables below are linear in them.
-            digits = np.empty((q, n), dtype=np.min_scalar_type(p - 1))
-            v = np.arange(q, dtype=np.int64)
-            for i in range(n):
-                v, digits[:, i] = np.divmod(v, p)
-            k = n // 2
-            B = 3 * p - 2
-            self._spread_lo = digits[:, :k] @ B ** np.arange(k, dtype=np.int64)
-            self._spread_hi = digits[:, k:] @ B ** np.arange(n - k, dtype=np.int64)
-            self._red_lo = _reduction_table(p, B, k)
-            self._red_hi = _reduction_table(p, B, n - k) * p**k
-            self._neg_tab = ((p - digits) % p) @ pow_basis
-            self.trace_tab = digits @ (np.trace(powers, axis1=1, axis2=2) % p) % p
+        # Digits of every index, narrow: the tables below are linear in them.
+        digits = np.empty((q, n), dtype=np.min_scalar_type(p - 1))
+        v = np.arange(q, dtype=np.int64)
+        for i in range(n):
+            v, digits[:, i] = np.divmod(v, p)
+        k = n // 2
+        B = 3 * p - 2
+        self._spread_lo = digits[:, :k] @ B ** np.arange(k, dtype=np.int64)
+        self._spread_hi = digits[:, k:] @ B ** np.arange(n - k, dtype=np.int64)
+        self._red_lo = _reduction_table(p, B, range(k))
+        self._red_hi = _reduction_table(p, B, range(k, n))
+        self._neg_tab = ((p - digits) % p) @ pow_basis
+        self.trace_tab = digits @ (np.trace(powers, axis1=1, axis2=2) % p) % p
         self._cache: dict = {}  # derived tables, written through cached()
 
     def cached(self, key, build, *args):
@@ -308,7 +305,7 @@ class FieldCtx:
 
     def to_coeffs(self, x: int) -> tuple[int, ...]:
         """Digit decomposition (c_0, ..., c_{n-1}) of an element index or int array."""
-        out = []
+        x, out = _index(x), []
         for _ in range(self.n):
             x, c = divmod(x, self.p)
             out.append(c)
@@ -317,50 +314,38 @@ class FieldCtx:
     def from_coeffs(self, coeffs) -> int:
         x = 0
         for c, b in zip(coeffs, self._pow_basis):
-            x += (c % self.p) * b
+            x += (_index(c) % self.p) * b
         return x
 
     def embed(self, k: int) -> int:
         """Embed an integer constant into the prime subfield."""
-        return k % self.p
+        return _index(k) % self.p
 
     # -- arithmetic -------------------------------------------------------------
-    # neg, mul, inv, div and pow take elements, giving a Python int, or int
-    # index arrays, giving an int64 array (mul and div broadcast).  Addition
-    # keeps two routes: add for elements, add_vec for arrays.
+    # neg, mul, inv, div, pow and trace take elements, giving a Python int, or
+    # int index arrays, giving an int64 array (mul and div broadcast).  add
+    # takes elements, add_vec index arrays.
 
     def add(self, x: int, y: int) -> int:
-        """x + y; for n > 1 through the spread-digit encoding."""
-        if self.n == 1:
-            return (x + y) % self.p
-        hi, lo = self._spread_hi, self._spread_lo
-        return int(self._red_hi[hi[x] + hi[y]] + self._red_lo[lo[x] + lo[y]])
+        """x + y through the spread-digit encoding."""
+        hi, lo = self._spread_hi.item, self._spread_lo.item
+        return self._red_hi.item(hi(x) + hi(y)) + self._red_lo.item(lo(x) + lo(y))
 
     def add_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Elementwise sum of reduced indices in [0, q); at least one an array.
-
-        For n > 1 through the spread-digit encoding.
-        """
+        """Elementwise sum of reduced indices in [0, q), through the
+        spread-digit encoding; at least one an array."""
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
-        if self.n == 1:
-            # As unsigned, s - p wraps above s iff s < p.  r, the later temporary,
-            # holds the result: freeing a later one let glibc trim the heap top.
-            s = (xs + ys).view(np.uint64)
-            r = s - np.uint64(self.p)
-            np.minimum(s, r, out=r)
-            return r.view(np.int64)
         hi, lo = self._spread_hi, self._spread_lo
         out = self._red_hi.take(hi.take(xs) + hi.take(ys))
         out += self._red_lo.take(lo.take(xs) + lo.take(ys))
         return out
 
     def neg(self, x):
-        if self.n == 1:
-            return (-x) % self.p
         return _gather(self._neg_tab, x)
 
     def sub(self, x: int, y: int) -> int:
+        """x - y, as x + (-y): table reads only, as add and neg."""
         return self.add(x, self.neg(y))
 
     def _exp_unless(self, k, zero):
@@ -394,9 +379,9 @@ class FieldCtx:
             raise ZeroDivisionError("dlog of zero")
         return int(self.dlog[x])
 
-    def trace(self, x: int) -> int:
+    def trace(self, x):
         """Absolute trace to F_p: x + x^p + ... + x^(p^(n-1))."""
-        return int(self.trace_tab[x])
+        return _gather(self.trace_tab, x)
 
     # -- iteration / misc --------------------------------------------------------
 

@@ -38,13 +38,6 @@ def binom_row_direct(ctx: FieldCtx, a: int, b: int) -> np.ndarray:
     return chars.char_at_minus_one(ctx, b + np.arange(L)) / ctx.q * (L * np.fft.ifft(H))
 
 
-def _check_params(upper, lower):
-    if len(upper) != len(lower) + 1:
-        raise ValueError(
-            f"need len(upper) == len(lower) + 1, got {len(upper)}/{len(lower)}"
-        )
-
-
 def _row_product(ctx: FieldCtx, upper, lower, row) -> np.ndarray:
     """P[k] = binom(T^(A_0+k), T^k) * prod_i binom(T^(A_i+k), T^(B_i+k)).
 
@@ -74,7 +67,8 @@ def hf_params(ctx: FieldCtx, upper, lower) -> tuple[tuple, tuple]:
     L = ctx.q - 1
     upper = _Exponents([_as_int("exponent", m) % L for m in upper])
     lower = _Exponents([_as_int("exponent", m) % L for m in lower])
-    _check_params(upper, lower)
+    if len(upper) != len(lower) + 1:
+        raise ValueError(f"need len(upper) == len(lower) + 1, got {len(upper)}/{len(lower)}")
     return upper, lower
 
 
@@ -110,7 +104,7 @@ def hf_direct(ctx: FieldCtx, upper, lower, x: int) -> complex:
     """The series at one element x, with every binomial from the defining
     Jacobi summation and the terms summed one by one: no cache and no FFT
     (slow; the reference route of hf_eval's tests)."""
-    _check_params(upper, lower)
+    upper, lower = hf_params(ctx, upper, lower)
     if x == 0:
         return 0j
     L = ctx.q - 1

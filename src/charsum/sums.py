@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chars
-from .field import TOL, FieldCtx, require_congruence, zech_table
+from .field import TOL, FieldCtx, _as_int, require_congruence, zech_table
 
 
 def gauss_table(ctx: FieldCtx) -> np.ndarray:
@@ -38,7 +38,7 @@ def _gauss(ctx: FieldCtx) -> np.ndarray:
 
 def gauss_sum(ctx: FieldCtx, m: int) -> complex:
     """G(T^m) from the cached table; index taken mod q-1."""
-    return complex(gauss_table(ctx)[m % (ctx.q - 1)])
+    return complex(gauss_table(ctx)[_as_int("exponent", m) % (ctx.q - 1)])
 
 
 def _one_minus_logs(ctx: FieldCtx) -> np.ndarray:
@@ -73,8 +73,7 @@ def jacobi_sum(ctx: FieldCtx, a: int, b: int) -> complex:
     """J(T^a, T^b), via the Gauss quotient when all of T^a, T^b, T^(a+b) are
     nontrivial, by direct summation otherwise."""
     L = ctx.q - 1
-    a %= L
-    b %= L
+    a, b = _as_int("exponent", a) % L, _as_int("exponent", b) % L
     if a and b and (a + b) % L:
         G = gauss_table(ctx)
         return complex(G[a] * G[b] / G[(a + b) % L])
@@ -103,7 +102,7 @@ def jacobi_multi(ctx: FieldCtx, exps) -> complex:
     otherwise the defining multi-sum via (n-1)-fold additive convolution.
     """
     L = ctx.q - 1
-    exps = [e % L for e in exps]
+    exps = [_as_int("exponent", e) % L for e in exps]
     if not exps:
         raise ValueError("need at least one character exponent")
     if len(exps) == 1:
@@ -122,6 +121,7 @@ def jacobi_multi(ctx: FieldCtx, exps) -> complex:
 
 def greene_binom(ctx: FieldCtx, a: int, b: int) -> complex:
     """Binomial coefficient (T^a over T^b) = T^b(-1)/q * J(T^a, T^-b)."""
+    b = _as_int("exponent", b)
     sign = chars.mul_char(ctx, b, ctx.minus_one())
     return sign / ctx.q * jacobi_sum(ctx, a, -b)
 

@@ -408,7 +408,8 @@ def test_add_matches_coefficientwise_seeded_pairs(p, n):
 
 
 @pytest.mark.parametrize(
-    "p,n", [(2, 5), (3, 3), (7, 4), (37, 3)], ids=["2^5", "3^3", "7^4", "37^3"],
+    "p,n", [(13, 1), (257, 1), (2, 5), (3, 3), (7, 4), (37, 3)],
+    ids=["13", "257", "2^5", "3^3", "7^4", "37^3"],
 )
 def test_three_operand_sums_reach_top_of_reduction_tables(p, n):
     # Sums of three spread values must stay inside the reduction tables; the
@@ -426,6 +427,54 @@ def test_three_operand_sums_reach_top_of_reduction_tables(p, n):
     want = [coeffwise_add(ctx, coeffwise_add(ctx, int(x), int(y)), int(z)) for x, y, z in xs.T]
     assert got.tolist() == want
     assert want[0] == sum((3 * (p - 1) % p) * p**i for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "p,n", [(2, 1), (13, 1), (257, 1), (3, 2), (2, 4), (3, 3), (2, 5), (7, 4), (3, 8),
+            (3, 9), (37, 3), (3, 10), (2, 16)],
+    ids=["2", "13", "257", "9", "16", "27", "32", "7^4", "3^8", "3^9", "37^3", "3^10", "2^16"],
+)
+def test_reduction_tables_match_definition(p, n):
+    # red[s] = sum_i (s_i mod p) p^i over the base-B digits s_i of s, entry by
+    # entry; the hi table is scaled by p^k
+    ctx = field(p, n)
+    B, k = 3 * p - 2, n // 2
+    for table, m, scale in ((ctx._red_lo, k, 1), (ctx._red_hi, n - k, p**k)):
+        s = np.arange(B**m, dtype=np.int64)
+        want = np.zeros(B**m, dtype=np.int64)
+        for i in range(m):
+            want += (s // B**i % B % p) * p**i
+        assert table.tolist() == (want * scale).tolist()
+
+
+@pytest.mark.parametrize("dtype", [int, np.int64, np.uint8, np.uint16, np.uint64])
+@pytest.mark.parametrize("p", [13, 257])
+def test_prime_field_ops_take_any_integer_scalar(p, dtype):
+    # add, sub and neg read tables, so the dtype of an index never enters the
+    # arithmetic: mod-p arithmetic on numpy unsigned scalars wraps or overflows
+    ctx = field(p)
+    top = p - 1 if dtype is int else min(p - 1, int(np.iinfo(dtype).max))
+    vals = sorted(v for v in {0, 1, 2, 5, 100, 200, p // 2, top - 1, top} if v <= top)
+    for x in vals:
+        assert ctx.neg(dtype(x)) == (-x) % p and type(ctx.neg(dtype(x))) is int
+        for y in vals:
+            for got in (ctx.add(dtype(x), dtype(y)), ctx.add(x, dtype(y))):
+                assert got == (x + y) % p and type(got) is int
+            assert ctx.sub(dtype(x), dtype(y)) == (x - y) % p
+    arr = np.array(vals, dtype=dtype)
+    assert ctx.neg(arr).tolist() == [(-x) % p for x in vals]
+    assert ctx.add_vec(arr[:, None], arr).tolist() == [[(x + y) % p for y in vals] for x in vals]
+    assert ctx.add_vec(1, arr).tolist() == [(1 + x) % p for x in vals]
+
+
+def test_codec_takes_numpy_unsigned_scalars():
+    ctx = field(257)
+    assert ctx.embed(np.uint8(200)) == 200 and ctx.embed(np.uint16(300)) == 43
+    big = make_field(257, 2, size_cap=2**17)
+    assert big.to_coeffs(np.uint8(200)) == (200, 0)
+    assert big.to_coeffs(np.uint64(big.q - 1)) == (256, 256)
+    x = big.from_coeffs([np.uint8(3), np.uint8(4)])
+    assert x == 3 + 4 * 257 and type(x) is int
 
 
 def test_addition_tables_bounded_at_odd_degree():

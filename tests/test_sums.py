@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import charsum
-from charsum import chars, make_field, sums
+from charsum import chars, hyperf, make_field, sums
 
 from conftest import field
 
@@ -637,3 +637,26 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) // 1024)
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 100  # MB of peak RSS growth
+
+
+@pytest.mark.parametrize(
+    "fn,bad,good",
+    [
+        (sums.gauss_sum, (1.5,), (np.uint8(1),)),
+        (sums.jacobi_sum, (1.0, 2), (np.uint8(1), np.int64(2))),
+        (sums.jacobi_multi, ([1.0, 2, 3],), ([np.uint8(1), 2, np.int32(3)],)),
+        (sums.greene_binom, (True, 2), (np.uint8(1), np.uint8(2))),
+        (sums.greene_binom, (1, False), (1, np.uint16(0))),
+        (hyperf.hf_direct, ([True, 5], [6], 3), ([np.uint8(1), 5], [np.int64(6)], 3)),
+        (hyperf.hf_direct, ([1.0, 5], [6], 3), ([1, 5], [6], np.uint8(3))),
+    ],
+    ids=["gauss_sum", "jacobi_sum", "jacobi_multi", "greene_binom-top", "greene_binom-bottom",
+         "hf_direct-bool", "hf_direct-float"],
+)
+def test_sum_entry_points_take_the_integer_rule(f13, fn, bad, good):
+    # a float or bool exponent raises ValueError; numpy integers, unsigned
+    # ones too, give the value of the same Python ints
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        fn(f13, *bad)
+    ints = [[int(v) for v in a] if isinstance(a, list) else int(a) for a in good]
+    assert fn(f13, *good) == fn(f13, *ints)
