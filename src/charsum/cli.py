@@ -193,7 +193,11 @@ def _random_unit_pairs(q, rng, count, distinct=False):
     """The first count pairs of rng.randrange(1, q) (a != b if distinct), in
     (a, b) blocks.  randrange(1, q) is 1 + the first getrandbits(k) below
     q - 1, k = (q-1).bit_length(), which is one 32-bit word >> (32 - k), and
-    getrandbits(32*m) gives m words, the first drawn least significant."""
+    getrandbits(32*m) gives m words, the first drawn least significant.
+    Raises ValueError for count > 0 distinct pairs at q < 3, whose only unit
+    pair is (1, 1)."""
+    if distinct and count and q < 3:
+        raise ValueError(f"no distinct pair of units at q = {q}")
     shift, size = 32 - (q - 1).bit_length(), 16 * _BLOCK_ROWS  # 4 words a row, half or more kept
     units, pairs = np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.int64)
     while count:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chars, hyperf, sums
-from .field import TOL, CongruenceError, FieldCtx, require_congruence
+from .field import TOL, CongruenceError, FieldCtx, require_congruence, zech_table
 
 ROUND_GUARD = 0.01
 # Oracle cells (curves times q-1) that count_bruteforce holds at once for
@@ -136,72 +136,77 @@ def _power_counts(ctx: FieldCtx, e: int) -> np.ndarray:
     return np.bincount(ctx.pow(np.arange(ctx.q, dtype=np.int64), e), minlength=ctx.q)
 
 
-def _spread_planes(ctx: FieldCtx, d: int | None) -> tuple[np.ndarray, ...]:
-    """Spread planes of x^d at x = g^k for k in [0, q-2] or, with d None, of
-    exp written twice over (exp rotated by s is its slice [s:s+q-1]): (xs,)
-    for n = 1, where the spread of x is x itself, and (spread_hi[xs],
-    spread_lo[xs]) else."""
-    L = ctx.q - 1
-    xs = np.tile(ctx.exp, 2) if d is None else ctx.exp[(d * np.arange(L, dtype=np.int64)) % L]
-    return (xs,) if ctx.n == 1 else (ctx._spread_hi[xs], ctx._spread_lo[xs])
-
-
 def _oracle_tables(ctx: FieldCtx, e: int, d: int) -> tuple:
-    """(counts, gathers, xd, ex) of count_bruteforce, gathers being the tables
-    a sum of spread planes indexes: counts[_red_hi] for n = 1, _red_hi and
-    _red_lo else.  count_bruteforce caches the record per (e, d): one lookup
-    a call."""
+    """count_bruteforce's record for (e, d), one cache lookup a call: counts,
+    then for n = 1 counts tiled to 3p - 2, x^d at x = g^k and exp twice over;
+    for n > 1 C (counts[g^m] for m in [0, 3(q-1)), then q-1 ones), Z (zech
+    three times over, -1 read as 3(q-1), then 2(q-1) zeros), k and (d-1)k."""
     counts = power_count_table(ctx, e)
+    L = ctx.q - 1
+    k = np.arange(L, dtype=np.int64)
     if ctx.n == 1:
-        gathers = (ctx.cached(("power_counts_tiled", e), np.take, counts, ctx._red_hi),)
-    else:
-        gathers = (ctx._red_hi, ctx._red_lo)
-    return (counts, gathers, ctx.cached(("spread_pow_by_exp", d), _spread_planes, ctx, d),
-            ctx.cached("spread_exp2", _spread_planes, ctx, None))
+        return (counts, ctx.cached(("power_counts_tiled", e), np.resize, counts, 3 * ctx.p - 2),
+                ctx.cached(("pow_by_exp", d), np.take, ctx.exp, d * k % L),
+                ctx.cached("exp2", np.tile, ctx.exp, 2))
+    zech = zech_table(ctx)
+    return (counts, np.concatenate((np.tile(counts[ctx.exp], 3), np.ones(L, dtype=np.int64))),
+            np.concatenate((np.tile(np.where(zech < 0, 3 * L, zech), 3),
+                            np.zeros(2 * L, dtype=np.int64))), k, (d - 1) * k % L)
 
 
 def count_bruteforce(spec: CurveSpec) -> int | np.ndarray:
     """Affine point count by tabulating the e-th power class of each x-value.
 
-    x = 0 contributes counts[b].  The units x = g^k are summed in generator
-    order: x^d + a*x + b is the sum of the spread planes of x^d and of exp
-    rotated by dlog(a), plus the spread of b, which enters as an offset into
-    the table the sum indexes.  For n = 1 that is one add and one gather from
-    counts composed with the reduction table (counts[s mod p] on [0, 3p-2));
-    for n > 1 one add and one reduction gather per digit half, then one
-    gather from counts.  A call reads the context's tables and writes only
-    arrays it allocates, so calls on one context may overlap.  Array a, b
-    give an int64 array, BLOCK_CELLS cells at a time: the call allocates one
-    (3, rows, q-1) work array and reuses it for every chunk, one add per row
-    writing x^d + a*x into it and each other step being one call.
+    x = 0 contributes counts[b]; the units x = g^k are summed in generator
+    order on the tables of _oracle_tables.  On a prime field x^d + a*x + b is
+    the integer sum of x^d, exp rotated by dlog(a) and b, below 3p - 2, where
+    the tiled counts reduce it mod p.  On an extension field f = x^d + a*x + b
+    is read by its dlog: Z gives dlog(x^d + a*x) = la + k + zech[(d-1)k - la],
+    then dlog f = lb + zech[dlog(x^d + a*x) - lb], where C is read.  Z's
+    sentinels: x^d + a*x = 0 gives 3(q-1) + k, read next as 0 (f = b), and
+    f = 0 gives 3(q-1), where C reads 1.  Calls write only arrays they
+    allocate, so calls on one context may overlap.  Array a, b give an int64
+    array, BLOCK_CELLS cells at a time in one (3, rows, q-1) work array.
     """
-    ctx, b, e, d = spec.ctx, spec.b, spec.e, spec.d
+    ctx, b = spec.ctx, spec.b
     L = ctx.q - 1
-    counts, gathers, xd, ex = ctx.cached(("oracle_tables", e, d), _oracle_tables, ctx, e, d)
-    offsets = (b,) if ctx.n == 1 else (ctx._spread_hi[b], ctx._spread_lo[b])
-    if isinstance(b, np.ndarray):
-        step = max(1, BLOCK_CELLS // L)
-        work = np.empty((3, min(step, b.size), L), dtype=np.int64)
-        shifts, total = spec.dlogs[0].tolist(), counts[b]
-        for i in range(0, b.size, step):
-            val, got, tmp = work[:, :min(step, b.size - i)]
-            for k, (table, offset, plane, rotated) in enumerate(zip(gathers, offsets, xd, ex)):
-                for row, s in zip(val, shifts[i:i + step]):
-                    np.add(plane, rotated[s:s + L], out=row)
-                val += offset[i:i + step, None]
-                # mode="clip" writes straight to out ("raise" buffers it); indices lie in range
-                np.take(table, val, out=tmp if k else got, mode="clip")
-            if ctx.n > 1:
-                got += tmp
-                np.take(counts, got, out=tmp, mode="clip")
-            total[i:i + step] += (got if ctx.n == 1 else tmp).sum(axis=1)
-        return total
-    s = spec.dlogs[0]
-    got = np.take(gathers[0][offsets[0]:], xd[0] + ex[0][s:s + L], mode="clip")
-    if ctx.n > 1:
-        got += np.take(gathers[1][offsets[1]:], xd[1] + ex[1][s:s + L], mode="clip")
-        got = np.take(counts, got, mode="clip")
-    return int(counts[b]) + int(got.sum())
+    counts, *tables = ctx.cached(("oracle_tables", spec.e, spec.d), _oracle_tables,
+                                 ctx, spec.e, spec.d)
+    la, lb = spec.dlogs
+    if not isinstance(b, np.ndarray):
+        if ctx.n == 1:
+            tiled, xd, ex = tables
+            got = np.take(tiled[b:], xd + ex[la:la + L], mode="clip")
+        else:
+            C, Z, k, dk = tables
+            z = Z[L - la:].take(dk)
+            z += k
+            got = C[lb:].take(Z[(la - lb) % L:].take(z))
+        return int(counts[b]) + int(got.sum())
+    step = max(1, BLOCK_CELLS // L)
+    work = np.empty((3, min(step, b.size), L), dtype=np.int64)
+    total = counts[b]
+    for i in range(0, b.size, step):
+        j = slice(i, i + step)
+        val, got, tmp = work[:, :len(b[j])]
+        if ctx.n == 1:
+            tiled, xd, ex = tables
+            for row, s in zip(val, la[j].tolist()):
+                np.add(xd, ex[s:s + L], out=row)
+            val += b[j, None]
+            # mode="clip" writes straight to out ("raise" buffers it); indices lie in range
+            np.take(tiled, val, out=got, mode="clip")
+        else:
+            C, Z, k, dk = tables
+            np.add(dk, (L - la[j])[:, None], out=val)
+            np.take(Z, val, out=tmp, mode="clip")
+            tmp += k
+            tmp += ((la[j] - lb[j]) % L)[:, None]
+            np.take(Z, tmp, out=val, mode="clip")
+            val += lb[j, None]
+            np.take(C, val, out=got, mode="clip")
+        total[j] += got.sum(axis=1)
+    return total
 
 
 def _coeff_mulmod(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:

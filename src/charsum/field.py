@@ -16,18 +16,13 @@ about log2(q) matrix products, and the trace, being F_p-linear, is the digit
 table of all indices times the traces of the basis elements t^j, which are
 the matrix traces of the C^j.  A context depends on (p, n) alone.
 
-Addition is digit-wise mod p with no carry between digits.  The digits split
-at k = n // 2 (for n = 1 the low half is empty), and each half of every
-element is re-read in base B = 3p - 2: spread_lo[x] and spread_hi[x] hold
-the low k and the high n - k digits of x as base-B integers.  A digit sum of
-up to three elements is at most 3(p - 1) = B - 1, so the spread values of up
-to three elements add as plain integers with no carry, and two reduction
-tables map the sums back: red_lo[s] reduces each base-B digit of s mod p
-(B^k entries) and red_hi does the same pre-scaled by P = p^k (B^(n-k)
-entries).  So x + y is red_hi[spread_hi[x] + spread_hi[y]] +
-red_lo[spread_lo[x] + spread_lo[y]], with 2q spread entries and B^k + B^(n-k)
-table entries (about 12,000 at F_{37^3}, 2q at F_{2^16}, 3p - 1 at F_p).
-Negation and the trace are table reads too, for every field.
+Every field operation is dlog arithmetic on those tables.  Products and
+powers add and scale dlogs; sums use the Zech logarithms zech[t] =
+dlog(1 + g^t), so that g^i + g^j = g^(i + zech[j - i]), the sum being 0
+where zech reads -1; -x is g^(dlog x + dlog(-1)).  The Zech table is built
+from exp alone, on first use: 1 + x adds 1 to the constant digit.  The
+trace is a table read too.  So a context holds exp, dlog, the trace table
+and, once built, zech: four int64 arrays of about q entries.
 """
 
 from __future__ import annotations
@@ -57,13 +52,14 @@ def require_congruence(ctx: FieldCtx, m: int):
 
 def zech_table(ctx: FieldCtx) -> np.ndarray:
     """The Zech logarithms zech[t] = dlog(1 + g^t) for t in [0, q-2], -1 at
-    the one t where 1 + g^t = 0; cached on ctx, built by one add_vec on the
-    first call.  dlog(1 - g^m) is zech[m + dlog(-1)], index mod q-1."""
+    the one t where 1 + g^t = 0; cached on ctx, built from exp on the first
+    call.  dlog(1 - g^m) is zech[m + dlog(-1)], index mod q-1."""
     return ctx.cached("zech", _zech, ctx)
 
 
 def _zech(ctx: FieldCtx) -> np.ndarray:
-    return ctx.dlog[ctx.add_vec(1, ctx.exp)]
+    x, p = ctx.exp, ctx.p  # 1 + x adds 1 to the constant digit, the least significant
+    return ctx.dlog[x - x % p + (x + 1) % p]
 
 
 def is_prime(n: int) -> bool:
@@ -179,14 +175,6 @@ def _find_generator(p: int, n: int, powers) -> tuple[int, np.ndarray]:
     raise FieldError("no generator found")  # unreachable for a true field
 
 
-def _reduction_table(p: int, B: int, powers: range) -> np.ndarray:
-    """red[s] = sum_i (s_i mod p) * p^powers[i] over the base-B digits s_i of s."""
-    red = np.zeros(1, dtype=np.int64)
-    for j in powers:  # one outer sum per digit, most significant outermost: no division
-        red = np.add.outer(np.resize(np.arange(0, p ** (j + 1), p**j, dtype=np.int64), B), red)
-    return red.ravel()
-
-
 def _as_int(name: str, v) -> int:
     """v as a Python int: an int or numpy integer, not a bool."""
     if not isinstance(v, bool):
@@ -224,11 +212,8 @@ class FieldCtx:
         dlog: int64 array over all indices; dlog[0] = -1 sentinel.
         trace_tab: int64 array, absolute trace to F_p per index.
 
-    Addition reads the spread-digit encoding of the module docstring:
-    _spread_lo and _spread_hi (length q) and the reduction tables _red_lo
-    and _red_hi (B^k and B^(n-k) entries, _red_hi pre-scaled by p^k).  Sums
-    of up to three elements fit the tables, so callers may add three spread
-    values before one reduction.  Negation reads _neg_tab (length q).
+    Addition and negation are dlog arithmetic, as products are: sums read
+    the Zech table of zech_table, cached through cached() on the first add.
     """
 
     def __init__(self, p: int, n: int, size_cap: int):
@@ -253,18 +238,12 @@ class FieldCtx:
         self.g, M = _find_generator(p, n, powers)
         pow_basis = np.array(self._pow_basis, dtype=np.int64)
         self.exp, self.dlog = self._build_log_tables(M, pow_basis)
-        # Digits of every index, narrow: the tables below are linear in them.
+        self._dlog_neg1 = (q - 1) // 2 if p > 2 else 0  # -1 has order 2, or is 1
+        # Digits of every index, narrow: the trace is linear in them.
         digits = np.empty((q, n), dtype=np.min_scalar_type(p - 1))
         v = np.arange(q, dtype=np.int64)
         for i in range(n):
             v, digits[:, i] = np.divmod(v, p)
-        k = n // 2
-        B = 3 * p - 2
-        self._spread_lo = digits[:, :k] @ B ** np.arange(k, dtype=np.int64)
-        self._spread_hi = digits[:, k:] @ B ** np.arange(n - k, dtype=np.int64)
-        self._red_lo = _reduction_table(p, B, range(k))
-        self._red_hi = _reduction_table(p, B, range(k, n))
-        self._neg_tab = ((p - digits) % p) @ pow_basis
         self.trace_tab = digits @ (np.trace(powers, axis1=1, axis2=2) % p) % p
         self._cache: dict = {}  # derived tables, written through cached()
 
@@ -336,27 +315,28 @@ class FieldCtx:
     # numpy indexing gives.
 
     def add(self, x: int, y: int) -> int:
-        """x + y through the spread-digit encoding."""
-        hi = _gather(self._spread_hi, x) + _gather(self._spread_hi, y)  # checks x and y
-        lo = self._spread_lo.item(x) + self._spread_lo.item(y)
-        return self._red_hi.item(hi) + self._red_lo.item(lo)
+        """x + y = g^(i + zech[j - i]) for x = g^i, y = g^j; a zero operand
+        gives the other."""
+        i, j = _gather(self.dlog, x), _gather(self.dlog, y)  # checks x and y
+        if i < 0 or j < 0:
+            return operator.index(y if i < 0 else x)
+        z = zech_table(self).item((j - i) % (self.q - 1))
+        return self._exp_unless(i + z, z < 0)
 
     def add_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Elementwise sum of reduced indices in [0, q), through the
-        spread-digit encoding; at least one an array."""
+        """Elementwise sum of reduced indices in [0, q), broadcast, as add
+        reads it; at least one an array."""
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
-        hi, lo = self._spread_hi, self._spread_lo
-        out = self._red_hi.take(hi.take(xs) + hi.take(ys))
-        if len(self._red_lo) > 1:  # B^k entries: an empty low half (k = 0) adds 0
-            out += self._red_lo.take(lo.take(xs) + lo.take(ys))
-        return out
+        i, j = self.dlog[xs], self.dlog[ys]
+        z = zech_table(self)[(j - i) % (self.q - 1)]
+        return np.where(i < 0, ys, np.where(j < 0, xs, self._exp_unless(i + z, z < 0)))
 
     def neg(self, x):
-        return _gather(self._neg_tab, x)
+        return self._exp_unless(_gather(self.dlog, x) + self._dlog_neg1, x == 0)
 
     def sub(self, x: int, y: int) -> int:
-        """x - y, as x + (-y): table reads only, as add and neg."""
+        """x - y, as x + (-y)."""
         return self.add(x, self.neg(y))
 
     def _exp_unless(self, k, zero):

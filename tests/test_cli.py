@@ -375,7 +375,7 @@ def test_count_builds_gauss_table_before_first_row(monkeypatch):
     # the table builds belong to no row, so they must not land in block 1's ms
     seen = _spy_cache_keys(monkeypatch, curves, "count_bruteforce")
     built = {"gauss", ("count_plan", 3, 4), ("power_counts", 3), ("power_counts_tiled", 3),
-             ("spread_pow_by_exp", 4), "spread_exp2"}
+             ("pow_by_exp", 4), "exp2"}
     code, _ = run_cli(["count", "--q", "37", "--e", "3", "--d", "4", "--random", "3",
                        "--seed", "1", "--format", "json"])
     assert code == 0
@@ -441,8 +441,12 @@ def test_bulk_draw_is_the_randrange_stream(q, distinct):
     # The blocks come from getrandbits words, not from randrange: this pins
     # CPython's word order.  At q = 17 and 257, q - 1 is a power of two and
     # about half the words are drawn again; k = (q-1).bit_length() runs from 1
-    # (q = 2) to 16 (q = 65536).  At q = 2 the only pair has a = b.
+    # (q = 2) to 16 (q = 65536).  At q = 2 the only pair has a = b, so the
+    # distinct rule refuses a pair rather than draw forever.
     for seed in (0, 1, 2**40):
+        if q == 2 and distinct:
+            with pytest.raises(ValueError, match="no distinct pair"):
+                list(cli._random_unit_pairs(q, random.Random(seed), 1, distinct))
         for count in (0, 1, 1023, 1024, 1025) if q > 2 or not distinct else (0,):
             blocks = list(cli._random_unit_pairs(q, random.Random(seed), count, distinct))
             assert [len(a) for a, _ in blocks] == [

@@ -388,7 +388,7 @@ def test_scalar_add_neg_match_coefficientwise(p, n):
     assert_add_matches_coefficientwise(ctx, xs[:, None], xs[None, :])
 
 
-# -- the spread-digit encoding on larger fields --------------------------------
+# -- addition on larger fields ------------------------------------------------
 
 @pytest.mark.parametrize(
     "p,n", [(7, 4), (3, 8), (3, 9), (2, 16), (37, 3)],
@@ -408,43 +408,21 @@ def test_add_matches_coefficientwise_seeded_pairs(p, n):
 
 
 @pytest.mark.parametrize(
-    "p,n", [(13, 1), (257, 1), (2, 5), (3, 3), (7, 4), (37, 3)],
-    ids=["13", "257", "2^5", "3^3", "7^4", "37^3"],
-)
-def test_three_operand_sums_reach_top_of_reduction_tables(p, n):
-    # Sums of three spread values must stay inside the reduction tables; the
-    # element with every digit p - 1 reads the last entry of each.
-    ctx = field(p, n)
-    B, k = 3 * p - 2, n // 2
-    assert (len(ctx._red_lo), len(ctx._red_hi)) == (B**k, B ** (n - k))
-    rng = np.random.default_rng(ctx.q)
-    xs = rng.integers(0, ctx.q, (3, 300))
-    xs[:, 0] = ctx.q - 1
-    hi = ctx._spread_hi[xs].sum(axis=0)
-    lo = ctx._spread_lo[xs].sum(axis=0)
-    assert (hi[0], lo[0]) == (B ** (n - k) - 1, B**k - 1)
-    got = ctx._red_hi[hi] + ctx._red_lo[lo]
-    want = [coeffwise_add(ctx, coeffwise_add(ctx, int(x), int(y)), int(z)) for x, y, z in xs.T]
-    assert got.tolist() == want
-    assert want[0] == sum((3 * (p - 1) % p) * p**i for i in range(n))
-
-
-@pytest.mark.parametrize(
     "p,n", [(2, 1), (13, 1), (257, 1), (3, 2), (2, 4), (3, 3), (2, 5), (7, 4), (3, 8),
             (3, 9), (37, 3), (3, 10), (2, 16)],
     ids=["2", "13", "257", "9", "16", "27", "32", "7^4", "3^8", "3^9", "37^3", "3^10", "2^16"],
 )
-def test_reduction_tables_match_definition(p, n):
-    # red[s] = sum_i (s_i mod p) p^i over the base-B digits s_i of s, entry by
-    # entry; the hi table is scaled by p^k
+def test_zech_table_matches_definition(p, n):
+    # g^zech[t] is g^t with 1 added to the constant coefficient of its digit
+    # vector, entry by entry, and zech is -1 at the one t where that is 0
     ctx = field(p, n)
-    B, k = 3 * p - 2, n // 2
-    for table, m, scale in ((ctx._red_lo, k, 1), (ctx._red_hi, n - k, p**k)):
-        s = np.arange(B**m, dtype=np.int64)
-        want = np.zeros(B**m, dtype=np.int64)
-        for i in range(m):
-            want += (s // B**i % B % p) * p**i
-        assert table.tolist() == (want * scale).tolist()
+    zech = zech_table(ctx)
+    digits = np.array(ctx.to_coeffs(ctx.exp))
+    digits[0] = (digits[0] + 1) % p
+    one_plus = ctx.from_coeffs(digits)
+    unit = zech >= 0
+    assert np.array_equal(ctx.exp[zech[unit]], one_plus[unit])
+    assert np.count_nonzero(~unit) == 1 and one_plus[~unit].tolist() == [0]
 
 
 @pytest.mark.parametrize("dtype", [int, np.int64, np.uint8, np.uint16, np.uint64])
@@ -515,18 +493,20 @@ def test_codec_takes_numpy_unsigned_scalars():
     assert x == 3 + 4 * 257 and type(x) is int
 
 
-def test_addition_tables_bounded_at_odd_degree():
-    # Half-digit sum tables would hold q(p + 1/p) entries here, the most under
-    # the default cap; the reduction tables hold B + B^2 (B = 109), next to
-    # the O(q) exp, dlog, trace, negation and spread arrays.
+@pytest.mark.parametrize("p,n", [(65521, 1), (3, 8), (2, 16)], ids=["65521", "3^8", "2^16"])
+def test_field_keeps_four_tables_of_q_entries(p, n):
+    # exp, dlog, the trace table and the Zech table, 32 bytes per element;
+    # addition and negation keep no table of their own
     tracemalloc.start()
     try:
-        ctx = make_field(37, 3)
+        ctx = make_field(p, n)
+        zech_table(ctx)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(ctx._red_lo) + len(ctx._red_hi) == 109 + 109**2
-    assert retained < 4_000_000
+    assert retained <= 33 * ctx.q
+    assert {k for k, v in vars(ctx).items() if isinstance(v, np.ndarray)} == \
+        {"exp", "dlog", "trace_tab"}
 
 
 # -- the size cap: fields that took a minute to build before the tables were
