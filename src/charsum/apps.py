@@ -12,8 +12,7 @@ arrays for (a, b) or (alpha, beta) (and the branch), in one body.  Lennon's
 trace, the (3, 4) trace and the Edwards series are per-field plans, records
 of Python terms (curves._make_plan) that curves._plan_value reads for ints
 and arrays in one loop; the shifted-cubic functions read two of them at
-parameters whose dlogs come from dlog a, dlog b through the Zech table.  The
-Edwards oracle allocates one work array per call for arrays.
+parameters whose dlogs come from dlog a, dlog b through the Zech table.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ def _require(cond: bool, msg: str):
 def _in_field(ctx: FieldCtx, *xs) -> bool:
     """Whether every x is an int (a numpy integer scalar included, a bool not)
     or a signed-int array, with entries in [0, q)."""
-    return all(x.dtype.kind == "i" and ((x >= 0) & (x < ctx.q)).all()
+    return all(x.dtype.kind == "i" and (not x.size or 0 <= x.min() and x.max() < ctx.q)
                if isinstance(x, np.ndarray) else type(x) in _INT_TYPES and 0 <= x < ctx.q
                for x in xs)
 
@@ -99,55 +98,44 @@ def e34_trace(ctx: FieldCtx, a, b):
 # Twisted Edwards curves alpha*x^2 + y^2 = 1 + beta*x^2*y^2
 # ---------------------------------------------------------------------------
 
+def _edwards_classes(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(chi, two_k, s): chi[t] = counts[1 + g^t] - 1, the quadratic character
+    of 1 + g^t (0 everywhere for even q), for t in [0, 2(q-1)), the index taken
+    mod q-1, then q-1 entries of chi(1) = counts[1] - 1, where counts =
+    power_count_table(ctx, 2); two_k = 2k mod q-1; s[x] = dlog(-x), and 2(q-1)
+    at x = 0."""
+    L = ctx.q - 1
+    counts = power_count_table(ctx, 2)
+    chi = counts[ctx.add_vec(1, ctx.exp)] - 1
+    s = (ctx.dlog + ctx.dlog_of(ctx.minus_one())) % L
+    s[0] = 2 * L
+    return np.concatenate((chi, chi, np.full(L, counts[1] - 1))), 2 * np.arange(L) % L, s
+
+
 def edwards_count_bruteforce(ctx: FieldCtx, alpha, beta):
     """Point count by square classes, one x at a time, in O(q).
 
     For fixed x the curve reads y^2 * u = w with u = 1 - beta*x^2 and
-    w = 1 - alpha*x^2.  Where u != 0 there are #{y : y^2 = w/u} solutions;
-    where u = 0 every y solves it if w = 0 and none does otherwise.
-    Equal-length int arrays of units alpha, beta give an int64 array of
-    counts (see _edwards_count_array).
+    w = 1 - alpha*x^2.  Where u != 0 there are counts[w * u] = 1 + chi(u) chi(w)
+    solutions; at x = g^k, u = 1 + g^(s[beta] + 2k), so chi(u) is entry
+    s[beta] + 2k of _edwards_classes' chi, and likewise chi(w).  The zero
+    sentinel s[0] = 2(q-1) reads chi(1) there.  x = 0 adds counts[1].  A unit
+    beta has u = 0 at counts[beta] units x, whose true count is q if alpha =
+    beta (so w = 0) and 0 otherwise, against the 1 the sum gives; a zero beta
+    has none.  Ints in [0, q) (numpy integer scalars too, not bools) give an
+    int, and equal-length 1-D signed-int arrays of them an int64 array,
+    BLOCK_CELLS cells at a time in one (3, rows, q-1) work array.
     """
-    if isinstance(alpha, np.ndarray) or isinstance(beta, np.ndarray):
-        return _edwards_count_array(ctx, beta, *_unit_dlogs(ctx, alpha, beta, "alpha, beta"))
-    _require(_in_field(ctx, alpha, beta), f"alpha, beta must be elements of F_{ctx.q}")
-    x2 = ctx.pow(np.arange(ctx.q, dtype=np.int64), 2)
-    u = ctx.add_vec(1, ctx.mul(x2, ctx.neg(beta)))
-    w = ctx.add_vec(1, ctx.mul(x2, ctx.neg(alpha)))
-    unit = u != 0
-    squares = power_count_table(ctx, 2)[ctx.div(w[unit], u[unit])]
-    return int(squares.sum()) + ctx.q * int(np.count_nonzero(w[~unit] == 0))
-
-
-def _edwards_classes(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
-    """(chi, two_k): chi[t] = counts[1 + g^t] - 1 for t in [0, 2(q-1)), the
-    index taken mod q-1 and counts = power_count_table(ctx, 2), so chi is the
-    quadratic character of 1 + g^t (0 where 1 + g^t = 0, and 0 everywhere for
-    even q, where every element has one square root); two_k = 2k mod q-1."""
+    _require(_in_field(ctx, alpha, beta) and (
+        type(alpha) in _INT_TYPES and type(beta) in _INT_TYPES
+        or np.ndim(alpha) == 1 and np.shape(alpha) == np.shape(beta)),
+        f"alpha, beta must be elements of F_{ctx.q} or equal-length 1-D arrays of them")
     L = ctx.q - 1
-    chi = power_count_table(ctx, 2)[ctx.add_vec(1, ctx.exp)] - 1
-    return np.tile(chi, 2), (2 * np.arange(L, dtype=np.int64)) % L
-
-
-def _edwards_count_array(ctx: FieldCtx, beta: np.ndarray, la: np.ndarray,
-                         lb: np.ndarray) -> np.ndarray:
-    """edwards_count_bruteforce at arrays of units alpha = g^la and beta = g^lb,
-    BLOCK_CELLS cells at a time.
-
-    Where u != 0, #{y : y^2 * u = w} = counts[w * u] = 1 + chi(u) chi(w).  At
-    x = g^k, u = 1 + g^(s + 2k) with s = dlog(-beta), so chi(u) is entry
-    s + 2k of the chi table, and likewise chi(w).  x = 0 adds counts[1]; u = 0
-    at the counts[beta] units x with beta*x^2 = 1, whose true count is q if
-    w = 1 - alpha/beta = 0 and 0 otherwise, against the 1 the sum gives.
-    The call allocates one (3, rows, q-1) work array and reuses it for every
-    chunk, so no step allocates a (rows, q-1) temporary.
-    """
-    L = ctx.q - 1
-    chi, two_k = ctx.cached("edwards_classes", _edwards_classes, ctx)
+    chi, two_k, s = ctx.cached("edwards_classes", _edwards_classes, ctx)
     counts = power_count_table(ctx, 2)
-    l_neg = ctx.dlog_of(ctx.minus_one())
-    s_alpha, s_beta = ((lv + l_neg) % L for lv in (la, lb))
-    total = counts[1] + L + counts[beta] * (ctx.q * (la == lb) - 1)
+    al, be = np.reshape(alpha, -1), np.reshape(beta, -1)
+    s_alpha, s_beta = s[al], s[be]
+    total = counts[1] + L + counts[be] * (ctx.q * (al == be) - 1) * (be != 0)
     step = max(1, BLOCK_CELLS // L)
     work = np.empty((3, min(step, total.size), L), dtype=np.int64)
     for i in range(0, total.size, step):
@@ -158,7 +146,7 @@ def _edwards_count_array(ctx: FieldCtx, beta: np.ndarray, la: np.ndarray,
         np.take(chi, idx, out=w, mode="clip")
         u *= w
         total[i:i + step] += u.sum(axis=1)
-    return total
+    return total if isinstance(alpha, np.ndarray) else int(total[0])
 
 
 def _edwards_plan(ctx: FieldCtx) -> tuple:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .field import FieldCtx
+from .field import FieldCtx, _gather
 
 
 def _roots(n: int) -> np.ndarray:
@@ -44,9 +44,9 @@ def theta_by_exp(ctx: FieldCtx) -> np.ndarray:
 
 
 def mul_char(ctx: FieldCtx, m: int, x):
-    """T^m(x), zero at x = 0 for every m: a complex for an element, a
-    complex128 array for an int index array."""
-    vals = unit_roots(ctx)[(m * ctx.dlog[x]) % (ctx.q - 1)]
+    """T^m(x), zero at x = 0 for every m: a complex for an element (ValueError
+    outside [0, q)), a complex128 array for an int index array."""
+    vals = unit_roots(ctx)[(m * _gather(ctx.dlog, x)) % (ctx.q - 1)]
     if isinstance(x, np.ndarray):
         return np.where(x == 0, 0j, vals)
     return 0j if x == 0 else complex(vals)
@@ -54,7 +54,7 @@ def mul_char(ctx: FieldCtx, m: int, x):
 
 def add_char(ctx: FieldCtx, x: int) -> complex:
     """theta(x) = zeta_p^trace(x)."""
-    return complex(theta_table(ctx)[x])
+    return complex(_gather(theta_table(ctx), x))
 
 
 def legendre(ctx: FieldCtx, x: int) -> int:
@@ -63,7 +63,7 @@ def legendre(ctx: FieldCtx, x: int) -> int:
         raise ValueError("Legendre symbol needs odd q")
     if x == 0:
         return 0
-    return -1 if int(ctx.dlog[x]) % 2 else 1
+    return -1 if _gather(ctx.dlog, x) % 2 else 1
 
 
 def delta_elem(x: int) -> int:

@@ -63,18 +63,7 @@ def _zech(ctx: FieldCtx) -> np.ndarray:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -312,7 +301,7 @@ class FieldCtx:
     # and sub take elements, add_vec index arrays.  An element (an int or a
     # numpy integer scalar) outside [0, q) raises ValueError; the entries of
     # an index array are not checked, and out-of-range ones read whatever
-    # numpy indexing gives.
+    # numpy indexing gives.  dlog_of and sqrt_canonical check x the same way.
 
     def add(self, x: int, y: int) -> int:
         """x + y = g^(i + zech[j - i]) for x = g^i, y = g^j; a zero operand
@@ -368,7 +357,7 @@ class FieldCtx:
         """Discrete log base g; g^result = x. Raises on x = 0."""
         if x == 0:
             raise ZeroDivisionError("dlog of zero")
-        return int(self.dlog[x])
+        return _gather(self.dlog, x)
 
     def trace(self, x):
         """Absolute trace to F_p: x + x^p + ... + x^(p^(n-1))."""
@@ -414,15 +403,11 @@ def make_field(p: int, n: int = 1, size_cap: int = DEFAULT_SIZE_CAP) -> FieldCtx
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, n) with q = p^n, or raise FieldError."""
-    if q < 2:
+    factors = prime_factors(q)
+    if q < 2 or len(factors) != 1:
         raise FieldError(f"q = {q} is not a prime power")
-    for p in prime_factors(q):
-        n = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            n += 1
-        if m == 1:
-            return p, n
-        break
-    raise FieldError(f"q = {q} is not a prime power")
+    p, n = factors[0], 0
+    while q > 1:
+        q //= p
+        n += 1
+    return p, n

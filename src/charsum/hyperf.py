@@ -92,12 +92,17 @@ def hf_eval(ctx: FieldCtx, upper, lower, x: int) -> complex:
     `upper` must have exactly one more entry than `lower`.  With x = 0 the
     value is 0, since chi(0) = 0 for every character.  Reads hf_table at
     dlog(x), and also takes an int array of elements x, giving a complex
-    array.
+    array.  An element outside [0, q) raises ValueError; array entries are
+    not checked.
     """
     table = hf_table(ctx, upper, lower)
     if isinstance(x, np.ndarray):
         return np.where(x == 0, 0j, table[ctx.dlog[x]])
-    return 0j if x == 0 else table.item(ctx.dlog.item(x))
+    if 0 < x < ctx.q:  # inline, not field._gather: this read is on every plan's path
+        return table.item(ctx.dlog.item(x))
+    if x == 0:
+        return 0j
+    raise ValueError(f"element {x} is outside [0, q) for q = {ctx.q}")
 
 
 def hf_direct(ctx: FieldCtx, upper, lower, x: int) -> complex:

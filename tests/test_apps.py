@@ -134,19 +134,23 @@ def test_edwards_diagonal_known_failure(f13):
 
 def test_edwards_bruteforce_extension():
     # the square-class count against a literal double loop, over every
-    # (alpha, beta): the diagonal, zero, and x with beta*x^2 = 1 included
-    for p, n in ((13, 1), (3, 2), (2, 3), (5, 2)):
+    # (alpha, beta): the diagonal, zero, and x with beta*x^2 = 1 included;
+    # at even q (F_2, F_4, F_8) the zero sentinel's chi(1) is 0
+    for p, n in ((13, 1), (3, 2), (2, 1), (2, 2), (2, 3), (5, 2)):
         ctx = field(p, n)
         sq = [ctx.pow(x, 2) for x in ctx.elements()]
-        for alpha in ctx.elements():
-            for beta in ctx.elements():
-                expect = 0
-                for x2 in sq:
-                    ax2, bx2 = ctx.mul(alpha, x2), ctx.mul(beta, x2)
-                    for y2 in sq:
-                        if ctx.add(ax2, y2) == ctx.add(1, ctx.mul(bx2, y2)):
-                            expect += 1
-                assert apps.edwards_count_bruteforce(ctx, alpha, beta) == expect
+        pairs = list(itertools.product(ctx.elements(), repeat=2))
+        expect = []
+        for alpha, beta in pairs:
+            expect.append(0)
+            for x2 in sq:
+                ax2, bx2 = ctx.mul(alpha, x2), ctx.mul(beta, x2)
+                for y2 in sq:
+                    if ctx.add(ax2, y2) == ctx.add(1, ctx.mul(bx2, y2)):
+                        expect[-1] += 1
+        assert [apps.edwards_count_bruteforce(ctx, a, b) for a, b in pairs] == expect
+        alpha, beta = np.array(pairs, dtype=np.int64).T
+        assert apps.edwards_count_bruteforce(ctx, alpha, beta).tolist() == expect
 
 
 def test_edwards_bruteforce_rejects_out_of_range(f13, f25):
@@ -250,9 +254,13 @@ def test_array_routes_equal_scalar_routes(fn, pn, keep):
     "fn", [apps.lennon_trace, apps.e34_trace, apps.edwards_count_formula,
            apps.edwards_count_bruteforce, apps.shifted_cubic_count, apps.cubic_transform_check])
 def test_array_routes_reject_bad_arrays(f37, fn):
-    ok = np.array([1, 2, 3])
-    for a, b in [(ok, np.array([1, 0, 3])), (ok, np.array([1, 37, 3])),
+    ok, zero = np.array([1, 2, 3]), np.array([1, 0, 3])
+    for a, b in [(ok, zero), (ok, np.array([1, 37, 3])),
                  (ok, np.array([1, -1, 3])), (ok, ok[:2]), (ok, 5), (ok.astype(float), ok)]:
+        if fn is apps.edwards_count_bruteforce and b is zero:
+            # zero is an element the oracle counts, in arrays as in ints
+            assert fn(f37, a, b).tolist() == [fn(f37, 1, 1), fn(f37, 2, 0), fn(f37, 3, 3)]
+            continue
         with pytest.raises(ValueError):
             fn(f37, a, b)
 

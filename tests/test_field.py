@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from charsum import chars, hyperf
 from charsum.curves import CurveSpec, count_bruteforce, count_theorem
 from charsum.field import (
     DEFAULT_SIZE_CAP, FieldError, factor_prime_power, is_prime, make_field, zech_table,
@@ -377,9 +378,9 @@ def assert_add_matches_coefficientwise(ctx, xs, ys):
     ids=["8", "9", "25", "27", "32", "81", "125", "49"],
 )
 def test_scalar_add_neg_match_coefficientwise(p, n):
-    # add, add_vec and neg read the sum and negation tables; the reference
+    # add, add_vec and neg read the Zech table and dlog(-1); the reference
     # works on the coefficient vectors, so neither side is built from the
-    # other.  Odd n splits the digits into unequal halves.
+    # other.
     ctx = field(p, n)
     for x in ctx.elements():
         assert ctx.neg(x) == coeffwise_neg(ctx, x)
@@ -452,16 +453,36 @@ _SCALAR_OPS = {
     "mul-right": lambda ctx, x: ctx.mul(2, x), "div": lambda ctx, x: ctx.div(x, 1),
     "div-right": lambda ctx, x: ctx.div(1, x), "inv": lambda ctx, x: ctx.inv(x),
     "pow": lambda ctx, x: ctx.pow(x, 3), "trace": lambda ctx, x: ctx.trace(x),
+    "dlog_of": lambda ctx, x: ctx.dlog_of(x), "sqrt": lambda ctx, x: _sqrt(ctx, x),
+    "legendre": lambda ctx, x: chars.legendre(ctx, x),
+}
+# element reads that give a complex value
+_SCALAR_READS = {
+    "mul_char": lambda ctx, x: chars.mul_char(ctx, 1, x),
+    "add_char": lambda ctx, x: chars.add_char(ctx, x),
+    "hf_eval": lambda ctx, x: hyperf.hf_eval(ctx, [1], [], x),
+    "hf_direct": lambda ctx, x: hyperf.hf_direct(ctx, [1], [], x),
 }
 
 
-@pytest.mark.parametrize("op", list(_SCALAR_OPS))
+def _sqrt(ctx, x):
+    # sqrt_canonical, or -1 for a unit that is not a square (element 8 of F_9)
+    try:
+        return ctx.sqrt_canonical(x)
+    except ValueError as err:
+        if "not a square" not in str(err):
+            raise
+        return -1
+
+
+@pytest.mark.parametrize("op", list(_SCALAR_OPS) + list(_SCALAR_READS))
 @pytest.mark.parametrize("dtype", [int, np.int64, np.uint8])
 @pytest.mark.parametrize("pn", [(3, 2), (13, 1), (257, 1)], ids=["9", "13", "257"])
 def test_scalar_ops_reject_elements_outside_the_field(pn, dtype, op):
     # at F_9, neg(-1) read 4 and add(-1, 0) read 8 through negative indexing,
-    # and at F_13 add(20, 3) and neg(13) raised IndexError
-    ctx, fn = field(*pn), _SCALAR_OPS[op]
+    # and at F_13 add(20, 3) and neg(13) raised IndexError; so did the reads
+    # outside the arithmetic: dlog_of(-1) read the dlog of 12 and x = 13 raised
+    ctx, fn = field(*pn), {**_SCALAR_OPS, **_SCALAR_READS}[op]
     fits = range(256) if dtype is np.uint8 else range(-2**40, 2**40)
     for v in (-1, -ctx.q, ctx.q, ctx.q + 7, 255, 2**40 - 1):
         if v not in fits:
@@ -473,7 +494,7 @@ def test_scalar_ops_reject_elements_outside_the_field(pn, dtype, op):
             fn(ctx, dtype(v))
     for v in (1, ctx.q - 1 if ctx.q <= 256 else 255):
         got = fn(ctx, dtype(v))
-        assert type(got) is int and got == fn(ctx, v)
+        assert type(got) is (complex if op in _SCALAR_READS else int) and got == fn(ctx, v)
 
 
 def test_index_arrays_are_not_range_checked():
