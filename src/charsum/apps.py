@@ -7,12 +7,13 @@ Edwards curves, and the resulting 2F1 evaluations at 1/2 and 1323/1331.
 The Edwards and shifted-cubic oracles count points in O(q) by square
 classes, from the table curves.power_count_table(ctx, 2).
 
-Every public function but special_value_check also takes equal-length int
-arrays for (a, b) or (alpha, beta) (and the branch), in one body.  Lennon's
-trace, the (3, 4) trace and the Edwards series are per-field plans, records
-of Python terms (curves._make_plan) that curves._plan_value reads for ints
-and arrays in one loop; the shifted-cubic functions read two of them at
-parameters whose dlogs come from dlog a, dlog b through the Zech table.
+Every public function but special_value_check takes (a, b) or (alpha, beta)
+by field._check_elements, in one body: both ints or both equal-length 1-D
+signed-int arrays, of units or (the oracles, cubic_transform_admissible) of
+any elements; the cubic-transform branch is any integer, or an array as long.
+Lennon's trace, the (3, 4) trace and the Edwards series are per-field plans
+(curves._make_plan) read by curves._plan_value; the shifted-cubic functions
+read two of them at dlogs from dlog a, dlog b through the Zech table.
 """
 
 from __future__ import annotations
@@ -20,22 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import chars, hyperf, sums
-from .curves import (_INT_TYPES, BLOCK_CELLS, _make_plan, _plan_value, _round_guarded,
-                     _unit_dlogs, power_count_table)
-from .field import TOL, FieldCtx, _as_int, require_congruence, zech_table
+from .curves import (BLOCK_CELLS, _make_plan, _plan_value, _round_guarded, _unit_dlogs,
+                     power_count_table)
+from .field import TOL, FieldCtx, _check_elements, require_congruence, zech_table
 
 
 def _require(cond: bool, msg: str):
     if not cond:
         raise ValueError(msg)
-
-
-def _in_field(ctx: FieldCtx, *xs) -> bool:
-    """Whether every x is an int (a numpy integer scalar included, a bool not)
-    or a signed-int array, with entries in [0, q)."""
-    return all(x.dtype.kind == "i" and (not x.size or 0 <= x.min() and x.max() < ctx.q)
-               if isinstance(x, np.ndarray) else type(x) in _INT_TYPES and 0 <= x < ctx.q
-               for x in xs)
 
 
 def _dlogs(ctx: FieldCtx, *consts: int) -> list[int]:
@@ -122,14 +115,10 @@ def edwards_count_bruteforce(ctx: FieldCtx, alpha, beta):
     sentinel s[0] = 2(q-1) reads chi(1) there.  x = 0 adds counts[1].  A unit
     beta has u = 0 at counts[beta] units x, whose true count is q if alpha =
     beta (so w = 0) and 0 otherwise, against the 1 the sum gives; a zero beta
-    has none.  Ints in [0, q) (numpy integer scalars too, not bools) give an
-    int, and equal-length 1-D signed-int arrays of them an int64 array,
+    has none.  Elements, zero included, give an int, arrays an int64 array,
     BLOCK_CELLS cells at a time in one (3, rows, q-1) work array.
     """
-    _require(_in_field(ctx, alpha, beta) and (
-        type(alpha) in _INT_TYPES and type(beta) in _INT_TYPES
-        or np.ndim(alpha) == 1 and np.shape(alpha) == np.shape(beta)),
-        f"alpha, beta must be elements of F_{ctx.q} or equal-length 1-D arrays of them")
+    arrays = _check_elements(ctx, alpha, beta, "alpha, beta")
     L = ctx.q - 1
     chi, two_k, s = ctx.cached("edwards_classes", _edwards_classes, ctx)
     counts = power_count_table(ctx, 2)
@@ -146,7 +135,7 @@ def edwards_count_bruteforce(ctx: FieldCtx, alpha, beta):
         np.take(chi, idx, out=w, mode="clip")
         u *= w
         total[i:i + step] += u.sum(axis=1)
-    return total if isinstance(alpha, np.ndarray) else int(total[0])
+    return total if arrays else int(total[0])
 
 
 def _edwards_plan(ctx: FieldCtx) -> tuple:
@@ -188,10 +177,9 @@ def _shifted_coeffs(ctx: FieldCtx, la, lb):
 
 def cubic_count_bruteforce(ctx: FieldCtx, a, b):
     """Affine count of y^2 = x^3 + a*x^2 + b*x from the square class of the
-    right side at every x, evaluated as written.  Equal-length int arrays a, b
-    give an int64 array, BLOCK_CELLS cells at a time."""
-    _require(_in_field(ctx, a, b) and np.size(a) == np.size(b),
-             f"a, b must be elements of F_{ctx.q} or equal-length arrays of them")
+    right side at every x, evaluated as written.  Elements, zero included, give
+    an int, arrays an int64 array, BLOCK_CELLS cells at a time."""
+    arrays = _check_elements(ctx, a, b)
     a2, b2 = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
     xs = np.arange(ctx.q, dtype=np.int64)
     x2, x3, counts = ctx.pow(xs, 2), ctx.pow(xs, 3), power_count_table(ctx, 2)
@@ -200,7 +188,7 @@ def cubic_count_bruteforce(ctx: FieldCtx, a, b):
         vals = ctx.add_vec(ctx.add_vec(x3, ctx.mul(a2[i:i + step], x2)),
                            ctx.mul(b2[i:i + step], xs))
         total[i:i + step] = counts[vals].sum(axis=1)
-    return total if isinstance(a, np.ndarray) else int(total[0])
+    return total if arrays else int(total[0])
 
 
 def shifted_cubic_count(ctx: FieldCtx, a, b):
@@ -219,18 +207,12 @@ def _transform_params(ctx: FieldCtx, la, lb, branch):
     (-1 for a zero element) and the branch, in one pass.  alpha, beta =
     a * (1 +- 2r/a), r the root g^(dlog b / 2) of b on branch 0 and -r on
     branch 1.  admissible marks a != 0, b a nonzero square, branch 0 or 1, and
-    a', b', alpha, beta != 0; elsewhere the dlogs are junk.  ValueError for
-    a branch that is not an int, a numpy integer (not a bool) or a signed-int
-    array; needs q = 1 mod 12."""
-    if isinstance(branch, np.ndarray):
-        _require(branch.dtype.kind == "i", f"branch must be a signed-int array, got {branch!r}")
-    else:
-        branch = _as_int("branch", branch)
+    a', b', alpha, beta != 0; elsewhere the dlogs are junk; needs q = 1 mod 12."""
     require_congruence(ctx, 12)
     L = ctx.q - 1
     l_ap, l_bp, nonzero = _shifted_coeffs(ctx, la, lb)
     l_neg, l2 = _dlogs(ctx, -1, 2)
-    l_2r_a = l2 + lb // 2 + branch * (L // 2) - la
+    l_2r_a = l2 + lb // 2 + (branch == 1) * (L // 2) - la
     zech = zech_table(ctx)
     z_alpha, z_beta = zech[l_2r_a % L], zech[(l_neg + l_2r_a) % L]
     # dlog 0 = -1 is odd, so lb % 2 == 0 also excludes b = 0
@@ -242,10 +224,9 @@ def _transform_params(ctx: FieldCtx, la, lb, branch):
 def cubic_transform_admissible(ctx: FieldCtx, a, b, branch=0):
     """Whether cubic_transform_check takes (a, b, branch): b a nonzero square,
     branch 0 or 1, and alpha, beta, a', b' nonzero (a = 0 makes b' zero).
-    A bool array for equal-length int arrays.  ValueError unless every a, b
-    is an element of F_q (0 included) and the branch is an int or a
-    signed-int array; needs q = 1 mod 12."""
-    _require(_in_field(ctx, a, b), f"a, b must be elements of F_{ctx.q}")
+    A bool array for arrays a, b.  ValueError unless a, b are elements and
+    the branch an integer by field._check_elements; needs q = 1 mod 12."""
+    _check_elements(ctx, a, b, branch=branch)
     return _transform_params(ctx, ctx.dlog[a], ctx.dlog[b], branch)[4]
 
 
@@ -260,11 +241,12 @@ def cubic_transform_check(ctx: FieldCtx, a, b, branch=0):
     alpha = a + 2r, beta = a - 2r; their distance; and whether it is within
     tolerance and the enumeration counts meet the bridge
     #C + 2 = #E + 3 + phi(a^2 - 4b) + phi(a*b - 2*b*r).
-    Equal-length int arrays give arrays.  ValueError unless every entry is
-    admissible (see cubic_transform_admissible).
+    Arrays a, b (field._check_elements) give arrays.  ValueError unless every
+    entry is admissible (see cubic_transform_admissible).
     """
     L = ctx.q - 1
-    la, lb = _unit_dlogs(ctx, a, b)
+    _check_elements(ctx, a, b, low=1, branch=branch)
+    la, lb = ctx.dlog[a], ctx.dlog[b]
     l_ap, l_bp, l_alpha, l_beta, ok = _transform_params(ctx, la, lb, branch)
     _require(np.all(ok),
              "(a, b, branch) is not admissible: need b a nonzero square, branch 0 or 1, "

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .field import FieldCtx, _gather
+from .field import FieldCtx, _as_int, _gather
 
 
 def _roots(n: int) -> np.ndarray:
@@ -46,7 +46,7 @@ def theta_by_exp(ctx: FieldCtx) -> np.ndarray:
 def mul_char(ctx: FieldCtx, m: int, x):
     """T^m(x), zero at x = 0 for every m: a complex for an element (ValueError
     outside [0, q)), a complex128 array for an int index array."""
-    vals = unit_roots(ctx)[(m * _gather(ctx.dlog, x)) % (ctx.q - 1)]
+    vals = unit_roots(ctx)[(_as_int("exponent", m) * _gather(ctx.dlog, x)) % (ctx.q - 1)]
     if isinstance(x, np.ndarray):
         return np.where(x == 0, 0j, vals)
     return 0j if x == 0 else complex(vals)
@@ -73,12 +73,11 @@ def delta_elem(x: int) -> int:
 
 def delta_char(ctx: FieldCtx, m: int) -> int:
     """Indicator of the trivial character T^m = eps."""
-    return 1 if m % (ctx.q - 1) == 0 else 0
+    return 1 if _as_int("exponent", m) % (ctx.q - 1) == 0 else 0
 
 
 def char_order(ctx: FieldCtx, m: int) -> int:
-    L = ctx.q - 1
-    return L // math.gcd(L, m % L) if m % L else 1
+    return (ctx.q - 1) // math.gcd(ctx.q - 1, _as_int("exponent", m))  # gcd(q-1, 0) = q-1
 
 
 def char_at_minus_one(ctx: FieldCtx, m):

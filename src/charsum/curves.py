@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chars, hyperf, sums
-from .field import TOL, CongruenceError, FieldCtx, require_congruence, zech_table
+from .field import (_INT_TYPES, TOL, CongruenceError, FieldCtx, _check_elements,
+                    require_congruence, zech_table)
 
 ROUND_GUARD = 0.01
 # Oracle cells (curves times q-1) that count_bruteforce holds at once for
@@ -44,28 +45,12 @@ class RoundingGuardError(ArithmeticError):
     """Assembled value is not close enough to an integer to round safely."""
 
 
-# The scalar types taken as integers: int and numpy's integer scalars, one
-# per C integer type (every sized type is one of them), but not bool.  A set
-# lookup on type(x) is the cheapest test on the per-curve path.
-_INT_TYPES = frozenset([int] + [np.dtype(c).type for c in "bhilqBHILQ"])
-
-
 def _unit_dlogs(ctx: FieldCtx, a, b, names: str = "a, b"):
-    """(dlog a, dlog b) of nonzero elements a, b: Python ints for ints (numpy
-    integer scalars included), int64 arrays for equal-length 1-D signed-int
-    arrays.  Raises ValueError for anything else (bools and floats too) and
-    for a zero or out-of-range entry."""
-    if type(a) in _INT_TYPES and type(b) in _INT_TYPES:
-        if 0 < a < ctx.q and 0 < b < ctx.q:
-            return ctx.dlog.item(a), ctx.dlog.item(b)
-    elif isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        a, b = np.asarray(a), np.asarray(b)
-        if a.ndim != 1 or a.shape != b.shape or a.dtype.kind != "i" or b.dtype.kind != "i":
-            raise ValueError(f"array {names} must be 1-D signed-int arrays of equal length")
-        both = np.concatenate((a, b))
-        if not both.size or (0 < both.min() and both.max() < ctx.q):
-            return ctx.dlog[a], ctx.dlog[b]
-    raise ValueError(f"{names} must be nonzero elements of F_{ctx.q}")
+    """(dlog a, dlog b) of nonzero elements a, b as field._check_elements
+    takes them: int64 arrays for arrays, Python ints for ints."""
+    if _check_elements(ctx, a, b, names, 1):
+        return ctx.dlog[a], ctx.dlog[b]
+    return ctx.dlog.item(a), ctx.dlog.item(b)
 
 
 @dataclass(frozen=True)
@@ -520,14 +505,15 @@ def thm_coeffs(spec: CurveSpec) -> ThmCoeffs:
 
 def trace_frobenius(spec: CurveSpec) -> int | np.ndarray:
     """a_q = q - N (affine count), via closed form when the congruence holds
-    and by enumeration otherwise.  Array a, b give an int64 array, the Hasse
-    check for e=2, d=3 then applying to every entry."""
+    and by enumeration otherwise.  Array a, b give an int64 array.  For
+    gcd(e, d) = 1 (one point at infinity, 2g = (e-1)(d-1)) every entry must
+    meet Weil's bound a_q^2 <= ((e-1)(d-1))^2 q, in exact integers (attained)."""
     try:
         n_points = count_theorem(spec)
     except CongruenceError:
         n_points = count_bruteforce(spec)
-    a_q = spec.ctx.q - n_points
-    if (spec.e, spec.d) == (2, 3) and np.any(np.abs(a_q) > 2 * math.sqrt(spec.ctx.q)):
-        raise RoundingGuardError(f"|trace| {np.max(np.abs(a_q))} violates the Hasse "
-                                 "bound for e=2, d=3")
+    a_q, two_g = spec.ctx.q - n_points, (int(spec.e) - 1) * (int(spec.d) - 1)
+    if math.gcd(spec.e, spec.d) == 1 and np.any(a_q * a_q > two_g * two_g * spec.ctx.q):
+        raise RoundingGuardError(f"|trace| {np.max(np.abs(a_q))} violates the Weil bound "
+                                 f"(e-1)(d-1) sqrt(q) for e={spec.e}, d={spec.d}")
     return a_q

@@ -164,19 +164,44 @@ def _find_generator(p: int, n: int, powers) -> tuple[int, np.ndarray]:
     raise FieldError("no generator found")  # unreachable for a true field
 
 
+# The package's one integer test: int and numpy's integer scalars, one per C
+# type (every sized type is one of them), not bool; a set lookup on type(x).
+_INT_TYPES = frozenset([int] + [np.dtype(c).type for c in "bhilqBHILQ"])
+
+
 def _as_int(name: str, v) -> int:
-    """v as a Python int: an int or numpy integer, not a bool."""
-    if not isinstance(v, bool):
-        try:
-            return operator.index(v)
-        except TypeError:
-            pass
+    """v as a Python int if its type is in _INT_TYPES, else FieldError."""
+    if type(v) in _INT_TYPES:
+        return int(v)
     raise FieldError(f"{name} must be an integer, got {v!r}")
 
 
-def _index(x):
-    """x as a Python int unless an array: numpy unsigned scalars overflow mod p."""
-    return x if isinstance(x, np.ndarray) else operator.index(x)
+def _index(name: str, x):
+    """x by _as_int unless an array: numpy unsigned scalars overflow mod p."""
+    return x if isinstance(x, np.ndarray) else _as_int(name, x)
+
+
+def _check_elements(ctx: FieldCtx, a, b, names: str = "a, b", low: int = 0, branch=0) -> bool:
+    """Whether a and b are arrays, once checked by the one rule for curve
+    parameters: both ints (_INT_TYPES) or both 1-D signed-int arrays of one
+    length, every entry in [low, q) (low = 1 for units, 0 for any element);
+    the branch any integer, an int or, beside arrays, a signed-int array of
+    their length.  ValueError naming the bad argument otherwise."""
+    if type(a) in _INT_TYPES and type(b) in _INT_TYPES:
+        arrays, ok = False, low <= a < ctx.q and low <= b < ctx.q
+    else:
+        arrays, ok = True, (
+            isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.ndim == 1
+            and a.shape == b.shape and a.dtype.kind == b.dtype.kind == "i"
+            and (not a.size or low <= min(a.min(), b.min()) and max(a.max(), b.max()) < ctx.q))
+    if not ok:
+        raise ValueError(f"{names} must be {'nonzero ' if low else ''}elements of F_{ctx.q} "
+                         "or equal-length 1-D signed-int arrays of them")
+    if not (type(branch) in _INT_TYPES or arrays and isinstance(branch, np.ndarray)
+            and branch.shape == a.shape and branch.dtype.kind == "i"):
+        raise ValueError("branch must be an integer, or a signed-int array as long as arrays "
+                         f"a, b, got {branch!r}")
+    return arrays
 
 
 def _gather(table: np.ndarray, x):
@@ -279,7 +304,7 @@ class FieldCtx:
 
     def to_coeffs(self, x: int) -> tuple[int, ...]:
         """Digit decomposition (c_0, ..., c_{n-1}) of an element index or int array."""
-        x, out = _index(x), []
+        x, out = _index("element", x), []
         for _ in range(self.n):
             x, c = divmod(x, self.p)
             out.append(c)
@@ -288,20 +313,21 @@ class FieldCtx:
     def from_coeffs(self, coeffs) -> int:
         x = 0
         for c, b in zip(coeffs, self._pow_basis):
-            x += (_index(c) % self.p) * b
+            x += (_index("coefficient", c) % self.p) * b
         return x
 
     def embed(self, k: int) -> int:
         """Embed an integer constant into the prime subfield."""
-        return _index(k) % self.p
+        return _index("constant", k) % self.p
 
     # -- arithmetic -------------------------------------------------------------
     # neg, mul, inv, div, pow and trace take elements, giving a Python int, or
-    # int index arrays, giving an int64 array (mul and div broadcast).  add
-    # and sub take elements, add_vec index arrays.  An element (an int or a
-    # numpy integer scalar) outside [0, q) raises ValueError; the entries of
-    # an index array are not checked, and out-of-range ones read whatever
-    # numpy indexing gives.  dlog_of and sqrt_canonical check x the same way.
+    # int index arrays, giving an int64 array (mul and div broadcast); add and
+    # sub take elements, add_vec index arrays.  An element outside [0, q)
+    # raises ValueError (in dlog_of and sqrt_canonical too), index array
+    # entries are not checked, and pow's exponent is an integer by _as_int.
+    # Curve routes check (a, b) whole by _check_elements: both ints or
+    # equal-length 1-D signed-int arrays, in [1, q) for units, else [0, q).
 
     def add(self, x: int, y: int) -> int:
         """x + y = g^(i + zech[j - i]) for x = g^i, y = g^j; a zero operand
@@ -346,8 +372,8 @@ class FieldCtx:
         return self.mul(x, self.inv(y))
 
     def pow(self, x, e: int):
-        """x^e for an integer e: 0^0 = 1, and 0^e for e < 0 raises."""
-        zero = x == 0
+        """x^e for an integer e (by _as_int): 0^0 = 1, and 0^e for e < 0 raises."""
+        e, zero = _as_int("exponent", e), x == 0
         # np.any would cost microseconds on a Python bool
         if e < 0 and (zero.any() if isinstance(zero, np.ndarray) else zero):
             raise ZeroDivisionError("inversion of zero")

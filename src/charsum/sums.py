@@ -52,6 +52,7 @@ def jacobi_direct(ctx: FieldCtx, a: int, b: int) -> complex:
     """Defining sum J(T^a, T^b) = sum_x T^a(x) T^b(1-x), zero terms dropped,
     summed over m = dlog(1-x)."""
     L = ctx.q - 1
+    a, b = _as_int("exponent", a), _as_int("exponent", b)
     ka = _one_minus_logs(ctx)
     return complex(np.sum(chars.unit_roots(ctx)[(a * ka + b * np.arange(1, L)) % L]))
 
@@ -431,10 +432,11 @@ _IDENTITY_PARAMS = {name: tuple(inspect.signature(check).parameters)[2:]
 def verify_identity(ctx: FieldCtx, name: str, **params) -> VerifyReport:
     """Evaluate both sides of a named identity over its parameter grid.
 
-    Free parameters may be pinned through keyword arguments (e.g. m=3);
-    grid points whose preconditions fail are counted as skipped.  Every
-    identity takes a seed, which only the seeded ones read; any other
-    parameter the identity does not take raises ValueError.
+    Free parameters may be pinned through keyword arguments (e.g. m=3), each
+    an integer by field._as_int (None leaves it free); grid points whose
+    preconditions fail are counted as skipped.  Every identity takes a seed,
+    which only the seeded ones read; any other parameter the identity does
+    not take raises ValueError.
     """
     if name not in _IDENTITIES:
         raise KeyError(f"unknown identity {name!r}; known: {', '.join(_IDENTITIES)}")
@@ -443,7 +445,8 @@ def verify_identity(ctx: FieldCtx, name: str, **params) -> VerifyReport:
         if key not in taken and key != "seed":
             raise ValueError(f"identity {name!r} takes no parameter {key!r}")
     report = VerifyReport(name, ctx.q, TOL * ctx.q)
-    _IDENTITIES[name](ctx, report, **{k: v for k, v in params.items() if k in taken})
+    _IDENTITIES[name](ctx, report, **{k: v if v is None else _as_int(k, v)
+                                      for k, v in params.items() if k in taken})
     return report
 
 
@@ -456,6 +459,7 @@ def davenport_hasse(ctx: FieldCtx, d: int, l: int | None = None, t: int = 1) -> 
                 = q^((d-2)/2) G_{(q-1)/2} T^((d-2)(q-1)/8)(-1) T^(-l)(d^d) G_{ld}
     Over all l in [0, q-2] when l is None.
     """
+    d, t = _as_int("d", d), _as_int("t", t)
     if d < 2:
         raise ValueError("need d >= 2")
     require_congruence(ctx, d)
@@ -472,7 +476,7 @@ def davenport_hasse(ctx: FieldCtx, d: int, l: int | None = None, t: int = 1) -> 
         scale = ctx.q ** ((d - 2) // 2) * G[L // 2] * sign
     # the product's magnitude grows like q^(d/2)
     report = VerifyReport("davenport-hasse", ctx.q, TOL * ctx.q ** (d / 2), d=d)
-    ls = _params(L, l)
+    ls = _params(L, l if l is None else _as_int("l", l))
     for s in _blocks(len(ls), 1):
         ll = ls[s]  # consecutive values of l
         # factor j over the block is G rotated by l_0 + j*t*(q-1)/d: at most

@@ -252,16 +252,21 @@ def test_array_routes_equal_scalar_routes(fn, pn, keep):
 # at q = 37 every formula's congruence holds, so only the argument check can raise
 @pytest.mark.parametrize(
     "fn", [apps.lennon_trace, apps.e34_trace, apps.edwards_count_formula,
-           apps.edwards_count_bruteforce, apps.shifted_cubic_count, apps.cubic_transform_check])
+           apps.edwards_count_bruteforce, apps.shifted_cubic_count, apps.cubic_transform_check,
+           apps.cubic_count_bruteforce, apps.cubic_transform_admissible])
 def test_array_routes_reject_bad_arrays(f37, fn):
+    # an int beside an array and 2-D arrays are refused like unequal lengths
     ok, zero = np.array([1, 2, 3]), np.array([1, 0, 3])
     for a, b in [(ok, zero), (ok, np.array([1, 37, 3])),
-                 (ok, np.array([1, -1, 3])), (ok, ok[:2]), (ok, 5), (ok.astype(float), ok)]:
-        if fn is apps.edwards_count_bruteforce and b is zero:
-            # zero is an element the oracle counts, in arrays as in ints
+                 (ok, np.array([1, -1, 3])), (ok, ok[:2]), (ok, 5), (ok.astype(float), ok),
+                 (1, np.array([2])), (np.array([[1]]), 2), (ok[None], ok[None])]:
+        if b is zero and fn in (apps.edwards_count_bruteforce, apps.cubic_count_bruteforce,
+                                apps.cubic_transform_admissible):
+            # zero is an element the oracles and the admissibility check take,
+            # in arrays as in ints
             assert fn(f37, a, b).tolist() == [fn(f37, 1, 1), fn(f37, 2, 0), fn(f37, 3, 3)]
             continue
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="elements of F_37"):
             fn(f37, a, b)
 
 
@@ -384,7 +389,11 @@ def test_cubic_transform_refuses_non_integer_branch(f13):
     a, b = np.array([12, 12]), np.array([4, 4])
     for fn in (apps.cubic_transform_admissible, apps.cubic_transform_check):
         for args in ((12, 4, 0.5), (12, 4, 1.0), (a, b, np.array([0, 0.5])),
-                     (a, b, np.array([0, 1], dtype=np.uint64))):
+                     (a, b, np.array([0, 1], dtype=np.uint64)),
+                     # a branch array must be as long as arrays a, b: not
+                     # broadcast from length 1, nor beside ints
+                     (a, b, np.array([0, 1, 0])), (a, b, np.array([0])),
+                     (12, 4, np.array([0, 1])), (a, b, np.array([[0, 1]]))):
             with pytest.raises(ValueError, match="branch must be"):
                 fn(f13, *args)
     for branch in (2, -1, np.int64(2)):

@@ -664,6 +664,31 @@ def test_trace_hasse_bound_sweep(f13):
             assert abs(a_q) <= bound
 
 
+def test_trace_frobenius_checks_the_weil_bound(monkeypatch):
+    # gcd(e, d) = 1: one point at infinity and 2g = (e-1)(d-1), so every
+    # trace meets a_q^2 <= ((e-1)(d-1))^2 q; a count patched far outside it
+    # is refused, for (3, 4) as for (2, 3), in ints and in arrays
+    f37, f49 = field(37), field(7, 2)
+    # 0 * spec.b gives the count the spec's shape
+    monkeypatch.setattr(curves, "count_theorem", lambda spec: spec.ctx.q + 1000 + 0 * spec.b)
+    for spec in (curves.CurveSpec(f37, 3, 4, 1, 2),
+                 curves.CurveSpec(f37, 3, 4, np.array([1, 3]), np.array([2, 5]))):
+        with pytest.raises(curves.RoundingGuardError, match="Weil bound"):
+            curves.trace_frobenius(spec)
+    # the bound is attained, so it is compared in exact integers: at q = 49,
+    # (2, 3) allows |a_q| = 2 * 7 and no more
+    spec = curves.CurveSpec(f49, 2, 3, 1, 2)
+    for a_q in (14, -14):
+        monkeypatch.setattr(curves, "count_theorem", lambda spec, a_q=a_q: 49 - a_q)
+        assert curves.trace_frobenius(spec) == a_q
+    monkeypatch.setattr(curves, "count_theorem", lambda spec: 49 - 15)
+    with pytest.raises(curves.RoundingGuardError, match="Weil bound"):
+        curves.trace_frobenius(spec)
+    # gcd(e, d) > 1 leaves the genus open, so (3, 3) is not checked
+    monkeypatch.setattr(curves, "count_theorem", lambda spec: spec.ctx.q + 1000)
+    assert curves.trace_frobenius(curves.CurveSpec(f37, 3, 3, 1, 2)) == -1000
+
+
 def test_trace_falls_back_without_congruence(f17):
     # 17 is not 1 mod 12, so the theorem path is inadmissible
     spec = curves.CurveSpec(f17, 2, 3, 1, 1)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from charsum import chars, hyperf
+from charsum import chars, hyperf, sums
 from charsum.curves import CurveSpec, count_bruteforce, count_theorem
 from charsum.field import (
     DEFAULT_SIZE_CAP, FieldError, factor_prime_power, is_prime, make_field, zech_table,
@@ -95,6 +95,33 @@ def test_size_cap_takes_the_integer_rule():
     for cap in (100.0, True):
         with pytest.raises(FieldError, match="size_cap must be an integer"):
             make_field(13, size_cap=cap)
+
+
+# Integer parameters outside the field's constructor, each refused by
+# field._as_int; before, a float reached an index (IndexError) or int
+# arithmetic (TypeError), or passed a test it should fail (delta_char gave 0),
+# and a bool ran as 0 or 1.
+_INTEGER_PARAMETERS = {
+    "mul_char-float": lambda ctx: chars.mul_char(ctx, 1.5, 2),
+    "jacobi_direct-float": lambda ctx: sums.jacobi_direct(ctx, 1.5, 2),
+    "char_order-float": lambda ctx: chars.char_order(ctx, 1.5),
+    "delta_char-float": lambda ctx: chars.delta_char(ctx, 1.5),
+    "davenport_hasse-d-float": lambda ctx: sums.davenport_hasse(ctx, 3.0),
+    "davenport_hasse-l-float": lambda ctx: sums.davenport_hasse(ctx, 3, l=1.5),
+    "davenport_hasse-t-bool": lambda ctx: sums.davenport_hasse(ctx, 3, t=True),
+    "verify_identity-m-float": lambda ctx: sums.verify_identity(ctx, "gauss-shift", m=1.5),
+    "verify_identity-m-bool": lambda ctx: sums.verify_identity(ctx, "gauss-shift", m=True),
+    "pow-float": lambda ctx: ctx.pow(3, 1.5),
+    "pow-bool": lambda ctx: ctx.pow(3, True),
+    "to_coeffs-float": lambda ctx: ctx.to_coeffs(1.5),
+    "embed-bool": lambda ctx: ctx.embed(True),
+}
+
+
+@pytest.mark.parametrize("call", list(_INTEGER_PARAMETERS.values()), ids=list(_INTEGER_PARAMETERS))
+def test_integer_parameters_take_the_integer_rule(f37, call):
+    with pytest.raises(FieldError, match="must be an integer"):
+        call(f37)
 
 
 def test_known_extension_moduli(f25, f27):
