@@ -45,7 +45,7 @@ def theta_by_exp(ctx: FieldCtx) -> np.ndarray:
 
 def mul_char(ctx: FieldCtx, m: int, x):
     """T^m(x), zero at x = 0 for every m: a complex for an element (ValueError
-    outside [0, q)), a complex128 array for an int index array."""
+    unless an integer in [0, q)), a complex128 array for an int index array."""
     vals = unit_roots(ctx)[(_as_int("exponent", m) * _gather(ctx.dlog, x)) % (ctx.q - 1)]
     if isinstance(x, np.ndarray):
         return np.where(x == 0, 0j, vals)
@@ -61,9 +61,8 @@ def legendre(ctx: FieldCtx, x: int) -> int:
     """Quadratic character as an integer in {-1, 0, 1}; q must be odd."""
     if ctx.q % 2 == 0:
         raise ValueError("Legendre symbol needs odd q")
-    if x == 0:
-        return 0
-    return -1 if _gather(ctx.dlog, x) % 2 else 1
+    k = _gather(ctx.dlog, x)  # checks x, 0 included
+    return 0 if x == 0 else -1 if k % 2 else 1
 
 
 def delta_elem(x: int) -> int:

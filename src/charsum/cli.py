@@ -15,7 +15,12 @@ cubic-transform has its own blocks: _BLOCK_ROWS pairs or candidates, whatever
 q is, in int64 arrays from the draw to the text, one array call of the oracle
 and of the closed form per block, and a block's rows written at once; such a
 row's ms is its block's wall time over its rows, any other row's ms the wall
-time of the step that made it.  Seeded pairs are the randrange(1, q) stream
+time of the step that made it.  The oracle column of count, lennon and e34
+is count_bruteforce of the row's canonical torus orbit member: the count is
+the same on each of the L * gcd(L, e(d-1), de) orbits of
+(a, b) -> (a*u^(e-de), b*u^(-de)), L = q - 1, and _orbit_counts counts each
+orbit once per command, so a later block's ms may be smaller than the
+first's.  Seeded pairs are the randrange(1, q) stream
 of random.Random(seed), drawn in bulk; that rests on CPython's getrandbits
 word order, which tests/test_cli.py pins on every Python that CI runs."""
 
@@ -26,6 +31,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -271,12 +277,38 @@ def _block_suite(ctx, label, blocks, oracle, formula, e=None, d=None):
     return ((label, row) for row in _block_rows(ctx, blocks, oracle, formula, e, d))
 
 
+def _orbit_counts(ctx, e, d):
+    """The oracle of the (e, d) family for one command run: count_bruteforce
+    of each (a, b) row's canonical torus orbit member (curves.torus_orbits),
+    equal to the row's own count.  A memo indexed by orbit key holds each
+    count once made, so a block makes one count_bruteforce call, on its
+    orbits not yet counted (none at all still calls it), and gathers its
+    column from the memo.  The memo's L * gcd(L, e(d-1), de) entries, L =
+    q - 1, are allocated on the first call, which _block_suite makes after
+    the closed form's: for count the congruence e*d*(d-1) | q-1 then holds,
+    so there are L * e of them, a size the plan's e - 1 series tables of L
+    values each already reach (lennon and e34 have at most 3L)."""
+    L, memo = ctx.q - 1, None
+
+    def counts(a, b):
+        nonlocal memo
+        if memo is None:
+            memo = np.full(L * math.gcd(L, e * (d - 1), d * e), -1, dtype=np.int64)
+        key, la0, lb0 = curves.torus_orbits(L, e, d, ctx.dlog[a], ctx.dlog[b])
+        new = np.flatnonzero(memo[key] < 0)
+        new = new[np.unique(key[new], return_index=True)[1]]
+        memo[key[new]] = curves.count_bruteforce(
+            curves.CurveSpec(ctx, e, d, ctx.exp[la0[new]], ctx.exp[lb0[new]]))
+        return memo[key]
+
+    return counts
+
+
 def cmd_count(args, emitter: _Emitter) -> None:
     ctx = _build_field(args)
     e, d = args.e, args.d
     _emit_timed(emitter, _block_suite(
-        ctx, None, _count_cases(ctx, args),
-        lambda a, b: curves.count_bruteforce(curves.CurveSpec(ctx, e, d, a, b)),
+        ctx, None, _count_cases(ctx, args), _orbit_counts(ctx, e, d),
         lambda a, b: curves.count_theorem(curves.CurveSpec(ctx, e, d, a, b)), e, d))
 
 
@@ -339,15 +371,16 @@ def _cubic_transform_blocks(ctx):
 
 def _pairs_suite(label, oracle, formula, e, d, ctx, args, distinct=False):
     """_block_suite over args.count seeded random unit pairs (a != b if
-    distinct), with the routes oracle(ctx, a, b) and formula(ctx, a, b)."""
+    distinct), with the routes oracle(ctx)(a, b) and formula(ctx, a, b)."""
     pairs = _random_unit_pairs(ctx.q, random.Random(args.seed), args.count, distinct)
-    return _block_suite(ctx, label, pairs, lambda a, b: oracle(ctx, a, b),
-                        lambda a, b: formula(ctx, a, b), e, d)
+    return _block_suite(ctx, label, pairs, oracle(ctx), lambda a, b: formula(ctx, a, b), e, d)
 
 
-def _trace_oracle(e, d):
-    """q minus the brute-force count of y^e = x^d + a*x + b."""
-    return lambda ctx, a, b: ctx.q - curves.count_bruteforce(curves.CurveSpec(ctx, e, d, a, b))
+def _trace_oracle(e, d, ctx):
+    """q minus the brute-force count of y^e = x^d + a*x + b, one count per
+    torus orbit (_orbit_counts)."""
+    counts = _orbit_counts(ctx, e, d)
+    return lambda a, b: ctx.q - counts(a, b)
 
 
 # Each suite is one runner(ctx, args) of (case, row) pairs.  The apps routes
@@ -363,12 +396,12 @@ _SUITE_RUNNERS = {
     # pairs are off-diagonal.  At even q (at q = 2 there is no such pair) it
     # refuses the field on the empty block, before any pair is drawn.
     "edwards": partial(_pairs_suite, "edwards",
-                       lambda ctx, a, b: apps.edwards_count_bruteforce(ctx, a, b),
+                       lambda ctx: partial(apps.edwards_count_bruteforce, ctx),
                        lambda ctx, a, b: apps.edwards_count_formula(ctx, a, b),
                        None, None, distinct=True),
-    "lennon": partial(_pairs_suite, "lennon", _trace_oracle(2, 3),
+    "lennon": partial(_pairs_suite, "lennon", partial(_trace_oracle, 2, 3),
                       lambda ctx, a, b: apps.lennon_trace(ctx, a, b), 2, 3),
-    "e34": partial(_pairs_suite, "e34", _trace_oracle(3, 4),
+    "e34": partial(_pairs_suite, "e34", partial(_trace_oracle, 3, 4),
                    lambda ctx, a, b: apps.e34_trace(ctx, a, b), 3, 4),
 }
 

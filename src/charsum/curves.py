@@ -18,7 +18,9 @@ precision failure.
 Two enumeration oracles check them: count_bruteforce looks up the e-th
 power class of each x-value (O(q)), and count_naive compares all (x, y)
 pairs in fixed-size blocks with polynomial arithmetic that reads none of the
-field's tables (O(q^2) time, O(q * n) memory).
+field's tables (O(q^2) time, O(q * n) memory).  Both counts are constant on
+the torus orbits that torus_orbits names, so a caller with many curves of
+one family may enumerate one member per orbit.
 """
 
 from __future__ import annotations
@@ -237,6 +239,27 @@ def count_naive(spec: CurveSpec) -> int:
         int(np.count_nonzero(rhs[i:i + rows, None] == lhs[None, :]))
         for i in range(0, ctx.q, rows)
     )
+
+
+def torus_orbits(L: int, e: int, d: int, la, lb):
+    """(key, la0, lb0): the torus orbit of each curve of the (e, d) family at
+    dlog a = la, dlog b = lb (int64 arrays) over a field with L = q-1 units,
+    and the orbit's canonical member g^la0, g^lb0.
+
+    x -> u^e*x, y -> u^d*y carries the curve at (a, b) onto the one at
+    (a*u^(e-de), b*u^(-de)), so every count is constant on the orbits of
+    l -> (la + r*l, lb + s*l) mod L, r = e(d-1), s = de.  With g = gcd(s, L)
+    and m = L/g, t = (lb // g) / (s/g) mod m steps lb to lb0 = lb mod g; the
+    steps that keep lb are the multiples of m, which move la by the multiples
+    of h = gcd(L, m*r), so la0 = (la - t*r) mod h.  The key la0*g + lb0 lies
+    in [0, L * gcd(L, r, s)), one value per orbit."""
+    r, s = e * (d - 1) % L, d * e % L
+    g = math.gcd(s, L)
+    m = L // g
+    h = math.gcd(L, m * r)
+    t = lb // g * pow(s // g, -1, m) % m
+    la0, lb0 = (la - t * r) % h, lb % g
+    return la0 * g + lb0, la0, lb0
 
 
 # ---------------------------------------------------------------------------

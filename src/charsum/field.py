@@ -206,13 +206,13 @@ def _check_elements(ctx: FieldCtx, a, b, names: str = "a, b", low: int = 0, bran
 
 def _gather(table: np.ndarray, x):
     """table[x] for a table over the q elements: a Python scalar for one
-    element, which must lie in [0, q) (ValueError otherwise), and an array
-    for an index array, whose entries are not checked."""
+    element, which must be an integer (_INT_TYPES) in [0, q) (ValueError
+    otherwise), and an array for an index array, whose entries are not checked."""
     if isinstance(x, np.ndarray):
         return table[x]
-    if 0 <= x < len(table):
+    if type(x) in _INT_TYPES and 0 <= x < len(table):
         return table.item(x)
-    raise ValueError(f"element {x} is outside [0, q) for q = {len(table)}")
+    raise ValueError(f"element {x} is not an integer in [0, q) for q = {len(table)}")
 
 
 class FieldCtx:
@@ -323,9 +323,10 @@ class FieldCtx:
     # -- arithmetic -------------------------------------------------------------
     # neg, mul, inv, div, pow and trace take elements, giving a Python int, or
     # int index arrays, giving an int64 array (mul and div broadcast); add and
-    # sub take elements, add_vec index arrays.  An element outside [0, q)
-    # raises ValueError (in dlog_of and sqrt_canonical too), index array
-    # entries are not checked, and pow's exponent is an integer by _as_int.
+    # sub take elements, add_vec index arrays.  An element that is not an
+    # integer (_INT_TYPES) in [0, q) raises ValueError (in dlog_of and
+    # sqrt_canonical too), index array entries are not checked, and pow's
+    # exponent is an integer by _as_int.
     # Curve routes check (a, b) whole by _check_elements: both ints or
     # equal-length 1-D signed-int arrays, in [1, q) for units, else [0, q).
 
@@ -373,17 +374,18 @@ class FieldCtx:
 
     def pow(self, x, e: int):
         """x^e for an integer e (by _as_int): 0^0 = 1, and 0^e for e < 0 raises."""
-        e, zero = _as_int("exponent", e), x == 0
+        e, k, zero = _as_int("exponent", e), _gather(self.dlog, x), x == 0
         # np.any would cost microseconds on a Python bool
         if e < 0 and (zero.any() if isinstance(zero, np.ndarray) else zero):
             raise ZeroDivisionError("inversion of zero")
-        return self._exp_unless(_gather(self.dlog, x) * (e % (self.q - 1)), zero & (e != 0))
+        return self._exp_unless(k * (e % (self.q - 1)), zero & (e != 0))
 
     def dlog_of(self, x: int) -> int:
         """Discrete log base g; g^result = x. Raises on x = 0."""
+        k = _gather(self.dlog, x)  # checks x, 0 included
         if x == 0:
             raise ZeroDivisionError("dlog of zero")
-        return _gather(self.dlog, x)
+        return k
 
     def trace(self, x):
         """Absolute trace to F_p: x + x^p + ... + x^(p^(n-1))."""
@@ -409,9 +411,9 @@ class FieldCtx:
         """
         if self.q % 2 == 0:
             raise FieldError("canonical square root needs odd q")
+        k = _gather(self.dlog, x)  # checks x, 0 included
         if x == 0:
             return 0
-        k = self.dlog_of(x)
         if k % 2:
             raise ValueError(f"element {x} is not a square")
         return int(self.exp[k // 2])

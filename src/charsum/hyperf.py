@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import chars, sums
-from .field import FieldCtx, _as_int
+from .field import _INT_TYPES, FieldCtx, _as_int, _gather
 
 
 def _shifted_row(ctx: FieldCtx, a: int, b: int) -> np.ndarray:
@@ -92,17 +92,18 @@ def hf_eval(ctx: FieldCtx, upper, lower, x: int) -> complex:
     `upper` must have exactly one more entry than `lower`.  With x = 0 the
     value is 0, since chi(0) = 0 for every character.  Reads hf_table at
     dlog(x), and also takes an int array of elements x, giving a complex
-    array.  An element outside [0, q) raises ValueError; array entries are
-    not checked.
+    array.  An element that is not an integer (_INT_TYPES) in [0, q) raises
+    ValueError; array entries are not checked.
     """
     table = hf_table(ctx, upper, lower)
     if isinstance(x, np.ndarray):
         return np.where(x == 0, 0j, table[ctx.dlog[x]])
-    if 0 < x < ctx.q:  # inline, not field._gather: this read is on every plan's path
-        return table.item(ctx.dlog.item(x))
-    if x == 0:
-        return 0j
-    raise ValueError(f"element {x} is outside [0, q) for q = {ctx.q}")
+    if type(x) in _INT_TYPES:  # inline, not field._gather: this read is on every plan's path
+        if 0 < x < ctx.q:
+            return table.item(ctx.dlog.item(x))
+        if x == 0:
+            return 0j
+    raise ValueError(f"element {x} is not an integer in [0, q) for q = {ctx.q}")
 
 
 def hf_direct(ctx: FieldCtx, upper, lower, x: int) -> complex:
@@ -110,10 +111,11 @@ def hf_direct(ctx: FieldCtx, upper, lower, x: int) -> complex:
     Jacobi summation and the terms summed one by one: no cache and no FFT
     (slow; the reference route of hf_eval's tests)."""
     upper, lower = hf_params(ctx, upper, lower)
+    lx = _gather(ctx.dlog, x)  # checks x, 0 included
     if x == 0:
         return 0j
     L = ctx.q - 1
     acc = _row_product(ctx, upper, lower, binom_row_direct)
     ks = np.arange(L, dtype=np.int64)
-    chi_x = chars.unit_roots(ctx)[(ks * ctx.dlog_of(x)) % L]
+    chi_x = chars.unit_roots(ctx)[(ks * lx) % L]
     return ctx.q / L * complex(np.dot(acc, chi_x))

@@ -3,6 +3,7 @@
 import io
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -514,6 +515,40 @@ def test_count_guard_failures_stay_per_row(monkeypatch):
     failed = [row for row in want if '"formula_re": NaN' in row]
     assert 0 < len(failed) < len(want)
     assert all('"disc": Infinity' in row for row in failed)
+
+
+@pytest.mark.parametrize(
+    "q,e,d,select,blocks",
+    [
+        (61, 5, 4, ["--sweep"], 4),  # 3,600 rows over 300 orbits
+        (37, 3, 4, ["--random", "3000"], 3),  # 3,000 rows over 108 orbits
+    ],
+    ids=["sweep-61", "random-37"],
+)
+def test_count_counts_each_orbit_once(monkeypatch, q, e, d, select, blocks):
+    # blocks after the first read most orbits from the memo: every oracle is
+    # still its own row's count, and each orbit is enumerated once, in one
+    # count_bruteforce call per block (and one on the empty warm-up block)
+    real, sizes = curves.count_bruteforce, []
+
+    def spy(spec):
+        sizes.append(np.size(spec.b))
+        return real(spec)
+
+    monkeypatch.setattr(curves, "count_bruteforce", spy)
+    code, out = run_cli(["count", "--q", str(q), "--e", str(e), "--d", str(d), *select,
+                         "--format", "json"])
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    ctx = charsum.make_field(q)
+    a, b = (np.array([row[k] for row in rows]) for k in "ab")
+    want = real(curves.CurveSpec(ctx, e, d, a, b))
+    assert [row["oracle"] for row in rows] == want.tolist()
+    L = q - 1
+    key = curves.torus_orbits(L, e, d, ctx.dlog[a], ctx.dlog[b])[0]
+    assert len(sizes) == blocks + 1 and sizes[0] == 0
+    assert sum(sizes) == len(set(key.tolist())) == L * math.gcd(L, e * (d - 1), d * e)
+    assert sizes[2] < sizes[1]
 
 
 _SUITE_ROUTES = {

@@ -79,6 +79,24 @@ def test_oracles_are_invariant_on_torus_orbits(pn):
             assert curves.count_naive(spec) == counts[i], (e, d, a[i], b[i], u[i])
 
 
+@pytest.mark.parametrize("pn", [(13, 1), (37, 1), (5, 2), (3, 3), (2, 4)],
+                         ids=["13", "37", "25", "27", "16"])
+def test_torus_orbits_match_an_orbit_walk(pn):
+    # each unit pair's orbit walked in full, named by its smallest la*L + lb
+    L = field(*pn).q - 1
+    la, lb = (v.ravel() for v in np.divmod(np.arange(L * L), L))
+    steps = np.arange(L)
+    for e, d in ((2, 3), (3, 4), (2, 5), (5, 2), (3, 3), (3, 6), (4, 3)):
+        r, s = e * (d - 1), d * e
+        orbit = ((la[:, None] + r * steps) % L * L + (lb[:, None] + s * steps) % L).min(axis=1)
+        key, la0, lb0 = curves.torus_orbits(L, e, d, la, lb)
+        n_keys = L * math.gcd(L, r, s)
+        assert len(set(orbit.tolist())) == len(set(key.tolist())) == n_keys, (e, d)
+        assert len(set(zip(orbit.tolist(), key.tolist()))) == n_keys, (e, d)
+        assert 0 <= key.min() and key.max() < n_keys
+        assert (orbit[la0 * L + lb0] == orbit).all(), (e, d)
+
+
 @pytest.mark.parametrize("pn", [(13, 1), (5, 2)], ids=["13", "25"])
 def test_count_naive_refuses_arrays_and_leaves_them_as_they_are(pn):
     # to_coeffs once divided its argument in place: an array spec zeroed the

@@ -524,6 +524,17 @@ def test_scalar_ops_reject_elements_outside_the_field(pn, dtype, op):
         assert type(got) is (complex if op in _SCALAR_READS else int) and got == fn(ctx, v)
 
 
+@pytest.mark.parametrize("value", [1.5, 2.0, True, False, 0.0])
+@pytest.mark.parametrize("op", list(_SCALAR_OPS) + list(_SCALAR_READS))
+def test_scalar_elements_take_the_integer_rule(op, value):
+    # a float or bool element raised TypeError from ndarray.item, which the
+    # CLI's exit-2 handler does not catch, and a zero-valued one passed the
+    # x == 0 shortcuts: the rule of _INT_TYPES and _check_elements holds here too
+    ctx = field(13)
+    with pytest.raises(ValueError, match=r"not an integer in \[0, q\) for q = 13"):
+        {**_SCALAR_OPS, **_SCALAR_READS}[op](ctx, value)
+
+
 def test_index_arrays_are_not_range_checked():
     # arrays keep numpy indexing: a negative entry reads from the end
     ctx = field(13)
