@@ -78,13 +78,11 @@ def _parse_element(ctx, text: str, label: str) -> int:
         coeffs = [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise CliError(f"bad element literal for {label}: {text!r}") from exc
-    if ctx.n == 1:
-        if len(coeffs) != 1:
-            raise CliError(f"{label} must be a single residue for a prime field")
-        return coeffs[0] % ctx.p
+    if ctx.n == 1 and len(coeffs) != 1:
+        raise CliError(f"{label} must be a single residue for a prime field")
     if len(coeffs) > ctx.n:
         raise CliError(f"{label} has more than {ctx.n} coefficients")
-    return ctx.from_coeffs(coeffs + [0] * (ctx.n - len(coeffs)))
+    return ctx.from_coeffs(coeffs)
 
 
 def _parse_exponents(text: str, label: str) -> list[int]:
@@ -468,7 +466,6 @@ def _add_field_args(parser):
     parser.add_argument("--p", type=int, help="characteristic (alternative to --q)")
     parser.add_argument("--n", type=int, help="extension degree (with --p; default 1)")
     parser.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    parser.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
 
 
 @cache
@@ -485,6 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="compare closed-form and brute-force counts")
     _add_field_args(p_count)
+    p_count.add_argument("--seed", type=int, default=0, help="seed for --random")
     p_count.add_argument("--e", type=int, required=True)
     p_count.add_argument("--d", type=int, required=True)
     p_count.add_argument("--a", type=str, help="element literal")
@@ -495,6 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run an identity/formula suite")
     _add_field_args(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p_verify.add_argument("--suite", required=True,
                           help=f"one of: {', '.join(_SUITE_RUNNERS)}")
     p_verify.add_argument("--d", type=int, default=None,

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import chars, hyperf, sums
 from .field import (_INT_TYPES, TOL, CongruenceError, FieldCtx, _check_elements,
-                    require_congruence, zech_table)
+                    _digit_rows, require_congruence, zech_table)
 
 ROUND_GUARD = 0.01
 # Oracle cells (curves times q-1) that count_bruteforce holds at once for
@@ -227,8 +227,8 @@ def count_naive(spec: CurveSpec) -> int:
     if isinstance(spec.b, np.ndarray):
         raise ValueError("count_naive counts one curve: a and b must be ints")
     ctx = spec.ctx
-    basis = np.array(ctx._pow_basis, dtype=np.int64)
-    xs = (np.arange(ctx.q, dtype=np.int64)[:, None] // basis) % ctx.p
+    basis = ctx.p ** np.arange(ctx.n, dtype=np.int64)
+    xs = _digit_rows(np.arange(ctx.q, dtype=np.int64), ctx.p, ctx.n)
     a, b = (np.array(ctx.to_coeffs(v), dtype=np.int64) for v in (spec.a, spec.b))
     rhs = (_coeff_pow(ctx, xs, spec.d) + _coeff_mulmod(ctx, a, xs) + b) % ctx.p
     dtype = np.min_scalar_type(ctx.q - 1)  # narrow values halve the compare time

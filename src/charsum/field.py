@@ -1,20 +1,19 @@
 """Finite field contexts F_q = F_{p^n} with exp/dlog tables and the absolute trace.
 
-Elements are canonical integer indices: for n = 1 the representative in
-[0, p); for n > 1 the base-p digit encoding of the coefficient vector
-(c_0 + c_1*p + ... + c_{n-1}*p^{n-1}, constant term least significant).
+Elements are canonical integer indices, the base-p codes c_0 + c_1*p + ... +
+c_{n-1}*p^{n-1} of coefficient vectors (for n = 1 the residue in [0, p)).
 All multiplicative structure is table-driven: a fixed canonical generator
 g, an exp table g^k, and its inverse dlog table, so that characters and
 character sums downstream are O(1) lookups per element.
 
-Construction is F_p linear algebra over coefficient vectors.  For n > 1, t
-acts as the companion matrix C of the modulus and c as sum_j c_j C^j; the
-modulus and g are the first candidates to pass a test on matrix powers, 16
-candidates per stack (prime fields find g with the builtin pow).  So g acts
-as an n x n matrix, the coefficient vectors of all powers g^k come from
-about log2(q) matrix products, and the trace, being F_p-linear, is the digit
-table of all indices times the traces of the basis elements t^j, which are
-the matrix traces of the C^j.  A context depends on (p, n) alone.
+Construction is F_p linear algebra over coefficient vectors, for every n.
+t acts as the companion matrix C of the modulus (t itself for n = 1) and c
+as sum_j c_j C^j; the modulus and g are the first candidates to pass a test
+on matrix powers, 16 candidates per stack.  So g acts as an n x n matrix,
+the coefficient vectors of all powers g^k come from about log2(q) matrix
+products, and the trace, being F_p-linear, is their dot product with the
+traces of the basis elements t^j, the matrix traces of the C^j.  A context
+depends on (p, n) alone.
 
 Every field operation is dlog arithmetic on those tables.  Products and
 powers add and scale dlogs; sums use the Zech logarithms zech[t] =
@@ -83,7 +82,7 @@ def prime_factors(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # The modulus and generator searches, by F_p matrix powers.  Entries of a
-# product stay exact in int64: n (p - 1)^2 < 2^63 for every n > 1 field.
+# product stay exact in int64: n (p - 1)^2 < 2^63 for every q < 2^31.
 # ---------------------------------------------------------------------------
 
 _CHUNK = 16  # candidates per matrix stack
@@ -144,16 +143,13 @@ def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
 
 def _find_generator(p: int, n: int, powers) -> tuple[int, np.ndarray]:
     """The first unit g in index order that generates F_q^*, and the matrix of
-    x -> g*x.  For n > 1 a unit c acts as M_c = sum_j c_j C^j, read from the
-    stack `powers` of the C^j, and c generates iff M_c^((q-1)/r) != I for every
-    prime r | q-1.  The search starts at c = p: the codes below p are F_p,
-    whose units have order dividing p - 1 < q - 1."""
+    x -> g*x.  A unit c acts as M_c = sum_j c_j C^j ([[c]] for n = 1), read from
+    the stack `powers` of the C^j; c generates iff M_c^((q-1)/r) != I for every
+    prime r | q-1.  For n > 1 the search starts at c = p: the codes below p are
+    F_p, whose units have order dividing p - 1 < q - 1."""
     q = p**n
     factors = prime_factors(q - 1)
-    if n == 1:
-        g = next(c for c in range(1, p) if all(pow(c, (p - 1) // r, p) != 1 for r in factors))
-        return g, np.array([[g]], dtype=np.int64)
-    for start in range(p, q, _CHUNK):
+    for start in range(1 if n == 1 else p, q, _CHUNK):
         cands = np.arange(start, min(start + _CHUNK, q), dtype=np.int64)
         M = np.tensordot(_digit_rows(cands, p, n), powers, axes=1) % p
         ok = np.ones(len(cands), dtype=bool)
@@ -244,21 +240,14 @@ class FieldCtx:
             raise FieldError(f"p = {p} is not prime")
         q = p**n
         self.p, self.n, self.q = p, n, q
-        self.modulus = None if n == 1 else _smallest_irreducible(p, n)
+        modulus = _smallest_irreducible(p, n)
+        self.modulus = None if n == 1 else modulus
         # x -> t^j * x for j < n; F_p is F_p[t]/(t), where C = [[0]]
-        C = _companion(p, np.array([(self.modulus or (0, 1))[:n]]))
+        C = _companion(p, np.array([modulus[:n]]))
         powers = np.concatenate([_matpow(C, j, p) for j in range(n)])
-        self._pow_basis = [p**i for i in range(n)]
         self.g, M = _find_generator(p, n, powers)
-        pow_basis = np.array(self._pow_basis, dtype=np.int64)
-        self.exp, self.dlog = self._build_log_tables(M, pow_basis)
+        self.exp, self.dlog, self.trace_tab = self._build_log_tables(M, powers)
         self._dlog_neg1 = (q - 1) // 2 if p > 2 else 0  # -1 has order 2, or is 1
-        # Digits of every index, narrow: the trace is linear in them.
-        digits = np.empty((q, n), dtype=np.min_scalar_type(p - 1))
-        v = np.arange(q, dtype=np.int64)
-        for i in range(n):
-            v, digits[:, i] = np.divmod(v, p)
-        self.trace_tab = digits @ (np.trace(powers, axis1=1, axis2=2) % p) % p
         self._cache: dict = {}  # derived tables, written through cached()
 
     def cached(self, key, build, *args):
@@ -276,13 +265,14 @@ class FieldCtx:
 
     # -- construction helpers -------------------------------------------------
 
-    def _build_log_tables(self, M: np.ndarray, pow_basis: np.ndarray):
-        """exp[k] = g^k and its inverse dlog, from the matrix M of x -> g*x.
+    def _build_log_tables(self, M: np.ndarray, powers: np.ndarray):
+        """exp[k] = g^k, its inverse dlog and the trace table, from the matrix
+        M of x -> g*x and the stack `powers` of the C^j, Tr(t^j) = trace(C^j).
 
         Column j of M holds the coefficients of g*t^j, so column k of V,
         the coefficient vector of g^k, is M^k e_0.  V is filled by doubling:
-        V[:, s:2s] = M^s V[:, :s].  Prime fields take the same path with
-        M = [[g]].
+        V[:, s:2s] = M^s V[:, :s].  exp reads V's columns as base-p codes;
+        the trace is F_p-linear: Tr(g^k) = sum_j Tr(t^j) V[j, k] mod p.
         """
         p, n, order = self.p, self.n, self.q - 1
         V = np.zeros((n, order), dtype=np.int64)
@@ -293,28 +283,37 @@ class FieldCtx:
             V[:, s:s + w] = (M @ V[:, :w]) % p
             M = (M @ M) % p
             s *= 2
-        exp = pow_basis @ V
+        exp = p ** np.arange(n, dtype=np.int64) @ V
+        tr = np.trace(powers, axis1=1, axis2=2) @ V % p
+        del V  # before dlog: at most four arrays of q entries live at once
         dlog = np.full(self.q, -1, dtype=np.int64)
         dlog[exp] = np.arange(order, dtype=np.int64)
         if exp.min() < 1 or np.count_nonzero(dlog >= 0) != order:
             raise FieldError("powers of the generator miss some unit")
-        return exp, dlog
+        trace_tab = np.zeros(self.q, dtype=np.int64)
+        trace_tab[exp] = tr
+        return exp, dlog, trace_tab
 
     # -- element codec ---------------------------------------------------------
 
-    def to_coeffs(self, x: int) -> tuple[int, ...]:
-        """Digit decomposition (c_0, ..., c_{n-1}) of an element index or int array."""
-        x, out = _index("element", x), []
+    def to_coeffs(self, x) -> tuple[int, ...]:
+        """Digit decomposition (c_0, ..., c_{n-1}) of an element, checked as
+        _gather checks one, or of an int index array, whose entries are not."""
+        if not isinstance(x, np.ndarray):
+            x = _as_int("element", x)
+            _gather(self.dlog, x)  # checks the range
+        out = []
         for _ in range(self.n):
             x, c = divmod(x, self.p)
             out.append(c)
         return tuple(out)
 
     def from_coeffs(self, coeffs) -> int:
-        x = 0
-        for c, b in zip(coeffs, self._pow_basis):
-            x += (_index("coefficient", c) % self.p) * b
-        return x
+        """The element sum_j c_j t^j of at most n integer coefficients, each
+        taken mod p; ValueError for more than n."""
+        if len(coeffs) > self.n:
+            raise ValueError(f"F_{self.q} takes at most {self.n} coefficients, got {len(coeffs)}")
+        return sum((_index("coefficient", c) % self.p) * self.p**j for j, c in enumerate(coeffs))
 
     def embed(self, k: int) -> int:
         """Embed an integer constant into the prime subfield."""

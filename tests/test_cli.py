@@ -145,6 +145,13 @@ def test_count_missing_ab_exits_2():
     assert code == 2
 
 
+def test_eval_takes_no_seed(capsys):
+    # eval draws nothing at random: --seed belongs to count and verify only
+    code, out = run_cli(["eval", "gauss", "--q", "13", "--m", "1", "--seed", "3"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 def test_verify_lemmas_all_pass():
     code, out = run_cli(["verify", "--suite", "lemmas", "--q", "13",
                          "--format", "json"])

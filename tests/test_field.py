@@ -4,16 +4,20 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import charsum
 from charsum import chars, hyperf, sums
 from charsum.curves import CurveSpec, count_bruteforce, count_theorem
 from charsum.field import (
-    DEFAULT_SIZE_CAP, FieldError, factor_prime_power, is_prime, make_field, zech_table,
+    DEFAULT_SIZE_CAP, FieldError, factor_prime_power, is_prime, make_field, prime_factors,
+    zech_table,
 )
 
 from conftest import coeff_mul, coeff_pow, field
@@ -338,6 +342,33 @@ def test_tables_match_reference_builder(p, n):
         assert np.array_equal(got, want)
 
 
+def test_prime_field_generator_is_smallest_primitive_root():
+    # prime fields take the matrix search on 1 x 1 matrices; the reference
+    # is the scalar search by the builtin pow
+    for p in filter(is_prime, range(2, 3000)):
+        factors = prime_factors(p - 1)
+        want = next(c for c in range(1, p) if all(pow(c, (p - 1) // r, p) != 1 for r in factors))
+        assert make_field(p).g == want, p
+
+
+@pytest.mark.parametrize("p,n", [(65521, 1), (3, 10), (2, 16)], ids=["65521", "3^10", "2^16"])
+def test_trace_table_matches_digit_formula(p, n):
+    # the trace is F_p-linear: the base-p digits of every index times the
+    # traces Tr(t^j) of the basis, the matrix traces of the powers of the
+    # modulus's companion matrix C
+    ctx = field(p, n)
+    C = np.zeros((n, n), dtype=np.int64)
+    C[1:, :-1] = np.eye(n - 1, dtype=np.int64)
+    C[:, -1] = [-c % p for c in (ctx.modulus or (0, 1))[:n]]
+    traces, P = [], np.eye(n, dtype=np.int64)
+    for _ in range(n):
+        traces.append(int(np.trace(P)) % p)
+        P = P @ C % p
+    digits = np.arange(ctx.q, dtype=np.int64)[:, None] // p ** np.arange(n, dtype=np.int64) % p
+    want = digits @ np.array(traces, dtype=np.int64) % p
+    assert ctx.trace_tab.dtype == want.dtype and np.array_equal(ctx.trace_tab, want)
+
+
 _VEC_FIELDS = [(13, 1), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)]
 
 
@@ -566,6 +597,35 @@ def test_field_keeps_four_tables_of_q_entries(p, n):
     assert retained <= 33 * ctx.q
     assert {k for k, v in vars(ctx).items() if isinstance(v, np.ndarray)} == \
         {"exp", "dlog", "trace_tab"}
+
+
+def test_make_field_peak_in_fresh_process():
+    # exp, dlog and the trace table, 8 bytes per element each, and one
+    # temporary of q entries at a time: the trace comes out of the exp build,
+    # with no (q, n) digit table (42 bytes per element with one)
+    src_dir = os.path.dirname(os.path.dirname(charsum.__file__))
+    code = ("import tracemalloc\nfrom charsum.field import make_field\n"
+            "tracemalloc.start()\nctx = make_field(65521)\n"
+            "print(tracemalloc.get_traced_memory()[1] / ctx.q)")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src_dir},
+                          capture_output=True, text=True, check=True)
+    assert float(proc.stdout) <= 33
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (13, 1)], ids=["9", "13"])
+def test_codec_takes_the_element_rule(p, n):
+    # a scalar outside [0, q) and more than n coefficients raise ValueError,
+    # as every other element operation does; F_9's to_coeffs once read -1 as
+    # (2, 2) and 9 as (0, 0), and from_coeffs([1, 1, 1]) dropped t^2 for 4
+    ctx = field(p, n)
+    for x in (-1, ctx.q):
+        with pytest.raises(ValueError, match="not an integer in \\[0, q\\)"):
+            ctx.to_coeffs(x)
+    with pytest.raises(ValueError, match=f"at most {n} coefficients"):
+        ctx.from_coeffs([1] * (n + 1))
+    # index arrays stay unchecked, as everywhere else
+    assert [c.tolist() for c in ctx.to_coeffs(np.array([ctx.q]))] == [[0]] * n
+    assert all(ctx.from_coeffs(ctx.to_coeffs(x)) == x for x in ctx.elements())
 
 
 # -- the size cap: fields that took a minute to build before the tables were
