@@ -16,10 +16,13 @@ q is, in int64 arrays from the draw to the text, one array call of the oracle
 and of the closed form per block, and a block's rows written at once; such a
 row's ms is its block's wall time over its rows, any other row's ms the wall
 time of the step that made it.  The oracle column of count, lennon and e34
-is count_bruteforce of the row's canonical torus orbit member: the count is
-the same on each of the L * gcd(L, e(d-1), de) orbits of
-(a, b) -> (a*u^(e-de), b*u^(-de)), L = q - 1, and _orbit_counts counts each
-orbit once per command, so a later block's ms may be smaller than the
+is curves.family_counts, read at the row's canonical torus orbit member: the
+count is the same on each of the L * gcd(L, e(d-1), de) orbits of
+(a, b) -> (a*u^(e-de), b*u^(-de)), L = q - 1, and the member is the one with
+a = g^c, c = dlog a mod gcd(e(d-1), L).  On a prime field each a-class met
+is counted once per command, as one class row over every b (one bincount
+and one correlation); an extension field keeps a memo of one
+count_bruteforce per orbit.  So a later block's ms may be smaller than the
 first's.  Seeded pairs are the randrange(1, q) stream
 of random.Random(seed), drawn in bulk; that rests on CPython's getrandbits
 word order, which tests/test_cli.py pins on every Python that CI runs."""
@@ -31,7 +34,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import os
 import random
 import sys
@@ -275,38 +277,11 @@ def _block_suite(ctx, label, blocks, oracle, formula, e=None, d=None):
     return ((label, row) for row in _block_rows(ctx, blocks, oracle, formula, e, d))
 
 
-def _orbit_counts(ctx, e, d):
-    """The oracle of the (e, d) family for one command run: count_bruteforce
-    of each (a, b) row's canonical torus orbit member (curves.torus_orbits),
-    equal to the row's own count.  A memo indexed by orbit key holds each
-    count once made, so a block makes one count_bruteforce call, on its
-    orbits not yet counted (none at all still calls it), and gathers its
-    column from the memo.  The memo's L * gcd(L, e(d-1), de) entries, L =
-    q - 1, are allocated on the first call, which _block_suite makes after
-    the closed form's: for count the congruence e*d*(d-1) | q-1 then holds,
-    so there are L * e of them, a size the plan's e - 1 series tables of L
-    values each already reach (lennon and e34 have at most 3L)."""
-    L, memo = ctx.q - 1, None
-
-    def counts(a, b):
-        nonlocal memo
-        if memo is None:
-            memo = np.full(L * math.gcd(L, e * (d - 1), d * e), -1, dtype=np.int64)
-        key, la0, lb0 = curves.torus_orbits(L, e, d, ctx.dlog[a], ctx.dlog[b])
-        new = np.flatnonzero(memo[key] < 0)
-        new = new[np.unique(key[new], return_index=True)[1]]
-        memo[key[new]] = curves.count_bruteforce(
-            curves.CurveSpec(ctx, e, d, ctx.exp[la0[new]], ctx.exp[lb0[new]]))
-        return memo[key]
-
-    return counts
-
-
 def cmd_count(args, emitter: _Emitter) -> None:
     ctx = _build_field(args)
     e, d = args.e, args.d
     _emit_timed(emitter, _block_suite(
-        ctx, None, _count_cases(ctx, args), _orbit_counts(ctx, e, d),
+        ctx, None, _count_cases(ctx, args), curves.family_counts(ctx, e, d),
         lambda a, b: curves.count_theorem(curves.CurveSpec(ctx, e, d, a, b)), e, d))
 
 
@@ -375,9 +350,8 @@ def _pairs_suite(label, oracle, formula, e, d, ctx, args, distinct=False):
 
 
 def _trace_oracle(e, d, ctx):
-    """q minus the brute-force count of y^e = x^d + a*x + b, one count per
-    torus orbit (_orbit_counts)."""
-    counts = _orbit_counts(ctx, e, d)
+    """q minus the count of y^e = x^d + a*x + b by curves.family_counts."""
+    counts = curves.family_counts(ctx, e, d)
     return lambda a, b: ctx.q - counts(a, b)
 
 

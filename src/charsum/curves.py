@@ -19,8 +19,12 @@ Two enumeration oracles check them: count_bruteforce looks up the e-th
 power class of each x-value (O(q)), and count_naive compares all (x, y)
 pairs in fixed-size blocks with polynomial arithmetic that reads none of the
 field's tables (O(q^2) time, O(q * n) memory).  Both counts are constant on
-the torus orbits that torus_orbits names, so a caller with many curves of
-one family may enumerate one member per orbit.
+the torus orbits that torus_orbits names, and every orbit meets one of the
+gcd(e(d-1), q-1) a-classes a = g^c.  family_counts, the oracle of a whole
+family, reads each curve at its orbit's a-class member: on a prime field one
+class row N(g^c, b) for every b is one bincount of x^d + g^c*x and one exact
+correlation of it with the e-th power counts (an rfft/irfft pair), and on an
+extension field each orbit keeps one count_bruteforce of its member.
 """
 
 from __future__ import annotations
@@ -32,10 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chars, hyperf, sums
-from .field import (_INT_TYPES, TOL, CongruenceError, FieldCtx, _check_elements,
-                    _digit_rows, require_congruence, zech_table)
+from .field import (_INT_TYPES, CongruenceError, FieldCtx, _check_elements, _digit_rows,
+                    require_congruence, zech_table)
 
 ROUND_GUARD = 0.01
+# Largest rounding residue _class_counts accepts: the worst measured over every
+# a-class of eight families at q up to 65521 is 7.3e-12.
+CORRELATION_GUARD = 1e-6
 # Oracle cells (curves times q-1) that count_bruteforce holds at once for
 # arrays of curves; a longer array is worked through in chunks of this size.
 BLOCK_CELLS = 1 << 15
@@ -91,19 +98,22 @@ def _exact_div(num: int, den: int) -> int:
 
 def _round_guarded(ctx: FieldCtx, z: complex) -> int | np.ndarray:
     """z rounded to an integer once its imaginary part and rounding residue
-    pass their guards.  A complex array gives an int64 array; the guards then
-    apply element-wise and any failing entry refuses the whole call, the
-    message giving the worst residues."""
-    imag_tol = min(ROUND_GUARD, TOL * ctx.q * ctx.q)
+    pass their guards, the imaginary guard min(ROUND_GUARD, ctx.tol_q2).  A
+    complex array gives an int64 array; the guards then apply element-wise
+    and any failing entry refuses the whole call, the message giving the
+    worst residues."""
     if isinstance(z, np.ndarray):
+        imag_tol = min(ROUND_GUARD, ctx.tol_q2)
         r = np.round(z.real)
         im, re = np.abs(z.imag), np.abs(z.real - r)
         if not ((im < imag_tol) & (re < ROUND_GUARD)).all():
             raise RoundingGuardError(f"worst residues: imaginary {im.max():.3e} (guard "
                                      f"{imag_tol:.3e}), rounding {re.max():.3e}")
         return r.astype(np.int64)
-    if abs(z.imag) >= imag_tol:
-        raise RoundingGuardError(f"imaginary residue {z.imag:.3e} exceeds {imag_tol:.3e}")
+    im = abs(z.imag)
+    if im >= ROUND_GUARD or im >= ctx.tol_q2:  # im >= min(...), with no call to min
+        raise RoundingGuardError(f"imaginary residue {z.imag:.3e} exceeds "
+                                 f"{min(ROUND_GUARD, ctx.tol_q2):.3e}")
     r = round(z.real)
     if abs(z.real - r) >= ROUND_GUARD:
         raise RoundingGuardError(f"rounding residue {abs(z.real - r):.3e} >= {ROUND_GUARD}")
@@ -241,6 +251,14 @@ def count_naive(spec: CurveSpec) -> int:
     )
 
 
+def _orbit_shape(L: int, e: int, d: int) -> tuple:
+    """(r, s, h, w) of torus_orbits: the steps r = e(d-1), s = de mod L, the
+    a-classes h = gcd(r, L) and the orbits w = gcd(L, s*L/h) in each."""
+    r, s = e * (d - 1) % L, d * e % L
+    h = math.gcd(r, L)
+    return r, s, h, math.gcd(L, s * (L // h))
+
+
 def torus_orbits(L: int, e: int, d: int, la, lb):
     """(key, la0, lb0): the torus orbit of each curve of the (e, d) family at
     dlog a = la, dlog b = lb (int64 arrays) over a field with L = q-1 units,
@@ -248,18 +266,94 @@ def torus_orbits(L: int, e: int, d: int, la, lb):
 
     x -> u^e*x, y -> u^d*y carries the curve at (a, b) onto the one at
     (a*u^(e-de), b*u^(-de)), so every count is constant on the orbits of
-    l -> (la + r*l, lb + s*l) mod L, r = e(d-1), s = de.  With g = gcd(s, L)
-    and m = L/g, t = (lb // g) / (s/g) mod m steps lb to lb0 = lb mod g; the
-    steps that keep lb are the multiples of m, which move la by the multiples
-    of h = gcd(L, m*r), so la0 = (la - t*r) mod h.  The key la0*g + lb0 lies
-    in [0, L * gcd(L, r, s)), one value per orbit."""
-    r, s = e * (d - 1) % L, d * e % L
-    g = math.gcd(s, L)
-    m = L // g
-    h = math.gcd(L, m * r)
-    t = lb // g * pow(s // g, -1, m) % m
-    la0, lb0 = (la - t * r) % h, lb % g
-    return la0 * g + lb0, la0, lb0
+    l -> (la + r*l, lb + s*l) mod L, r = e(d-1), s = de.  With h = gcd(r, L)
+    and m = L/h, t = -(la // h) / (r/h) mod m steps la to its a-class
+    la0 = la mod h; the steps that keep la are the multiples of m, which move
+    lb by the multiples of w = gcd(L, m*s), so lb0 = (lb + t*s) mod w.  The
+    key la0*w + lb0 lies in [0, L * gcd(L, r, s)), one value per orbit, and
+    the orbits of one a-class are w consecutive keys."""
+    r, s, h, w = _orbit_shape(L, e, d)
+    m = L // h
+    t = -(la // h) * pow(r // h, -1, m) % m
+    la0, lb0 = la % h, (lb + t * s) % w
+    return la0 * w + lb0, la0, lb0
+
+
+def family_counts(ctx: FieldCtx, e: int, d: int):
+    """The count oracle of the (e, d) family for many curves: a callable on
+    equal-length int64 unit arrays a, b giving count_bruteforce's counts as
+    an int64 array, each read at the curve's canonical torus orbit member.
+
+    A memo indexed by torus_orbits key, L * gcd(L, e(d-1), de) entries
+    allocated on the first call, holds each count once made.  On a prime
+    field a call builds, for each a-class among its curves not yet counted,
+    the class row of _class_counts, whose w entries at b = g^0 .. g^(w-1)
+    fill the class's keys at once.  On an extension field it makes one
+    count_bruteforce call on the canonical members of its orbits not yet
+    counted (none at all still calls it).  Every call reads the tables of
+    its route first, so a call on empty arrays builds them all."""
+    L, memo = ctx.q - 1, None
+    h, w = _orbit_shape(L, e, d)[2:]
+
+    def counts(a, b):
+        nonlocal memo
+        if memo is None:
+            memo = np.full(h * w, -1, dtype=np.int64)
+        key, la0, lb0 = torus_orbits(L, e, d, ctx.dlog[a], ctx.dlog[b])
+        new = np.flatnonzero(memo[key] < 0)
+        if ctx.n == 1:
+            _class_tables(ctx, e, d)
+            for c in np.flatnonzero(np.bincount(la0[new], minlength=h)).tolist():
+                memo[c * w:(c + 1) * w] = _class_counts(ctx, e, d, c)[ctx.exp[:w]]
+        else:
+            new = new[np.unique(key[new], return_index=True)[1]]
+            memo[key[new]] = count_bruteforce(
+                CurveSpec(ctx, e, d, ctx.exp[la0[new]], ctx.exp[lb0[new]]))
+        return memo[key]
+
+    return counts
+
+
+def _class_tables(ctx: FieldCtx, e: int, d: int) -> tuple:
+    """_class_counts' record for (e, d) on a prime field: x^d at x = g^k, the
+    transform length n (the power of two at least 2p) and the counts
+    spectrum, rfft of power_count_table tiled twice, zero-padded to n."""
+    return ctx.cached(("class_tables", e, d), _build_class_tables, ctx, e, d)
+
+
+def _build_class_tables(ctx: FieldCtx, e: int, d: int) -> tuple:
+    L, n = ctx.q - 1, 1 << (2 * ctx.p - 1).bit_length()
+    xd = ctx.cached(("pow_by_exp", d), np.take, ctx.exp, d * np.arange(L) % L)
+    return xd, n, np.fft.rfft(np.tile(power_count_table(ctx, e), 2), n)
+
+
+def _class_counts(ctx: FieldCtx, e: int, d: int, c: int) -> np.ndarray:
+    """N(g^c, b) for every b in F_p, int64, on a prime field.
+
+    With H[v] = #{x : x^d + g^c*x = v}, one bincount over x = g^k (x^d + g^c*x
+    below 2p - 1, folded mod p) and 1 at v = 0 for x = 0, N(g^c, b) =
+    sum_v H[v] counts[v + b]: one correlation with counts tiled twice, so
+    that v + b never wraps, by an rfft/irfft pair of the power-of-two length
+    n >= 2p (a prime length would go through Bluestein's algorithm).  The
+    result is rounded once its worst residue is below CORRELATION_GUARD."""
+    p, L = ctx.p, ctx.q - 1
+    xd, n, spectrum = _class_tables(ctx, e, d)
+    v = np.empty(L, dtype=np.int64)
+    np.add(xd[:L - c], ctx.exp[c:], out=v[:L - c])  # a*x = g^(c + k)
+    np.add(xd[L - c:], ctx.exp[:c], out=v[L - c:])
+    hist = np.bincount(v, minlength=2 * p)
+    hist = hist[:p] + hist[p:]
+    hist[0] += 1
+    f = np.fft.rfft(hist, n)
+    np.conjugate(f, out=f)
+    f *= spectrum
+    corr = np.fft.irfft(f, n)[:p]
+    out = np.rint(corr)
+    worst = float(np.abs(corr - out).max())
+    if worst >= CORRELATION_GUARD:
+        raise RoundingGuardError(f"correlation residue {worst:.3e} >= {CORRELATION_GUARD} "
+                                 f"for a-class g^{c}")
+    return out.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

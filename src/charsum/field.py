@@ -221,6 +221,7 @@ class FieldCtx:
         exp: int64 array, exp[k] = index of g^k for k in [0, q-2].
         dlog: int64 array over all indices; dlog[0] = -1 sentinel.
         trace_tab: int64 array, absolute trace to F_p per index.
+        tol_q2: TOL * q^2, the tolerance of a sum of q^2 unit summands.
 
     Addition and negation are dlog arithmetic, as products are: sums read
     the Zech table of zech_table, cached through cached() on the first add.
@@ -248,6 +249,7 @@ class FieldCtx:
         self.g, M = _find_generator(p, n, powers)
         self.exp, self.dlog, self.trace_tab = self._build_log_tables(M, powers)
         self._dlog_neg1 = (q - 1) // 2 if p > 2 else 0  # -1 has order 2, or is 1
+        self.tol_q2 = TOL * q * q  # once per field, for the closed forms' imaginary guard
         self._cache: dict = {}  # derived tables, written through cached()
 
     def cached(self, key, build, *args):
@@ -340,12 +342,21 @@ class FieldCtx:
 
     def add_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Elementwise sum of reduced indices in [0, q), broadcast, as add
-        reads it; at least one an array."""
+        reads it; at least one an array.  j - i lies in [-(q-1), q-1] and
+        i + zech in [-2, 2(q-2)], so one compare-and-add reduces each where a
+        floor-mod would cost more; the gathers clip the indices that only
+        entries with a zero operand or a zero sum reach, which np.where drops."""
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
+        L = self.q - 1
         i, j = self.dlog[xs], self.dlog[ys]
-        z = zech_table(self)[(j - i) % (self.q - 1)]
-        return np.where(i < 0, ys, np.where(j < 0, xs, self._exp_unless(i + z, z < 0)))
+        t = j - i
+        t += (t < 0) * L
+        z = zech_table(self).take(t, mode="clip")
+        k = i + z
+        k -= (k >= L) * L
+        s = np.where(z < 0, 0, self.exp.take(k, mode="clip"))
+        return np.where(i < 0, ys, np.where(j < 0, xs, s))
 
     def neg(self, x):
         return self._exp_unless(_gather(self.dlog, x) + self._dlog_neg1, x == 0)

@@ -57,17 +57,25 @@ def jacobi_direct(ctx: FieldCtx, a: int, b: int) -> complex:
     return complex(np.sum(chars.unit_roots(ctx)[(a * ka + b * np.arange(1, L)) % L]))
 
 
-def jacobi_direct_rows(ctx: FieldCtx, tops) -> np.ndarray:
+def jacobi_direct_rows(ctx: FieldCtx, tops, work=None) -> np.ndarray:
     """Defining sums J(T^a, T^b) for a in `tops` (rows) and b in [0, q-2].
 
     With V[a, m] = T^a(x) at x = 1 - g^m for m in [1, q-2] (V[a, 0] = 0, for
     x = 0), row a is sum_m V[a, m] w^(b*m) = L * ifft(V[a])[b]; no Gauss sum
-    is read.
+    is read.  V and its exponents are _views of the byte buffer `work` if
+    given, so only the transform allocates.
     """
     L = ctx.q - 1
-    V = np.zeros((len(tops), L), dtype=np.complex128)
-    V[:, 1:] = chars.unit_roots(ctx)[(np.asarray(tops)[:, None] * _one_minus_logs(ctx)) % L]
-    return L * np.fft.ifft(V, axis=1)
+    tops = np.asarray(tops)
+    V, k = _views(work, (len(tops), L), np.complex128, np.int64)
+    k[:, 0] = 0
+    np.multiply(tops[:, None], _one_minus_logs(ctx), out=k[:, 1:])
+    k %= L
+    np.take(chars.unit_roots(ctx), k, out=V, mode="clip")  # unbuffered; k lies in range
+    V[:, 0] = 0
+    out = np.fft.ifft(V, axis=1)
+    out *= L
+    return out
 
 
 def jacobi_sum(ctx: FieldCtx, a: int, b: int) -> complex:
@@ -127,15 +135,15 @@ def greene_binom(ctx: FieldCtx, a: int, b: int) -> complex:
     return sign / ctx.q * jacobi_sum(ctx, a, -b)
 
 
-def binom_grid(ctx: FieldCtx, top, bottom) -> np.ndarray:
+def binom_grid(ctx: FieldCtx, top, bottom, out=None) -> np.ndarray:
     """binom(T^top, T^bottom) over broadcast exponent arrays.
 
     The Gauss quotient T^b(-1)/q * G_a G_-b / G_(a-b), with the entries of
     degenerate Jacobi sums in closed form: -1/q where the bottom character
     is trivial or equals the top one, -T^b(-1)/q where only the top one is
     trivial, and (q-2)/q where both are.  The quotient is gathered into one
-    output array and finished in place, so a call holds about three arrays
-    of the output's size at once.
+    output array (`out` if given) and finished in place, so a call holds
+    about three arrays of the output's size at once.
     """
     L, q = ctx.q - 1, ctx.q
     top, bottom = np.asarray(top) % L, np.asarray(bottom) % L
@@ -145,7 +153,9 @@ def binom_grid(ctx: FieldCtx, top, bottom) -> np.ndarray:
     equal = (bottom == 0) | (top == bottom)
     top_trivial = np.broadcast_to(top == 0, shape)
     bottom_at_trivial = np.broadcast_to(bottom, shape)[top_trivial]
-    out = np.multiply(G[top], 1 / q, out=np.empty(shape, dtype=np.complex128))
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    np.multiply(G[top], 1 / q, out=out)
     out *= chars.char_at_minus_one(ctx, bottom)
     bottom = L - bottom  # G_-b; the index L wraps to 0
     out *= np.take(G, bottom, mode="wrap")
@@ -172,6 +182,29 @@ def _blocks(rows: int, width: int) -> list[slice]:
     _GRID_BLOCK_CELLS cells per slice (one row at least)."""
     step = max(1, _GRID_BLOCK_CELLS // max(1, width))
     return [slice(s, s + step) for s in range(0, rows, step)]
+
+
+def _views(work, shape, *dtypes) -> list[np.ndarray]:
+    """Arrays of `shape`, one per dtype, laid end to end from the start of
+    the byte buffer `work` (new arrays if work is None).  A grid that makes
+    one buffer per call and carves each block's gathers, products and
+    discrepancies from it allocates no array of a block's size per block."""
+    size = math.prod(shape)
+    if work is None:
+        return [np.empty(shape, dtype=dtype) for dtype in dtypes]
+    views, at = [], 0
+    for dtype in dtypes:
+        nbytes = size * np.dtype(dtype).itemsize
+        views.append(work[at:at + nbytes].view(dtype).reshape(shape))
+        at += nbytes
+    return views
+
+
+def _work_buffer(blocks: list[slice], width: int, *dtypes) -> np.ndarray:
+    """The byte buffer of _views for the largest of `blocks` (the first),
+    `width` cells a row."""
+    cells = (blocks[0].stop - blocks[0].start) * width
+    return np.empty(cells * sum(np.dtype(dtype).itemsize for dtype in dtypes), dtype=np.uint8)
 
 
 def _params(L: int, pinned, start: int = 0) -> np.ndarray:
@@ -207,18 +240,23 @@ class VerifyReport:
     def match(self) -> bool:
         return self.disc < self.tol
 
-    def update_all(self, lhs, rhs, case_of, skip=None):
+    def update_all(self, lhs, rhs, case_of, skip=None, work=None):
         """Count the cases of a grid chunk (or of one case, as scalars) and
         keep the first largest discrepancy |lhs - rhs|, in row-major order,
         where the mask `skip` is unset; case_of(*index) names the case at an
-        array index."""
-        discs = np.asarray(abs(lhs - rhs))
+        array index.  `work`, a complex and a float array of the chunk's
+        shape, takes lhs - rhs and the discrepancies in place of new arrays."""
+        if work is None:
+            discs = np.asarray(abs(lhs - rhs))
+        else:
+            diff, discs = work
+            np.abs(np.subtract(lhs, rhs, out=diff), out=discs)
         if skip is not None:
             skip = np.broadcast_to(skip, discs.shape)
             n_skip = int(np.count_nonzero(skip))
             self.skipped += n_skip
             self.cases -= n_skip
-            discs = np.where(skip, -1.0, discs)
+            np.copyto(discs, -1.0, where=skip)
         self.cases += discs.size
         i = np.unravel_index(int(np.argmax(discs)), discs.shape)
         if discs[i] > self.disc:
@@ -251,24 +289,37 @@ def _check_gauss_reflection(ctx: FieldCtx, report: VerifyReport, m=None):
         report.update_all(lhs, rhs, lambda i: (int(mm[i]),), skip=mm == 0)
 
 
+_GRID_VIEWS = (np.complex128, np.complex128, np.complex128, np.float64, np.int64)
+
+
 def _check_gauss_shift(ctx: FieldCtx, report: VerifyReport, m=None, n=None):
     """G_m G_-n = J(T^m, T^-n) G_(m-n) wherever T^(m-n) is nontrivial, with J
-    from the defining sums, so that an error in G shows on every entry."""
+    from the defining sums, so that an error in G shows on every entry.  A
+    block's sides, gathers and discrepancies are _views of one buffer per
+    call (the defining rows' V and exponents too, before the sides)."""
     L = ctx.q - 1
     G = gauss_table(ctx)
     ms, nn = _params(L, m), _params(L, n)
-    minus_n = -nn % L
+    minus_n = np.negative(nn)
+    minus_n %= L
     # J is symmetric: a pinned n needs one defining row, J(T^-n, T^m) over m
     pinned_row = None if n is None else jacobi_direct_rows(ctx, minus_n)[0]
-    for s in _blocks(len(ms), len(nn)):
+    blocks = _blocks(len(ms), len(nn))
+    work = _work_buffer(blocks, len(nn), *_GRID_VIEWS)
+    for s in blocks:
         mm = ms[s, None]
-        lhs = G[mm] * G[minus_n]
-        if pinned_row is None:
-            rhs = jacobi_direct_rows(ctx, ms[s])[:, minus_n]
+        lhs, rhs, tmp, discs, idx = _views(work, (len(mm), len(nn)), *_GRID_VIEWS)
+        # mode="clip" writes straight to out ("raise" buffers it); indices lie in range
+        if pinned_row is None:  # the defining rows' V and k take the buffer first
+            np.take(jacobi_direct_rows(ctx, ms[s], work), minus_n, axis=1, out=rhs, mode="clip")
         else:
-            rhs = pinned_row[mm]
-        rhs *= np.take(G, mm - nn, mode="wrap")
-        report.update_all(lhs, rhs, lambda i, j: (int(mm[i, 0]), int(nn[j])), skip=mm == nn)
+            np.take(pinned_row, mm, out=rhs, mode="clip")
+        np.take(G, minus_n, out=tmp[0], mode="clip")
+        np.multiply(G[mm], tmp[0], out=lhs)
+        np.subtract(mm, nn, out=idx)
+        rhs *= np.take(G, idx, mode="wrap", out=tmp)
+        report.update_all(lhs, rhs, lambda i, j: (int(mm[i, 0]), int(nn[j])), skip=mm == nn,
+                          work=(tmp, discs))
 
 
 def _check_jacobi_gauss(ctx: FieldCtx, report: VerifyReport, seed=0, triples=24):
@@ -321,32 +372,47 @@ def _check_orthogonality(ctx: FieldCtx, report: VerifyReport):
             report.update_all(lhs, rhs, lambda i: (label, int(params[s][i])))
 
 
-def binom_translate_rhs(ctx: FieldCtx, a) -> np.ndarray:
+def binom_translate_rhs(ctx: FieldCtx, a, out=None) -> np.ndarray:
     """delta(x) + q/(q-1) * sum_k binom(T^a, T^k) T^k(x) for every x.
 
     The 1F0 binomial theorem equates it with T^a(1 + x).  At x = g^j the
     sum is an inverse DFT of the binomial row, so all x cost one FFT.  An
-    array of tops gives one row each, from one batched FFT.
+    array of tops gives one row each, from one batched FFT, written to `out`
+    if given.
     """
     a = np.asarray(a)
-    rows = ctx.q * np.fft.ifft(binom_grid(ctx, a[..., None], np.arange(ctx.q - 1)))
-    out = np.ones(a.shape + (ctx.q,), dtype=np.complex128)  # x = 0: the delta term
-    out[..., 1:] = rows[..., ctx.dlog[1:]]
+    if out is None:
+        out = np.empty(a.shape + (ctx.q,), dtype=np.complex128)
+    # the binomial rows take the start of out's memory, contiguous, until the
+    # transform has read them
+    L = ctx.q - 1
+    grid = out.reshape(-1)[:a.size * L].reshape(a.shape + (L,))
+    rows = np.fft.ifft(binom_grid(ctx, a[..., None], np.arange(L), out=grid))
+    rows *= ctx.q
+    np.take(rows, ctx.dlog, axis=-1, out=out, mode="clip")  # unbuffered; dlog 0 -> -1 clips
+    out[..., 0] = 1  # x = 0: the delta term
     return out
 
 
 def _check_binom_translate(ctx: FieldCtx, report: VerifyReport, a=None):
+    """T^a(1 + x) against binom_translate_rhs for every x; a block's sides,
+    exponents and discrepancies are _views of one buffer per call."""
     L = ctx.q - 1
     # dlog(1 + x) for every x: 0 at x = 0, and -1 at x = -1, where T^a(1 + x) = 0
     k1 = zech_table(ctx)[ctx.dlog]
     k1[0] = 0
     tops = _params(L, a)
-    for s in _blocks(len(tops), ctx.q):
+    blocks = _blocks(len(tops), ctx.q)
+    work = _work_buffer(blocks, ctx.q, *_GRID_VIEWS)
+    for s in blocks:
         aa = tops[s]
-        lhs = chars.unit_roots(ctx)[(aa[:, None] * k1) % L]
+        lhs, rhs, tmp, discs, idx = _views(work, (len(aa), ctx.q), *_GRID_VIEWS)
+        np.multiply(aa[:, None], k1, out=idx)
+        idx %= L
+        np.take(chars.unit_roots(ctx), idx, out=lhs, mode="clip")  # unbuffered; in range
         lhs[:, ctx.minus_one()] = 0
-        rhs = binom_translate_rhs(ctx, aa)
-        report.update_all(lhs, rhs, lambda i, x: (int(aa[i]), x))
+        binom_translate_rhs(ctx, aa, out=rhs)
+        report.update_all(lhs, rhs, lambda i, x: (int(aa[i]), x), work=(tmp, discs))
 
 
 def _binom_check(rhs_of):

@@ -365,12 +365,17 @@ def test_exit_code_one_on_mismatch(monkeypatch):
 
 
 def _spy_cache_keys(monkeypatch, module, name):
-    """Record (ctx, cache keys) at each call of module.name on a nonempty block."""
+    """Record (ctx, cache keys) at each call of module.name that has work to
+    do: every class row of curves._class_counts, and an oracle call on a
+    nonempty block."""
     real = getattr(module, name)
     seen = []
 
     def spy(*args):
-        ctx, block = (args[0].ctx, args[0].b) if module is curves else (args[0], args[2])
+        if name == "_class_counts":
+            ctx, block = args[0], True
+        else:
+            ctx, block = (args[0].ctx, args[0].b) if module is curves else (args[0], args[2])
         if np.size(block):
             seen.append((ctx, set(ctx._cache)))
         return real(*args)
@@ -380,11 +385,23 @@ def _spy_cache_keys(monkeypatch, module, name):
 
 
 def test_count_builds_gauss_table_before_first_row(monkeypatch):
-    # the table builds belong to no row, so they must not land in block 1's ms
-    seen = _spy_cache_keys(monkeypatch, curves, "count_bruteforce")
-    built = {"gauss", ("count_plan", 3, 4), ("power_counts", 3), ("power_counts_tiled", 3),
-             ("pow_by_exp", 4), "exp2"}
+    # the table builds belong to no row, so they must not land in block 1's ms:
+    # a prime field builds the class tables, counts spectrum included, on the
+    # empty warm-up block, and each class row then reads them
+    seen = _spy_cache_keys(monkeypatch, curves, "_class_counts")
+    built = {"gauss", ("count_plan", 3, 4), ("power_counts", 3), ("pow_by_exp", 4),
+             ("class_tables", 3, 4)}
     code, _ = run_cli(["count", "--q", "37", "--e", "3", "--d", "4", "--random", "3",
+                       "--seed", "1", "--format", "json"])
+    assert code == 0
+    assert seen and all(built <= keys == set(ctx._cache) for ctx, keys in seen)
+
+
+def test_count_builds_oracle_tables_before_first_row_on_extension_fields(monkeypatch):
+    # an extension field's per-orbit oracle builds its tables on the empty block too
+    seen = _spy_cache_keys(monkeypatch, curves, "count_bruteforce")
+    built = {"gauss", ("count_plan", 2, 3), ("power_counts", 2), ("oracle_tables", 2, 3), "zech"}
+    code, _ = run_cli(["count", "--p", "5", "--n", "2", "--e", "2", "--d", "3", "--random", "3",
                        "--seed", "1", "--format", "json"])
     assert code == 0
     assert seen and all(built <= keys == set(ctx._cache) for ctx, keys in seen)
@@ -393,8 +410,8 @@ def test_count_builds_gauss_table_before_first_row(monkeypatch):
 @pytest.mark.parametrize(
     "suite,q,module,name",
     [
-        ("lennon", 181, curves, "count_bruteforce"),
-        ("e34", 181, curves, "count_bruteforce"),
+        ("lennon", 181, curves, "_class_counts"),
+        ("e34", 181, curves, "_class_counts"),
         ("edwards", 181, apps, "edwards_count_bruteforce"),
     ],
 )
@@ -404,7 +421,11 @@ def test_verify_builds_tables_before_first_block(monkeypatch, suite, q, module, 
     code, _ = run_cli(["verify", "--suite", suite, "--q", str(q), "--count", "1500",
                        "--format", "json"])
     assert code == 0
-    assert len(seen) == 2  # blocks of 1024 and 476 rows
+    if module is apps:
+        assert len(seen) == 2  # blocks of 1024 and 476 rows
+    else:  # one class row per a-class, gcd(e(d-1), q-1) of them
+        e, d = {"lennon": (2, 3), "e34": (3, 4)}[suite]
+        assert len(seen) == math.gcd(e * (d - 1), q - 1)
     assert all(keys == set(ctx._cache) for ctx, keys in seen)
 
 
@@ -525,37 +546,53 @@ def test_count_guard_failures_stay_per_row(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "q,e,d,select,blocks",
+    "pn,e,d,select,blocks",
     [
-        (61, 5, 4, ["--sweep"], 4),  # 3,600 rows over 300 orbits
-        (37, 3, 4, ["--random", "3000"], 3),  # 3,000 rows over 108 orbits
+        ((61, 1), 5, 4, ["--sweep"], 4),  # 3,600 rows over 300 orbits in 15 a-classes
+        ((37, 1), 3, 4, ["--random", "3000"], 3),  # 3,000 rows, 108 orbits in 9 a-classes
+        ((7, 2), 2, 3, ["--random", "3000"], 3),  # 3,000 rows over 96 orbits
     ],
-    ids=["sweep-61", "random-37"],
+    ids=["sweep-61", "random-37", "random-49"],
 )
-def test_count_counts_each_orbit_once(monkeypatch, q, e, d, select, blocks):
-    # blocks after the first read most orbits from the memo: every oracle is
-    # still its own row's count, and each orbit is enumerated once, in one
-    # count_bruteforce call per block (and one on the empty warm-up block)
-    real, sizes = curves.count_bruteforce, []
+def test_count_counts_each_orbit_once(monkeypatch, pn, e, d, select, blocks):
+    # every oracle is still its own row's count.  On a prime field each
+    # a-class met is built once per command, as one class row, and
+    # count_bruteforce is never called.  An extension field keeps the
+    # per-orbit memo: each orbit is enumerated once, in one count_bruteforce
+    # call per block (and one on the empty warm-up block), so blocks after
+    # the first read most orbits from it.
+    real, classes, sizes = curves.count_bruteforce, [], []
+    real_row = curves._class_counts
+
+    def spy_row(ctx, e, d, c):
+        classes.append(c)
+        return real_row(ctx, e, d, c)
 
     def spy(spec):
         sizes.append(np.size(spec.b))
         return real(spec)
 
+    monkeypatch.setattr(curves, "_class_counts", spy_row)
     monkeypatch.setattr(curves, "count_bruteforce", spy)
-    code, out = run_cli(["count", "--q", str(q), "--e", str(e), "--d", str(d), *select,
-                         "--format", "json"])
+    p, n = pn
+    code, out = run_cli(["count", "--p", str(p), "--n", str(n), "--e", str(e), "--d", str(d),
+                         *select, "--format", "json"])
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
-    ctx = charsum.make_field(q)
+    ctx = charsum.make_field(p, n)
     a, b = (np.array([row[k] for row in rows]) for k in "ab")
-    want = real(curves.CurveSpec(ctx, e, d, a, b))
-    assert [row["oracle"] for row in rows] == want.tolist()
-    L = q - 1
-    key = curves.torus_orbits(L, e, d, ctx.dlog[a], ctx.dlog[b])[0]
-    assert len(sizes) == blocks + 1 and sizes[0] == 0
-    assert sum(sizes) == len(set(key.tolist())) == L * math.gcd(L, e * (d - 1), d * e)
-    assert sizes[2] < sizes[1]
+    assert [row["oracle"] for row in rows] == real(curves.CurveSpec(ctx, e, d, a, b)).tolist()
+    L = ctx.q - 1
+    key, la0, _ = curves.torus_orbits(L, e, d, ctx.dlog[a], ctx.dlog[b])
+    if n == 1:
+        assert not sizes
+        met = sorted(set(la0.tolist()))
+        assert sorted(classes) == met == list(range(math.gcd(L, e * (d - 1))))
+    else:
+        assert not classes
+        assert len(sizes) == blocks + 1 and sizes[0] == 0
+        assert sum(sizes) == len(set(key.tolist())) == L * math.gcd(L, e * (d - 1), d * e)
+        assert sizes[2] < sizes[1]
 
 
 _SUITE_ROUTES = {

@@ -95,6 +95,54 @@ def test_torus_orbits_match_an_orbit_walk(pn):
         assert len(set(zip(orbit.tolist(), key.tolist()))) == n_keys, (e, d)
         assert 0 <= key.min() and key.max() < n_keys
         assert (orbit[la0 * L + lb0] == orbit).all(), (e, d)
+        # the canonical member is the orbit's a-class member, dlog a mod gcd(r, L)
+        assert (la0 == la % math.gcd(r, L)).all(), (e, d)
+
+
+_FAMILIES = ((2, 2), (2, 3), (3, 3), (3, 4), (2, 4), (5, 2), (3, 6))
+
+
+@pytest.mark.parametrize("pn", [(13, 1), (37, 1), (61, 1), (181, 1), (5, 2), (7, 2)],
+                         ids=["13", "37", "61", "181", "25", "49"])
+def test_family_counts_equal_bruteforce_every_pair(pn):
+    # prime fields take the class rows, extension fields the per-orbit memo;
+    # at q = 13, (5, 2) has gcd(e(d-1), q-1) = 1: one a-class holds every orbit
+    ctx = field(*pn)
+    L = ctx.q - 1
+    a, b = (v.ravel() + 1 for v in np.divmod(np.arange(L * L), L))
+    assert ctx.q != 13 or math.gcd(5, L) == 1
+    for e, d in _FAMILIES:
+        counts = curves.family_counts(ctx, e, d)
+        want = curves.count_bruteforce(curves.CurveSpec(ctx, e, d, a, b))
+        assert np.array_equal(counts(a, b), want), (ctx.q, e, d)
+        assert np.array_equal(counts(a[::-1], b[::-1]), want[::-1]), (ctx.q, e, d)  # the memo
+
+
+@pytest.mark.parametrize("q", [4093, 16381, 65521])
+def test_family_counts_equal_bruteforce_seeded_samples(q):
+    ctx = field(q)
+    rng = np.random.default_rng(q)
+    for e, d in ((2, 3), (3, 4), (5, 2), (3, 6)):
+        a, b = rng.integers(1, q, size=(2, 64))
+        got = curves.family_counts(ctx, e, d)(a, b)
+        assert np.array_equal(got, curves.count_bruteforce(curves.CurveSpec(ctx, e, d, a, b)))
+        if q == 4093:
+            for i in range(3):
+                spec = curves.CurveSpec(ctx, e, d, int(a[i]), int(b[i]))
+                assert got[i] == curves.count_naive(spec), (e, d, a[i], b[i])
+
+
+def test_family_counts_guard_a_corrupted_spectrum():
+    ctx = charsum.make_field(37)  # not the shared context: its table is replaced
+    counts = curves.family_counts(ctx, 2, 3)
+    empty = np.empty(0, dtype=np.int64)
+    counts(empty, empty)  # builds the class tables
+    xd, n, spectrum = ctx._cache[("class_tables", 2, 3)]
+    bad = spectrum.copy()
+    bad[3] += 1e-3
+    ctx._cache[("class_tables", 2, 3)] = (xd, n, bad)
+    with pytest.raises(curves.RoundingGuardError, match="correlation residue"):
+        counts(np.array([1]), np.array([1]))
 
 
 @pytest.mark.parametrize("pn", [(13, 1), (5, 2)], ids=["13", "25"])
